@@ -1,9 +1,14 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels with a numba fast path and a pure-numpy fallback,
+and a thread-count control for the BLAS that numpy loaded.
 
 The fallback is selected automatically when numba is missing, or explicitly
 by setting the environment variable ``UGSOS_NO_NUMBA=1`` before import.
-``benchmarks/bench_kernels.py`` compares the two paths.
+``perfbench/run.py`` times the brute-force oracle as
+``instances.brute_force_opt`` in its ``certify`` workload.
 """
+import contextlib
+import ctypes
+import functools
 import os
 
 import numpy as np
@@ -32,7 +37,6 @@ def _brute_force_scan_py(eu, ev, ew, eshift, n, k):
     total = k ** (n - 1) if n > 1 else 1
     best_code = 0
     best_wsat = -1.0
-    x = np.zeros(n, dtype=np.int64)
     chunk = 1 << 14
     codes_all = np.arange(total, dtype=np.int64)
     for lo in range(0, total, chunk):
@@ -49,7 +53,6 @@ def _brute_force_scan_py(eu, ev, ew, eshift, n, k):
         if wsat[i] > best_wsat:
             best_wsat = float(wsat[i])
             best_code = int(codes[i])
-    del x
     return best_code, best_wsat
 
 
@@ -120,3 +123,64 @@ if HAS_NUMBA:
     subset_cut_scan = _subset_cut_scan_nb
 else:
     subset_cut_scan = _subset_cut_scan_py
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads.
+#
+# numpy's OpenBLAS is found among the shared objects mapped into this process
+# and driven through ctypes.  Without an OpenBLAS (another BLAS, or no
+# /proc/self/maps) every call below is a no-op.
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_fns():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            get = getattr(handle, name % "get", None)
+            put = getattr(handle, name % "set", None)
+            if get is not None and put is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                put.restype = None
+                return get, put
+    return None
+
+
+def get_blas_threads():
+    """Current OpenBLAS thread count, or None when no OpenBLAS is loaded."""
+    fns = _openblas_thread_fns()
+    return None if fns is None else int(fns[0]())
+
+
+def set_blas_threads(n: int):
+    """Set the OpenBLAS thread count; returns the previous count (None and
+    no effect when no OpenBLAS is loaded)."""
+    prev = get_blas_threads()
+    if prev is not None:
+        _openblas_thread_fns()[1](int(n))
+    return prev
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with `n` OpenBLAS threads, restoring the count after."""
+    prev = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if prev is not None:
+            set_blas_threads(prev)

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from ugsos import _kernels
 from ugsos.errors import ParameterError, SizeCapError, UgsosError
 
 EXIT_OK = 0
@@ -23,17 +24,19 @@ EXIT_SIZE_CAP = 4
 
 
 def _limit_threads():
+    """Cap the OpenBLAS thread count at UGSOS_THREADS, if set.  numpy is
+    already loaded here, so the cap goes through the library itself rather
+    than the environment variables it reads at load time."""
     cap = os.environ.get("UGSOS_THREADS")
     if not cap:
         return
     try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(int(cap))
-    except ImportError:
-        # fall back to the env vars the BLAS runtimes read at import time
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+        n = int(cap)
+    except ValueError:
+        raise ParameterError(f"UGSOS_THREADS must be an integer, got {cap!r}")
+    if n < 1:
+        raise ParameterError(f"UGSOS_THREADS must be >= 1, got {n}")
+    _kernels.set_blas_threads(n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,11 +309,11 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     args = _build_parser().parse_args(argv)
     handlers = {"gen": cmd_gen, "solve-round": cmd_solve_round,
                 "verify": cmd_verify}
     try:
+        _limit_threads()
         return handlers[args.command](args)
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ugsos import _kernels
-from ugsos.errors import ParameterError, SizeCapError
+from ugsos.errors import ConstructionError, ParameterError, SizeCapError
 
 BRUTE_FORCE_CAP = 10**7
 
@@ -156,7 +156,11 @@ def brute_force_opt(inst: UgInstance, cap: int = BRUTE_FORCE_CAP):
         x[v] = c % k
         c //= k
     best = wsat / inst.total_weight
-    assert abs(value(inst, x) - best) < 1e-12
+    achieved = value(inst, x)
+    if abs(achieved - best) >= 1e-12:
+        raise ConstructionError(
+            f"brute-force assignment has value {achieved}, scan reported "
+            f"{best}")
     return x, best
 
 

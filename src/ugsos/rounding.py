@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ugsos.errors import NullEventError, ParameterError
+from ugsos.errors import ConstructionError, NullEventError, ParameterError
 from ugsos.instances import UgInstance, value
 from ugsos.potentials import check_shift_symmetric
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, canon_key,
@@ -308,7 +308,10 @@ def derandomized_round(pE: PseudoExpectation, inst: UgInstance,
     x = _greedy_round(best_q, inst, H, edges)
     eu, ev, w, s = edges
     achieved = float(w @ ((x[eu] - x[ev]) % inst.k == s))
-    assert achieved >= best_exp - 1e-9
+    if achieved < best_exp - 1e-9:
+        raise ConstructionError(
+            f"derandomized value {achieved} is below the conditional "
+            f"expectation {best_exp}")
     return RoundingOutcome(x, achieved, best_exp)
 
 

@@ -25,9 +25,20 @@ polynomial space modulo the constraint ideal), so PSD-ness and feasibility
 transfer.  The SDP itself is solved by ADMM: a diagonal least-squares
 y-update, projection onto the PSD cone by eigendecomposition,
 over-relaxation 1.6, iteration cap 100000.
+
+Each iteration is one `np.linalg.eigh` plus O(dim^2) bookkeeping.  The
+adjoint A^T(R) of the moment-matrix map reads only the nonzero lower
+triangle (flat indices, moment ids and weights 1 on / 2 off the diagonal,
+built once per solve), and A(y) is a single gather from the moment vector
+with an appended zero for structural zeros.  The PSD projection rebuilds
+from the smaller of the negative and nonnegative eigenspaces, and the dual
+iterate is the rest of the projected matrix.  Below `ONE_THREAD_MAX_DIM`
+the loop runs on one BLAS thread, which is as fast as two at those sizes
+for half the CPU; the previous thread count is restored afterwards.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -35,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ugsos import _kernels
 from ugsos.errors import DegreeError, NullEventError, ParameterError, SizeCapError
 from ugsos.instances import UgInstance
 
@@ -42,6 +54,15 @@ DIM_CAP = 4000
 COND_FLOOR = 1e-9
 ADMM_MAX_ITERS = 100_000
 ADMM_OVER_RELAX = 1.6
+# Reduced dimensions below this run the ADMM loop on one BLAS thread.  Sweep
+# of np.linalg.eigh on random symmetric matrices (2-core x86-64, numpy 2.4
+# with OpenBLAS), ms wall per call, 1 thread vs 2 threads:
+#   dim 129: 1.9-2.0 vs 1.8-2.5    dim 201: 5.3-5.7 vs 5.2-5.8
+#   dim 301: 12.9-15.0 vs 11.3-14.2  dim 376: 21.3-24.8 vs 19.6-20.8
+#   dim 451: 35.5-38.4 vs 27.6-31.3
+# Two threads cost about twice the CPU at every size and save wall time only
+# from about 300 on.
+ONE_THREAD_MAX_DIM = 300
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +426,35 @@ def _full_moments_from_reduced(yvals: dict, n: int, k: int, D: int) -> dict:
     return out
 
 
+def _tril_adjoint_index(entry_map: np.ndarray):
+    """Flat positions, moment ids and weights of the nonzero lower-triangle
+    entries of `entry_map`: for a symmetric R, the adjoint A^T(R) is
+    bincount(ids, w * R.ravel()[flat]) with weight 1 on the diagonal and 2
+    off it."""
+    rows, cols = np.tril_indices(entry_map.shape[0])
+    ids = entry_map[rows, cols]
+    keep = ids >= 0
+    rows, cols, ids = rows[keep], cols[keep], ids[keep]
+    flat = rows * entry_map.shape[0] + cols
+    w = np.where(rows == cols, 1.0, 2.0)
+    return flat, ids, w
+
+
+def _psd_split(S: np.ndarray):
+    """(S_+, S - S_+) with S_+ the projection of symmetric S onto the PSD
+    cone, reconstructed from whichever eigenspace (negative or nonnegative)
+    is smaller."""
+    lam, Q = np.linalg.eigh(S)
+    nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
+    if 2 * nneg < lam.size:
+        Qn = Q[:, :nneg]
+        neg = (Qn * lam[:nneg]) @ Qn.T
+        return S - neg, neg
+    Qp = Q[:, nneg:]
+    pos = (Qp * lam[nneg:]) @ Qp.T
+    return pos, S - pos
+
+
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
               max_iters: int = ADMM_MAX_ITERS) -> PseudoExpectation:
     """Maximize the UG objective over degree-D pseudoexpectations by ADMM.
@@ -416,53 +466,55 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     PseudoExpectation carrying the SDP objective in flags["sdp_value"] and
     "unconverged": True if the iteration cap was hit."""
     E = problem.entry_map
-    valid = E >= 0
-    flat_idx = E[valid]
     M = len(problem.rmoments)
-    counts = np.bincount(flat_idx, minlength=M).astype(float)
+    flat, ids, w = _tril_adjoint_index(E)
+    counts = np.bincount(ids, weights=w, minlength=M)
+    # A(y) is one gather; structural zeros read an appended 0.0 at index M
+    gather = np.where(E >= 0, E, M)
     c = problem.objective_vec
     i_one = problem.rindex[()]
     dim = len(problem.rbasis)
+
+    def adjoint(R):
+        return np.bincount(ids, weights=w * R.ravel()[flat], minlength=M)
+
+    def A(y):
+        return np.append(y, 0.0).take(gather)
 
     rho = 1.0
     # start from the uniform independent distribution (feasible, interior)
     y = np.array([problem.inst.k ** (-len(m)) for m in problem.rmoments])
     y[i_one] = 1.0
-    X = np.zeros((dim, dim))
-    X[valid] = y[flat_idx]
+    X = A(y)
     U = np.zeros((dim, dim))
     gamma = ADMM_OVER_RELAX
     pri = dua = np.inf
     converged = False
-    for it in range(max_iters):
-        # y-update: diagonal normal equations over the valid entries
-        R = X - U
-        y_new = (c / rho + np.bincount(flat_idx, weights=R[valid], minlength=M))
-        y_new /= np.maximum(counts, 1.0)
-        y_new[i_one] = 1.0
-        Ay = np.zeros((dim, dim))
-        Ay[valid] = y_new[flat_idx]
-        AY = gamma * Ay + (1.0 - gamma) * X
-        # X-update: PSD projection
-        lam, Q = np.linalg.eigh(AY + U)
-        lam_clip = np.clip(lam, 0.0, None)
-        X_new = (Q * lam_clip) @ Q.T
-        U = U + AY - X_new
-        pri = float(np.linalg.norm(Ay - X_new))
-        dua = rho * float(np.linalg.norm(
-            np.bincount(flat_idx, weights=(X_new - X)[valid], minlength=M)))
-        X = X_new
-        y = y_new
-        if pri <= tol and dua <= tol:
-            converged = True
-            break
-        if it % 50 == 49:
-            if pri > 10.0 * dua:
-                rho *= 2.0
-                U /= 2.0
-            elif dua > 10.0 * pri:
-                rho /= 2.0
-                U *= 2.0
+    threads = (_kernels.blas_threads(1) if dim < ONE_THREAD_MAX_DIM
+               else contextlib.nullcontext())
+    with threads:
+        for it in range(max_iters):
+            # y-update: diagonal normal equations over the valid entries
+            y_new = (c / rho + adjoint(X - U)) / np.maximum(counts, 1.0)
+            y_new[i_one] = 1.0
+            Ay = A(y_new)
+            AY = gamma * Ay + (1.0 - gamma) * X
+            # X-update: PSD projection; U takes the negative part
+            X_new, U = _psd_split(AY + U)
+            pri = float(np.linalg.norm(Ay - X_new))
+            dua = rho * float(np.linalg.norm(adjoint(X_new - X)))
+            X = X_new
+            y = y_new
+            if pri <= tol and dua <= tol:
+                converged = True
+                break
+            if it % 50 == 49:
+                if pri > 10.0 * dua:
+                    rho *= 2.0
+                    U /= 2.0
+                elif dua > 10.0 * pri:
+                    rho /= 2.0
+                    U *= 2.0
     inst = problem.inst
     yvals = {m: float(y[i]) for i, m in enumerate(problem.rmoments)}
     moments = _full_moments_from_reduced(yvals, inst.num_vertices, inst.k,

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ugsos.cli import main
+from ugsos import _kernels
+from ugsos.cli import _limit_threads, main
 
 
 def run(capsys, *argv):
@@ -92,3 +93,19 @@ def test_exit_code_size_cap(capsys):
 def test_verify_unknown_only_is_parameter_error(capsys):
     code, _, err = run(capsys, "verify", "--only", "nonexistent")
     assert code == 3
+
+
+def test_ugsos_threads_sets_blas_threads(monkeypatch):
+    if _kernels.get_blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    with _kernels.blas_threads(2):
+        monkeypatch.setenv("UGSOS_THREADS", "1")
+        _limit_threads()
+        assert _kernels.get_blas_threads() == 1
+
+
+def test_ugsos_threads_rejects_non_integer(monkeypatch, capsys):
+    monkeypatch.setenv("UGSOS_THREADS", "two")
+    code, _, err = run(capsys, "verify", "--only", "no-such-check")
+    assert code == 3
+    assert "UGSOS_THREADS" in err

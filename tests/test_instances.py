@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos.errors import ParameterError, SizeCapError
+from ugsos import _kernels
+from ugsos.errors import ConstructionError, ParameterError, SizeCapError
 from ugsos.graphs import noisy_hypercube
 from ugsos.instances import (UgInstance, brute_force_opt, local_value,
                              plant_instance, value)
@@ -53,6 +54,19 @@ def test_brute_force_cap():
     inst, _ = plant_instance(g, 3, 0.0, seed=0)
     with pytest.raises(SizeCapError):
         brute_force_opt(inst, cap=10)
+
+
+def test_brute_force_checks_scan_result(monkeypatch):
+    inst = make_triangle(3, sat=True)
+    scan = _kernels.brute_force_scan
+
+    def wrong_code(eu, ev, ew, eshift, n, k):
+        code, wsat = scan(eu, ev, ew, eshift, n, k)
+        return (code + 1) % k ** (n - 1), wsat
+
+    monkeypatch.setattr(_kernels, "brute_force_scan", wrong_code)
+    with pytest.raises(ConstructionError):
+        brute_force_opt(inst)
 
 
 def test_plant_zero_eps_is_satisfiable():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ugsos.errors import NullEventError, ParameterError
+from ugsos import rounding
+from ugsos.errors import ConstructionError, NullEventError, ParameterError
 from ugsos.instances import value
 from ugsos.potentials import phi_apx, truncation_cap
 from ugsos.rounding import (closed_form_cr, cond_marginals,
@@ -80,6 +81,15 @@ def test_derandomized_beats_expectation(cube_pe, cube_inst):
     out = derandomized_round(cube_pe, inst)
     assert out.achieved_value >= out.expected_value - 1e-9
     assert np.all(out.assignment >= 0)
+
+
+def test_derandomized_checks_greedy_result(triangle_sat, sym_pm, monkeypatch):
+    # all-zero labels satisfy no edge of the satisfiable triangle, whose
+    # conditional expectation is 1
+    monkeypatch.setattr(rounding, "_greedy_round",
+                        lambda marg, inst, H, edges: np.zeros(3, np.int64))
+    with pytest.raises(ConstructionError):
+        derandomized_round(sym_pm, triangle_sat)
 
 
 def test_derandomized_recovers_planted(cube_pe, cube_inst):

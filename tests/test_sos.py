@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugsos import _kernels, sos
 from ugsos.errors import NullEventError, ParameterError
-from ugsos.instances import brute_force_opt, value
+from ugsos.instances import UgInstance, brute_force_opt, value
 from ugsos.sos import (PseudoExpectation, build_relaxation, canon_key,
                        condition, evaluate, key_mul, mixture_pe,
                        moment_matrix, point_mass_pe, poly_add, poly_mul,
@@ -110,6 +111,85 @@ def test_sdp_degree4_unsat_triangle(unsat_pe, triangle_unsat):
 def test_bad_degree_rejected(triangle_sat):
     with pytest.raises(ParameterError):
         build_relaxation(triangle_sat, 3)
+
+
+def test_solver_iterates_pinned():
+    # the instance of `ugsos verify`'s symmetry check; per-iteration
+    # optimizations of the ADMM loop must keep its iterates, so the iteration
+    # count is exact and the value agrees to round-off
+    inst = UgInstance(3, 3, ((0, 1, 1.0, 1), (1, 2, 1.0, 0), (0, 2, 1.0, 1)))
+    pE = solve_sdp(build_relaxation(inst, 4))
+    assert pE.flags["iterations"] == 102
+    assert abs(pE.flags["sdp_value"] - 0.9999999427511829) <= 1e-10
+
+
+def test_tril_adjoint_matches_full_bincount(rng):
+    E = build_relaxation(make_triangle(3, sat=False), 4).entry_map
+    M = int(E.max()) + 1
+    flat, ids, w = sos._tril_adjoint_index(E)
+    R = rng.normal(size=E.shape)
+    R = R + R.T
+    valid = E >= 0
+    full = np.bincount(E[valid], weights=R[valid], minlength=M)
+    tri = np.bincount(ids, weights=w * R.ravel()[flat], minlength=M)
+    assert np.allclose(tri, full, rtol=0, atol=1e-12)
+    assert np.array_equal(np.bincount(ids, weights=w, minlength=M),
+                          np.bincount(E[valid], minlength=M))
+
+
+@pytest.mark.parametrize("npos", [31, 9, 40, 0])
+def test_psd_split_matches_clipped_reconstruction(rng, npos):
+    dim = 40
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    lam = rng.uniform(0.1, 2.0, size=dim)
+    lam[npos:] *= -1.0
+    S = (Q * lam) @ Q.T
+    S = (S + S.T) / 2.0
+    mu, V = np.linalg.eigh(S)
+    ref = (V * np.clip(mu, 0.0, None)) @ V.T
+    pos, rest = sos._psd_split(S)
+    assert np.abs(pos - ref).max() <= 1e-12
+    assert np.abs(rest - (S - ref)).max() <= 1e-12
+
+
+def _spy_eigh_threads(monkeypatch):
+    """Record the BLAS thread count at each np.linalg.eigh call."""
+    if _kernels.get_blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        seen.append(_kernels.get_blas_threads())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+def test_solve_restores_blas_threads(triangle_sat, monkeypatch):
+    problem = build_relaxation(triangle_sat, 2)
+    seen = _spy_eigh_threads(monkeypatch)
+
+    def boom(a):
+        raise RuntimeError("eigh failed")
+
+    with _kernels.blas_threads(2):
+        solve_sdp(problem)
+        assert _kernels.get_blas_threads() == 2
+        assert set(seen) == {1}
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(RuntimeError):
+            solve_sdp(problem)
+        assert _kernels.get_blas_threads() == 2
+
+
+def test_large_dimension_keeps_blas_threads(triangle_sat, monkeypatch):
+    seen = _spy_eigh_threads(monkeypatch)
+    monkeypatch.setattr(sos, "ONE_THREAD_MAX_DIM", 0)
+    with _kernels.blas_threads(2):
+        solve_sdp(build_relaxation(triangle_sat, 2))
+    assert set(seen) == {2}
 
 
 # -- symmetrization ---------------------------------------------------------
