@@ -165,6 +165,13 @@ def z_var_poly(u: int, s: int, k: int) -> dict:
     return out
 
 
+def _copy_parts(key):
+    """The copy-0 and copy-1 parts of a key, each as a single-copy key."""
+    left = tuple((v, a, 0) for (v, a, c) in key if c == 0)
+    right = tuple((v, a, 0) for (v, a, c) in key if c == 1)
+    return left, right
+
+
 # ---------------------------------------------------------------------------
 # PseudoExpectation
 # ---------------------------------------------------------------------------
@@ -195,8 +202,7 @@ class PseudoExpectation:
         if self._base is not None:
             # a product of degree-D tables defines mixed moments with degree
             # up to D in *each* copy
-            left = tuple((v, a, 0) for (v, a, c) in key if c == 0)
-            right = tuple((v, a, 0) for (v, a, c) in key if c == 1)
+            left, right = _copy_parts(key)
             return self._base.moment(left) * self._base.moment(right)
         if len(key) > self.degree:
             raise DegreeError(
@@ -600,7 +606,9 @@ def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
 
     Moments are computed on demand from the base table (the tagged key space
     is quadratically larger); the result is a valid degree-D
-    pseudoexpectation."""
+    pseudoexpectation.  `moment_matrix` and `validate` work through the
+    factors too: the product moment matrix is gathered from the base one,
+    and the partition residuals come from the base's residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
     return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, {},
@@ -631,7 +639,6 @@ def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
 class ValidationReport:
     min_eigenvalue: float
     max_partition_residual: float
-    aliasing_residual: float
     scaling_deviation: float
     tol: float
 
@@ -639,16 +646,27 @@ class ValidationReport:
     def passed(self) -> bool:
         return (self.min_eigenvalue >= -self.tol
                 and self.max_partition_residual <= self.tol
-                and self.aliasing_residual <= self.tol
                 and self.scaling_deviation <= self.tol)
 
 
-def moment_matrix(pE: PseudoExpectation, basis=None) -> np.ndarray:
+def moment_matrix(pE: PseudoExpectation) -> np.ndarray:
     """Moment matrix over canonical monomials of degree <= D/2 (both copies
-    for product pseudoexpectations)."""
-    if basis is None:
-        basis = list(all_canonical_keys(pE.num_vertices, pE.k,
-                                        pE.degree // 2, copies=pE.copy_count))
+    for product pseudoexpectations).
+
+    A product-copy entry (a, b) is pE[a_0 b_0] pE[a_1 b_1], with a_c the
+    copy-c part of a, so that matrix is the entrywise product of two gathers
+    from the base moment matrix: the same floats the entry-by-entry products
+    give (a structural zero may come out as -0.0)."""
+    n, k, half = pE.num_vertices, pE.k, pE.degree // 2
+    if pE._base is not None:
+        base_ids = {m: i for i, m in enumerate(all_canonical_keys(n, k, half))}
+        parts = [_copy_parts(b)
+                 for b in all_canonical_keys(n, k, half, copies=2)]
+        left = [base_ids[m] for m, _ in parts]
+        right = [base_ids[m] for _, m in parts]
+        Mb = moment_matrix(pE._base)
+        return Mb[np.ix_(left, left)] * Mb[np.ix_(right, right)]
+    basis = list(all_canonical_keys(n, k, half, copies=pE.copy_count))
     dim = len(basis)
     Mm = np.zeros((dim, dim))
     for i, a in enumerate(basis):
@@ -659,19 +677,17 @@ def moment_matrix(pE: PseudoExpectation, basis=None) -> np.ndarray:
     return Mm
 
 
-def validate(pE: PseudoExpectation, tol: float = 1e-6) -> ValidationReport:
-    """Check the pseudoexpectation axioms numerically.
-
-    Booleanity/disjointness and moment-matrix entry aliasing hold
-    structurally (moments live in a canonical-key table, so two entries with
-    the same product read the same number); the aliasing residual is reported
-    as the structural 0."""
-    scaling = abs(pE.moment(()) - 1.0)
-    Mm = moment_matrix(pE)
-    min_eig = float(np.linalg.eigvalsh(Mm)[0])
-    max_part = 0.0
+def _partition_table(pE: PseudoExpectation):
+    """(amp, res) over monomials m of degree d < D: amp[d] is the largest
+    |pE[m]| and res[d] the largest partition residual
+    |sum_a pE[m X_{u,a}] - pE[m]| over all vertices u and copies."""
+    amp = [0.0] * pE.degree
+    res = [0.0] * pE.degree
     for m in all_canonical_keys(pE.num_vertices, pE.k, pE.degree - 1,
                                 copies=pE.copy_count):
+        d = len(m)
+        pm = pE.moment(m)
+        amp[d] = max(amp[d], abs(pm))
         for u in range(pE.num_vertices):
             for cpy in range(pE.copy_count):
                 tot = 0.0
@@ -679,5 +695,30 @@ def validate(pE: PseudoExpectation, tol: float = 1e-6) -> ValidationReport:
                     km = key_mul(m, ((u, a, cpy),))
                     if km is not None:
                         tot += pE.moment(km)
-                max_part = max(max_part, abs(tot - pE.moment(m)))
-    return ValidationReport(min_eig, max_part, 0.0, scaling, tol)
+                res[d] = max(res[d], abs(tot - pm))
+    return amp, res
+
+
+def validate(pE: PseudoExpectation, tol: float = 1e-6) -> ValidationReport:
+    """Check the pseudoexpectation axioms numerically: scaling pE[1] = 1,
+    PSD moment matrix, and the partition constraint.
+
+    Booleanity/disjointness and moment-matrix entry aliasing hold
+    structurally: moments live in a canonical-key table, so two entries with
+    the same product read the same number.
+
+    A product copy is checked through its factors.  Its moment matrix is
+    gathered from the base one (see `moment_matrix`), and at a monomial
+    m = (m_0, m_1) its partition residual on copy 0 is
+    |pE[m_1]| r(m_0, u), with r the base's own residual; so the largest one
+    is the largest res[d_0] amp[d_1] over d_0 + d_1 < D from the base's
+    `_partition_table`."""
+    scaling = abs(pE.moment(()) - 1.0)
+    min_eig = float(np.linalg.eigvalsh(moment_matrix(pE))[0])
+    if pE._base is not None:
+        amp, res = _partition_table(pE._base)
+        max_part = max((res[d] * amp[e] for d in range(pE.degree)
+                        for e in range(pE.degree - d)), default=0.0)
+    else:
+        max_part = max(_partition_table(pE)[1], default=0.0)
+    return ValidationReport(min_eig, max_part, scaling, tol)

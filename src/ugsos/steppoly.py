@@ -11,11 +11,16 @@ Numerical note: the monomial coefficients of a step approximant grow like
 ~5.8^degree, far past float64 at the degrees the tight triples need, so
 coefficients are stored as exact rationals (the Chebyshev fit is converted
 exactly) and Horner evaluation runs in exact arithmetic whenever the
-coefficients are too large for a safe float path.  This keeps the
-monomial-coefficient contract honest instead of silently evaluating noise.
+coefficients are too large for a safe float path.  The exact path is a
+single integer Horner over all points at once (numpy object arrays of
+Python ints over a common denominator), ending in one correctly rounded
+division per point, so each value is the float nearest the exact one.  This
+keeps the monomial-coefficient contract honest instead of silently
+evaluating noise.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,23 +75,34 @@ def _float_safe(coeffs) -> bool:
     return max(abs(float(c)) for c in coeffs) <= _FLOAT_SAFE_COEF
 
 
-def _horner_exact_one(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _horner_many(coeffs, xs: np.ndarray) -> np.ndarray:
-    """Horner over an array of points; float path when safe, exact otherwise."""
+    """Horner over an array of points; float path when safe, exact otherwise.
+
+    The exact path is one integer Horner for all points.  With L the lcm of
+    the coefficient denominators, N_i = c_i L, and every point written as
+    x = m/Q over the largest denominator Q of the points (all of them powers
+    of two), acc = sum_i N_i m^i Q^(d-i) and p(x) = acc / (L Q^d).  The
+    final int / int division is correctly rounded, so each value equals
+    float() of the exact rational Horner result.  A shared Q makes the
+    scale Q^(d-i) one number per step rather than one per point; a very
+    small point enlarges Q, and so the integers, for the whole array."""
     if _float_safe(coeffs):
         fc = [float(c) for c in coeffs]
         out = np.zeros_like(xs)
         for c in reversed(fc):
             out = out * xs + c
         return out
-    return np.array([float(_horner_exact_one(coeffs, Fraction(float(x))))
-                     for x in xs])
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    ratios = [x.as_integer_ratio() for x in np.ravel(xs).tolist()]
+    big_q = max((q for _, q in ratios), default=1)
+    m = np.array([a * (big_q // q) for a, q in ratios], dtype=object)
+    acc = np.full(m.shape, nums[-1], dtype=object)
+    scale = 1
+    for c in reversed(nums[:-1]):
+        scale *= big_q
+        acc = acc * m + c * scale
+    return (acc / (den * scale)).astype(float).reshape(np.shape(xs))
 
 
 def eval_step_poly(p: StepPolynomial, x):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +113,17 @@ def test_ugsos_threads_rejects_non_integer(monkeypatch, capsys):
     code, _, err = run(capsys, "verify", "--only", "no-such-check")
     assert code == 3
     assert "UGSOS_THREADS" in err
+
+
+def test_verify_quick_under_optimize():
+    # no check in the suite may rely on `assert`, which -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ugsos.cli", "verify", "--tier", "quick"],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 6, proc.stdout

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,37 @@ def test_brute_force_checks_scan_result(monkeypatch):
     monkeypatch.setattr(_kernels, "brute_force_scan", wrong_code)
     with pytest.raises(ConstructionError):
         brute_force_opt(inst)
+
+
+def _scan_reference(eu, ev, ew, eshift, n, k):
+    """First best code of a plain enumeration, and how many codes tie it."""
+    best_code, best, ties = 0, -1.0, 0
+    for code, labels in enumerate(itertools.product(range(k), repeat=n - 1)):
+        x = (0,) + labels[::-1]  # vertex 1 is the lowest base-k digit
+        wsat = sum(w for u, v, w, s in zip(eu, ev, ew, eshift)
+                   if (x[u] - x[v]) % k == s)
+        if wsat > best:
+            best_code, best, ties = code, wsat, 1
+        elif wsat == best:
+            ties += 1
+    return best_code, best, ties
+
+
+def test_brute_force_scan_matches_enumeration():
+    rng = np.random.default_rng(3)
+    tied = 0
+    # 3^9 = 19683 codes span two scan chunks; weights are dyadic, so every
+    # summation order gives the same float and ties are exact
+    for n, k, m in [(4, 2, 4), (5, 3, 6), (6, 4, 9), (10, 3, 14)]:
+        eu = rng.integers(0, n, size=m)
+        ev = (eu + rng.integers(1, n, size=m)) % n
+        ew = rng.choice([0.25, 0.5, 1.0, 2.0], size=m)
+        eshift = rng.integers(0, k, size=m)
+        code, wsat = _kernels.brute_force_scan(eu, ev, ew, eshift, n, k)
+        ref_code, ref, ties = _scan_reference(eu, ev, ew, eshift, n, k)
+        assert (code, wsat) == (ref_code, ref)
+        tied += ties > 1
+    assert tied >= 2
 
 
 def test_plant_zero_eps_is_satisfiable():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from ugsos import _kernels, sos
 from ugsos.errors import NullEventError, ParameterError
 from ugsos.instances import UgInstance, brute_force_opt, value
-from ugsos.sos import (PseudoExpectation, build_relaxation, canon_key,
-                       condition, evaluate, key_mul, mixture_pe,
+from ugsos.sos import (PseudoExpectation, all_canonical_keys,
+                       build_relaxation, canon_key, condition, evaluate,
+                       key_mul, mixture_pe,
                        moment_matrix, point_mass_pe, poly_add, poly_mul,
                        product_copy, rerandomize, solve_sdp, symmetrize,
                        ug_objective_poly, validate, z_var_poly)
@@ -250,6 +251,56 @@ def test_product_copy_is_valid(cube_pe):
     pE2 = product_copy(cube_pe)
     rep = validate(pE2, 1e-5)
     assert rep.passed
+
+
+def _entrywise_moment_matrix(pE):
+    basis = list(all_canonical_keys(pE.num_vertices, pE.k, pE.degree // 2,
+                                    copies=pE.copy_count))
+    M = np.zeros((len(basis), len(basis)))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            km = key_mul(a, b)
+            M[i, j] = pE.moment(km) if km is not None else 0.0
+    return M
+
+
+def _entrywise_partition_residual(pE):
+    worst = 0.0
+    for m in all_canonical_keys(pE.num_vertices, pE.k, pE.degree - 1,
+                                copies=pE.copy_count):
+        for u in range(pE.num_vertices):
+            for cpy in range(pE.copy_count):
+                tot = sum(pE.moment(key_mul(m, ((u, a, cpy),)))
+                          for a in range(pE.k))
+                worst = max(worst, abs(tot - pE.moment(m)))
+    return worst
+
+
+def test_product_moment_matrix_matches_entrywise(cube_pe):
+    mix = mixture_pe(3, 3, [(0.3, [0, 1, 2]), (0.7, [1, 1, 0])])
+    for pe in (cube_pe, mix):
+        pE2 = product_copy(pe)
+        assert np.array_equal(moment_matrix(pE2), _entrywise_moment_matrix(pE2))
+
+
+def test_product_validate_matches_entrywise_with_residual():
+    # off scale, so no factor of the product residual is 1; the largest one
+    # pairs the degree-0 residual with the degree-3 moment (degrees 0 + 3 = D-1)
+    base = mixture_pe(3, 3, [(0.4, [0, 1, 2]), (0.6, [2, 2, 1])])
+    moments = {key: 0.8 * val for key, val in base.moments.items()}
+    moments[((1, 0, 0),)] = 0.9
+    moments[((0, 0, 0), (1, 1, 0), (2, 2, 0))] = 2.0
+    moments[((0, 0, 0), (2, 1, 0))] = moments.get(((0, 0, 0), (2, 1, 0)),
+                                                  0.0) - 0.05
+    bad = PseudoExpectation(4, 3, 3, moments, dense=False)
+    pE2 = product_copy(bad)
+    rep = validate(pE2, 1e-6)
+    worst = _entrywise_partition_residual(pE2)
+    assert worst > 1e-3 and not rep.passed
+    assert rep.max_partition_residual == pytest.approx(worst, abs=1e-14)
+    min_eig = float(np.linalg.eigvalsh(_entrywise_moment_matrix(pE2))[0])
+    assert rep.min_eigenvalue == pytest.approx(min_eig, abs=1e-14)
+    assert rep.scaling_deviation == abs(pE2.moment(()) - 1.0)
 
 
 def test_z_var_identity_on_product(cube_pe, cube_inst):

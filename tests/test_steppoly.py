@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugsos.errors import ParameterError
-from ugsos.steppoly import (StepPolynomial, build_capped_step_poly,
+from ugsos.steppoly import (GRID_POINTS, StepPolynomial, _float_safe,
+                            _horner_many, build_capped_step_poly,
                             build_step_poly, check_invariants,
                             check_markov_bounds, check_union_bound, square)
 
@@ -51,6 +52,25 @@ def test_square_matches_pointwise(p_easy):
     q = square(p_easy)
     xs = np.linspace(0.0, 1.0, 50)
     assert np.allclose(q(xs), p_easy(xs) ** 2, atol=1e-12)
+
+
+def _horner_fraction(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * Fraction(x) + c
+    return float(acc)
+
+
+def test_exact_horner_is_correctly_rounded():
+    p = build_step_poly(0.3, 0.05, 0.1)
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    points = np.concatenate([rng.random(200), [0.0, 1.0, 1e-300, 5e-324]])
+    for q, xs in ((p, grid), (square(p), grid[::7]), (p, points),
+                  (square(p), points)):
+        assert q.degree >= 32 and not _float_safe(q.coeffs)
+        ref = np.array([_horner_fraction(q.coeffs, x) for x in xs])
+        assert np.array_equal(_horner_many(q.coeffs, xs), ref)
 
 
 def test_json_round_trip(p_easy):
