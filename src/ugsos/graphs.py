@@ -3,8 +3,7 @@
 Families: the noisy hypercube, the short-code graph, the Johnson graph, and
 its Cayley approximation on [n]^l.  Spectral utilities: eigendecomposition of
 the random-walk matrix in the stationary inner product, expansion / Dirichlet
-forms, exhaustive small-set expansion profiles, and a gradient-ascent search
-for 2->4 hypercontractivity lower bounds.
+forms and exhaustive small-set expansion profiles.
 """
 from __future__ import annotations
 
@@ -74,22 +73,8 @@ class SpectralData:
     def inner(self, f, g) -> float:
         return float(np.sum(self.pi * np.asarray(f) * np.asarray(g)))
 
-    def norm(self, f, p: int = 2) -> float:
-        return float(np.sum(self.pi * np.abs(np.asarray(f)) ** p) ** (1.0 / p))
-
     def apply_walk(self, f) -> np.ndarray:
         return self.transition @ np.asarray(f)
-
-    def project_low(self, f, lam: float) -> np.ndarray:
-        """Project f onto the span of walk eigenvectors with eigenvalue
-        >= 1 - lam (Laplacian eigenvalue <= lam)."""
-        keep = self.eigenvalues >= 1.0 - lam
-        V = self.eigenvectors[:, keep]
-        coords = V.T @ (self.pi * np.asarray(f))
-        return V @ coords
-
-    def low_basis(self, lam: float) -> np.ndarray:
-        return self.eigenvectors[:, self.eigenvalues >= 1.0 - lam]
 
 
 # ---------------------------------------------------------------------------
@@ -356,40 +341,6 @@ def sse_profile(g: WeightedGraph, delta: float, seed=None) -> SseProfile:
     return SseProfile(best, False, arg)
 
 
-def hypercontractivity_search(g: WeightedGraph, spectral: SpectralData,
-                              lam: float, restarts: int = 64,
-                              seed=None) -> float:
-    """Lower bound on the 2->4 hypercontractivity constant of the span of
-    walk eigenvectors with eigenvalue >= 1 - lam: the max over
-    gradient-ascended random starts of ||f||_{pi,4}^4 / ||f||_{pi,2}^4.
-
-    Projected gradient ascent on the sphere ||f||_{pi,2} = 1: step 0.05,
-    500 iterations, per-restart derived seeds (deterministic given
-    (seed, restarts))."""
-    if not (0.0 < lam < 2.0):
-        raise ParameterError("lam must lie in (0, 2)")
-    V = spectral.low_basis(lam)
-    pi = spectral.pi
-    dim = V.shape[1]
-    if dim <= 1:
-        return 1.0
-    best = 1.0
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        c = rng.standard_normal(dim)
-        c /= np.linalg.norm(c)
-        for _ in range(500):
-            f = V @ c
-            grad = 4.0 * (V.T @ (pi * f**3))
-            c = c + 0.05 * grad
-            c /= np.linalg.norm(c)
-        f = V @ c
-        ratio = float(np.sum(pi * f**4))  # ||f||_2 = 1 on the sphere
-        best = max(best, ratio)
-    return best
-
-
 def graph_to_instance_json(g: WeightedGraph, k: int = 1) -> str:
     """Export the graph in the instance JSON edge-list format (all shifts 0)."""
     import json
@@ -401,11 +352,3 @@ def graph_to_instance_json(g: WeightedGraph, k: int = 1) -> str:
                               "w": float(f"{g.W[u, v]:.17g}"), "shift": 0})
     return json.dumps({"k": k, "n": g.num_vertices, "edges": edges})
 
-
-def spectral_report_json(spectral: SpectralData) -> str:
-    import json
-    lam = spectral.eigenvalues
-    return json.dumps({
-        "eigenvalues": [float(f"{x:.17g}") for x in lam],
-        "spectral_gap": float(f"{1.0 - lam[1]:.17g}") if lam.size > 1 else None,
-    })

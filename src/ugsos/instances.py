@@ -142,7 +142,12 @@ def brute_force_opt(inst: UgInstance, cap: int = BRUTE_FORCE_CAP):
     """Exact optimum by exhaustive enumeration with x_0 = 0.
 
     Valid for affine instances because the value is invariant under global
-    shifts.  Returns (assignment, value).
+    shifts.  The k^(n-1) assignments are scored block-factored (see
+    `_kernels.brute_force_scan`): the edges inside each half of the vertices
+    are weighed per half and the crossing edges are one GEMM per block,
+    about k^(n-1) * j*k flops with j = floor((n-1)/2), in memory for the low
+    half's tables (about j*k^(j+1) floats) plus one block.  Returns
+    (assignment, value), the first optimum in code order.
     """
     n, k = inst.num_vertices, inst.k
     if k ** (n - 1) > cap:

@@ -146,74 +146,21 @@ def _phi_poly(pE2, p, weights, val_polys, k: int) -> float:
     return total
 
 
-def _phi(pE2, p, inst, weights, subgraph_edges_only):
-    _require_pair(pE2)
-    k = inst.k
-    H = list(weights)
-    if subgraph_edges_only:
-        hset = set(H)
-        sub_inc = {u: [(v, w, s) for (v, w, s) in inst.incident[u]
-                       if v in hset] for u in H}
-        for u in H:
-            if not sub_inc[u]:
-                raise ParameterError(
-                    f"vertex {u} has no internal edge in the subgraph")
-
-        def val_fn(u, x):
-            inc = sub_inc[u]
-            wtot = sum(w for (_, w, _) in inc)
-            wsat = sum(w for (v, w, s) in inc if (x[u] - x[v]) % k == s)
-            return wsat / wtot
-
-        def val_p(u):
-            inc = sub_inc[u]
-            wtot = sum(w for (_, w, _) in inc)
-            out: dict = {}
-            for (v, w, s) in inc:
-                for a in range(k):
-                    key = canon_key(((u, a, 0), (v, (a - s) % k, 0)))
-                    out[key] = out.get(key, 0.0) + w / wtot
-            return out
-    else:
-        def val_fn(u, x):
-            return local_value(inst, np.asarray(x), u)
-
-        def val_p(u):
-            return local_value_poly(inst, u)
-
-    comps = _mixture_components(pE2)
-    if comps is not None:
-        return _phi_numeric(comps, lambda t: float(p(t)), weights, val_fn, k)
-    _check_p_degree(pE2, p)
-    return _phi_poly(pE2, p, weights, {u: val_p(u) for u in H}, k)
-
-
 def phi_apx(pE2: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
             pi=None) -> float:
     """pE of sum_s (E_{u~pi} Z_{u,s} p(val_u(X)))^2 over an independent pair."""
+    _require_pair(pE2)
     if pi is None:
         pi = inst.stationary
     weights = {u: float(pi[u]) for u in range(inst.num_vertices) if pi[u] > 0}
-    return _phi(pE2, p, inst, weights, subgraph_edges_only=False)
-
-
-def phi_restricted_global(pE2, p: StepPolynomial, H, inst: UgInstance) -> float:
-    """Phi with uniform averaging over the vertex set H; val_u still runs over
-    all edges of the ambient graph."""
-    H = sorted(set(H))
-    if not H:
-        raise ParameterError("subgraph H is empty")
-    weights = {u: 1.0 / len(H) for u in H}
-    return _phi(pE2, p, inst, weights, subgraph_edges_only=False)
-
-
-def phi_local_subgraph(pE2, p: StepPolynomial, H, inst: UgInstance) -> float:
-    """Phi over H with val replaced by the local value over H-internal edges."""
-    H = sorted(set(H))
-    if not H:
-        raise ParameterError("subgraph H is empty")
-    weights = {u: 1.0 / len(H) for u in H}
-    return _phi(pE2, p, inst, weights, subgraph_edges_only=True)
+    comps = _mixture_components(pE2)
+    if comps is not None:
+        return _phi_numeric(comps, lambda t: float(p(t)), weights,
+                            lambda u, x: local_value(inst, np.asarray(x), u),
+                            inst.k)
+    _check_p_degree(pE2, p)
+    return _phi_poly(pE2, p, weights,
+                     {u: local_value_poly(inst, u) for u in weights}, inst.k)
 
 
 def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:

@@ -598,7 +598,8 @@ def condition(pE: PseudoExpectation, event,
                     if len(m) <= new_deg:
                         new[m] = val / p_event
     return PseudoExpectation(new_deg, pE.k, pE.num_vertices, new,
-                             copy_count=pE.copy_count, dense=pE.dense)
+                             copy_count=pE.copy_count, dense=pE.dense,
+                             flags=_solver_status(pE))
 
 
 def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
@@ -632,7 +633,14 @@ def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
         rest = tuple(p for p in m if p[0] not in S)
         t = len(m) - len(rest)
         new[m] = pE.moment(rest) / pE.k**t
-    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, new, dense=True)
+    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, new, dense=True,
+                             flags=_solver_status(pE))
+
+
+def _solver_status(pE: PseudoExpectation) -> dict:
+    """The flags a derived pseudoexpectation inherits: `unconverged`, so a
+    solve that hit its iteration cap stays marked through the calculus."""
+    return {f: pE.flags[f] for f in ("unconverged",) if f in pE.flags}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ugsos import _kernels
 from ugsos.errors import ConstructionError, ParameterError, SizeCapError
-from ugsos.graphs import noisy_hypercube
+from ugsos.graphs import johnson_graph, noisy_hypercube
 from ugsos.instances import (UgInstance, brute_force_opt, local_value,
                              plant_instance, value)
 
@@ -100,6 +101,115 @@ def test_brute_force_scan_matches_enumeration():
         assert (code, wsat) == (ref_code, ref)
         tied += ties > 1
     assert tied >= 2
+
+
+def _code_weight(code, eu, ev, ew, eshift, n, k):
+    """Satisfied weight of the assignment with the given code, x_0 = 0."""
+    x = [0] * n
+    for v in range(1, n):
+        code, x[v] = divmod(code, k)
+    return sum(w for u, v, w, s in zip(eu, ev, ew, eshift)
+               if (x[u] - x[v]) % k == s)
+
+
+def _edge_case_edges(n, k, rng):
+    """Random edges plus edges at vertex 0 in both orientations, reversed
+    (u > v) edges across the low/high split and parallel copies; on one
+    vertex, two loops at vertex 0."""
+    if n == 1:
+        pick = [(0, 0), (0, 0)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        pick = [pairs[i] for i in rng.integers(0, len(pairs), size=2 * n)]
+        pick += [(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (n - 1, 1),
+                 (n - 1, 1), (1, n - 1)]
+    eu = np.array([u for u, _ in pick], dtype=np.int64)
+    ev = np.array([v for _, v in pick], dtype=np.int64)
+    return eu, ev, rng.integers(0, k, size=len(pick))
+
+
+# n = 1 and 2, odd and even n - 1, k = 2 and 5
+SCAN_CASES = [(1, 3), (2, 5), (3, 2), (4, 2), (5, 5), (6, 2), (6, 5), (7, 2),
+              (7, 5)]
+
+
+@pytest.mark.parametrize("n,k", SCAN_CASES)
+def test_brute_force_scan_edge_cases(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    eu, ev, eshift = _edge_case_edges(n, k, rng)
+    # dyadic weights: every summation order gives the same float
+    ew = rng.choice([0.25, 0.5, 1.0, 2.0], size=eu.size)
+    ref_code, ref, _ = _scan_reference(eu, ev, ew, eshift, n, k)
+    assert (_kernels.brute_force_scan(eu, ev, ew, eshift, n, k)
+            == (ref_code, ref))
+    ew = rng.random(eu.size) + 0.1
+    code, wsat = _kernels.brute_force_scan(eu, ev, ew, eshift, n, k)
+    _, ref, _ = _scan_reference(eu, ev, ew, eshift, n, k)
+    assert abs(wsat - ref) < 1e-12
+    assert abs(_code_weight(code, eu, ev, ew, eshift, n, k) - ref) < 1e-12
+
+
+def test_brute_force_scan_first_maximum_across_blocks(monkeypatch):
+    # one hi row per block, and edges that leave high vertices free, so
+    # tied maxima fall in different blocks
+    monkeypatch.setattr(_kernels, "_BLOCK_FLOATS", 1)
+    for n, k, edges in [(5, 3, [(0, 1, 1), (1, 2, 2)]),
+                        (7, 2, [(1, 4, 1), (4, 2, 0), (3, 0, 1)]),
+                        (6, 3, [(4, 1, 2), (2, 0, 1), (4, 3, 1)])]:
+        eu, ev, eshift = (np.array(c) for c in zip(*edges))
+        ew = np.ones(len(edges))
+        code, wsat = _kernels.brute_force_scan(eu, ev, ew, eshift, n, k)
+        ref_code, ref, ties = _scan_reference(eu, ev, ew, eshift, n, k)
+        assert ties > 1
+        assert (code, wsat) == (ref_code, ref)
+
+
+def _j62_seed0():
+    inst, _ = plant_instance(johnson_graph(6, 2, 0.5), 3, 0.05, seed=0)
+    return inst
+
+
+def test_brute_force_scan_j62_regression():
+    inst = _j62_seed0()
+    eu, ev, w, s = inst._arrays
+    assert _kernels.brute_force_scan(eu, ev, w, s, 15, 3) == (1459826, 57.0)
+
+
+@pytest.mark.parametrize("inst", [
+    _j62_seed0(),  # 3^14 states
+    # a large alphabet on two vertices: a one-hot table of the high side
+    # alone would take 72 MB
+    UgInstance(2, 3000, ((0, 1, 1.0, 5), (1, 0, 0.5, 7)))])
+def test_brute_force_scan_memory_bound(inst):
+    eu, ev, w, s = inst._arrays
+    tracemalloc.start()
+    try:
+        _kernels.brute_force_scan(eu, ev, w, s, inst.num_vertices, inst.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@st.composite
+def _raw_instances(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 10)) if n > 1 else 0
+    eu = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    ev = [(u + draw(st.integers(1, n - 1))) % n for u in eu]
+    ew = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                       min_size=m, max_size=m))
+    eshift = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    return (np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64),
+            np.array(ew), np.array(eshift, dtype=np.int64), n, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_instances())
+def test_brute_force_scan_matches_enumeration_property(args):
+    ref_code, ref, _ = _scan_reference(*args)
+    assert _kernels.brute_force_scan(*args) == (ref_code, ref)
 
 
 def test_plant_zero_eps_is_satisfiable():

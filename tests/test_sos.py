@@ -323,6 +323,14 @@ def test_rerandomize_uniformizes(cube_pe, cube_inst):
     assert validate(out, 1e-5).passed
 
 
+def test_unconverged_flag_survives_condition_and_rerandomize(triangle_unsat):
+    pE = solve_sdp(build_relaxation(triangle_unsat, 4), max_iters=5)
+    assert pE.flags.get("unconverged")
+    derived = [condition(pE, ((0, 0, 0),)), rerandomize(pE, set()),
+               rerandomize(pE, {1})]
+    assert all(d.flags.get("unconverged") for d in derived)
+
+
 def test_rerandomize_empty_is_identity(cube_pe):
     out = rerandomize(cube_pe, [])
     assert out.moment(((0, 0, 0), (1, 1, 0))) == pytest.approx(
