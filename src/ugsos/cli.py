@@ -154,6 +154,9 @@ def cmd_solve_round(args) -> int:
         "beta": p.alpha,
         "nu_effective": p.eps,
         "unconverged": bool(pE.flags.get("unconverged", False)),
+        # the tolerance the solve ran at: the johnson family's is floored
+        "solver_tol": solving_tol,
+        "sdp_iterations": pE.flags["iterations"],
     }
     if args.family == "johnson":
         out = johnson_pipeline(inst, eps, args.degree, args.seed, graph,

@@ -15,26 +15,28 @@ monomial (represented as None and never stored).  `copy` is 0 except after
 
 Solver
 ------
-`build_relaxation` exposes the full-basis moment-matrix SDP (dimension,
-aliasing/partition equality constraints, objective over matrix entries).
-Internally the solver works in a *reduced* basis: the partition constraint
-eliminates the label k-1 via X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a}, after
-which every linear constraint except pE[1] = 1 is structural.  The reduced
-feasible set maps onto the full one exactly (the full basis spans the same
-polynomial space modulo the constraint ideal), so PSD-ness and feasibility
-transfer.  The SDP itself is solved by ADMM: a diagonal least-squares
-y-update, projection onto the PSD cone by eigendecomposition,
-over-relaxation 1.6, iteration cap 100000.
+`build_relaxation` states the SDP in a *reduced* basis: the partition
+constraint eliminates the label k-1 via X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a},
+after which every linear constraint except pE[1] = 1 is structural.  The
+reduced feasible set maps onto the full one exactly (the full basis spans the
+same polynomial space modulo the constraint ideal), so PSD-ness and
+feasibility transfer.  `DIM_CAP` bounds the full-basis dimension.  The SDP is
+solved by ADMM: a diagonal least-squares y-update, projection onto the PSD
+cone by eigendecomposition, over-relaxation 1.6, iteration cap 100000.
 
-Each iteration is one `np.linalg.eigh` plus O(dim^2) bookkeeping.  The
+Each iteration is one eigendecomposition plus O(dim^2) bookkeeping.  The
 adjoint A^T(R) of the moment-matrix map reads only the nonzero lower
 triangle (flat indices, moment ids and weights 1 on / 2 off the diagonal,
 built once per solve), and A(y) is a single gather from the moment vector
 with an appended zero for structural zeros.  The PSD projection rebuilds
 from the smaller of the negative and nonnegative eigenspaces, and the dual
-iterate is the rest of the projected matrix.  Below `ONE_THREAD_MAX_DIM`
-the loop runs on one BLAS thread, which is as fast as two at those sizes
-for half the CPU; the previous thread count is restored afterwards.
+iterate is the rest of the projected matrix.  The moment matrices have low
+rank, so once an iterate leaves at most dim / PARTIAL_EIG_DIVISOR eigenvalues
+on one side of zero, the next projection asks LAPACK's dsyevr for that side's
+eigenpairs only (`_kernels.EigRange`) instead of running a full
+`np.linalg.eigh`.  Below `ONE_THREAD_MAX_DIM` the loop runs on one BLAS
+thread, which is as fast as two at those sizes for half the CPU; the
+previous thread count is restored afterwards.
 """
 from __future__ import annotations
 
@@ -63,6 +65,22 @@ ADMM_OVER_RELAX = 1.6
 # Two threads cost about twice the CPU at every size and save wall time only
 # from about 300 on.
 ONE_THREAD_MAX_DIM = 300
+# The PSD projection computes only the smaller eigenspace (dsyevr, value
+# range) when the previous iteration's smaller side held at most
+# dim / PARTIAL_EIG_DIVISOR eigenpairs.  Sweep on matrices with m positive
+# eigenvalues (2-core x86-64, numpy 2.4 with OpenBLAS, the solver's thread
+# count: 1 below dim 300, 2 above), ms wall per projection, full eigh vs
+# partial, lower quartile of two passes:
+#   dim 129:  m=3 1.6 vs 0.6   m=8 1.9-2.1 vs 1.1   m=16 1.3-1.5 vs 1.3-1.5
+#             m=32 2.1 vs 2.4
+#   dim 201:  m=3 5.9 vs 2.1   m=12 3.7-4.2 vs 2.2-2.5   m=25 4.5-4.9 vs
+#             3.7-4.1   m=50 3.9 vs 7.2
+#   dim 301:  m=3 10.0 vs 4.0  m=18 8.9-10.4 vs 6.2-6.6  m=37 8.3-10.2 vs
+#             8.3-9.4   m=75 9.5 vs 16.6
+#   dim 451:  m=3 23.8 vs 9.3  m=28 21.2-24.2 vs 13.8-14.8  m=56 20.9-23.8
+#             vs 19.6-23.2   m=112 24.6 vs 37.6
+# The partial path breaks even at about m = dim/8 and loses from dim/6 on.
+PARTIAL_EIG_DIVISOR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -303,65 +321,17 @@ def _reduce_poly(poly: dict, k: int) -> dict:
 
 @dataclass
 class SdpProblem:
-    """Full-basis description of the degree-D moment relaxation plus the
-    reduced internal structures the solver consumes.
-
-    `dimension`/`basis` describe the full-basis moment matrix (all canonical
-    monomials of degree <= D/2 over the full label set); equality constraints
-    (entry aliasing, scaling, partition) are exposed as a generator to avoid
-    materializing the O(dimension^2) list."""
+    """The degree-D moment relaxation in the reduced basis the solver
+    consumes: the reduced moment-matrix basis and moments, the map from
+    matrix entries to moment ids, and the objective over reduced moments."""
 
     inst: UgInstance
     degree: int
-    basis: list                   # full-basis monomials, degree <= D/2
-    dimension: int
-    objective_entries: list       # sparse (i, j, coef) over full matrix entries
-    # reduced internals
     rbasis: list
     rmoments: list
     rindex: dict
     entry_map: np.ndarray         # dim_r x dim_r -> reduced moment id (-1 = zero)
     objective_vec: np.ndarray     # over reduced moments (maximize c.y)
-
-    def constraints_iter(self):
-        """Yield (entries, rhs) equality constraints over the full moment
-        matrix: scaling, entry aliasing/structural zeros, and partition."""
-        idx = {m: i for i, m in enumerate(self.basis)}
-        # scaling
-        yield ([(0, 0, 1.0)], 1.0)
-        # aliasing: representative entry per monomial; zero monomials pinned
-        rep: dict = {}
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis[: i + 1]):
-                km = key_mul(a, b)
-                if km is None:
-                    yield ([(i, j, 1.0)], 0.0)
-                elif km in rep:
-                    ri, rj = rep[km]
-                    yield ([(i, j, 1.0), (ri, rj, -1.0)], 0.0)
-                else:
-                    rep[km] = (i, j)
-        # partition: sum_a pE[X_{u,a} m] = pE[m] for monomials m of degree <= D-1
-        # expressed over representative entries where both sides are entries
-        k = self.inst.k
-        for m in self.basis:
-            if len(m) > self.degree // 2 - 1:
-                continue
-            for u in range(self.inst.num_vertices):
-                entries = []
-                ok = True
-                for a in range(k):
-                    km = key_mul(m, ((u, a, 0),))
-                    if km is None:
-                        continue
-                    if km not in rep:
-                        ok = False
-                        break
-                    entries.append((*rep[km], 1.0))
-                mi = idx[m]
-                if ok:
-                    entries.append((mi, 0, -1.0) if len(m) else (0, 0, -1.0))
-                    yield (entries, 0.0)
 
 
 def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
@@ -385,26 +355,12 @@ def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
             km = key_mul(a, rbasis[j])
             if km is not None:
                 entry_map[i, j] = entry_map[j, i] = rindex[km]
-    obj_full = ug_objective_poly(inst)
-    obj_red = _reduce_poly(obj_full, k)
+    obj_red = _reduce_poly(ug_objective_poly(inst), k)
     c = np.zeros(len(rmoments))
     for key, coef in obj_red.items():
         c[rindex[key]] += coef
-    # objective as a sparse functional over full matrix entries
-    full_idx = {m: i for i, m in enumerate(basis)}
-    objective_entries = []
-    for key, coef in obj_full.items():
-        if len(key) == 0:
-            objective_entries.append((0, 0, coef))
-        elif len(key) == 1:
-            objective_entries.append((full_idx[key], 0, coef))
-        else:
-            a, b = (key[0],), (key[1],)
-            objective_entries.append((full_idx[a], full_idx[b], coef))
-    return SdpProblem(inst=inst, degree=D, basis=basis, dimension=len(basis),
-                      objective_entries=objective_entries, rbasis=rbasis,
-                      rmoments=rmoments, rindex=rindex, entry_map=entry_map,
-                      objective_vec=c)
+    return SdpProblem(inst=inst, degree=D, rbasis=rbasis, rmoments=rmoments,
+                      rindex=rindex, entry_map=entry_map, objective_vec=c)
 
 
 def _full_moments_from_reduced(yvals: dict, n: int, k: int, D: int) -> dict:
@@ -446,19 +402,54 @@ def _tril_adjoint_index(entry_map: np.ndarray):
     return flat, ids, w
 
 
-def _psd_split(S: np.ndarray):
+class _PsdSplit:
+    """PSD projection for the iterates of one solve: called on symmetric S,
+    returns (S_+, S - S_+), reconstructed from whichever eigenspace
+    (negative or nonnegative) is smaller.
+
+    It keeps `npos`, the number of nonnegative eigenvalues the last call
+    found (zeros may count on either side), and an `_kernels.EigRange` with
+    its work arrays when the loaded OpenBLAS exports dsyevr.  When `npos`
+    leaves at most dim / PARTIAL_EIG_DIVISOR eigenvalues on one side of zero,
+    the call computes only that side's eigenpairs: those in (0, bound] or in
+    (-bound, 0], with bound above the spectral radius, so the projection is
+    exact whatever `npos` predicted and a wrong prediction costs only time.
+    Otherwise, and on the first call, it runs a full `np.linalg.eigh`."""
+
+    def __init__(self, dim: int, npos: int | None = None):
+        self.npos = npos
+        self.eig = (_kernels.EigRange(dim) if _kernels.EigRange.available()
+                    else None)
+
+    def __call__(self, S: np.ndarray):
+        mu, V, positive = self._smaller_side(S)
+        part = (V * mu) @ V.T
+        return (part, S - part) if positive else (S - part, part)
+
+    def _smaller_side(self, S):
+        """(eigenvalues, eigenvector columns, whether they are the positive
+        side) of the side of the spectrum to rebuild from."""
+        n = S.shape[0]
+        if (self.eig is not None and self.npos is not None
+                and PARTIAL_EIG_DIVISOR * min(self.npos, n - self.npos) <= n):
+            bound = 1.0 + 2.0 * float(np.linalg.norm(S))
+            positive = 2 * self.npos <= n
+            mu, Z = self.eig(S, *((0.0, bound) if positive else (-bound, 0.0)))
+            self.npos = mu.size if positive else n - mu.size
+            return mu, Z.T, positive
+        lam, Q = np.linalg.eigh(S)
+        nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
+        self.npos = n - nneg
+        if 2 * nneg < n:
+            return lam[:nneg], Q[:, :nneg], False
+        return lam[nneg:], Q[:, nneg:], True
+
+
+def _psd_split(S: np.ndarray, npos: int | None = None):
     """(S_+, S - S_+) with S_+ the projection of symmetric S onto the PSD
-    cone, reconstructed from whichever eigenspace (negative or nonnegative)
-    is smaller."""
-    lam, Q = np.linalg.eigh(S)
-    nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
-    if 2 * nneg < lam.size:
-        Qn = Q[:, :nneg]
-        neg = (Qn * lam[:nneg]) @ Qn.T
-        return S - neg, neg
-    Qp = Q[:, nneg:]
-    pos = (Qp * lam[nneg:]) @ Qp.T
-    return pos, S - pos
+    cone; `npos` predicts the number of nonnegative eigenvalues as in
+    `_PsdSplit`."""
+    return _PsdSplit(S.shape[0], npos)(S)
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
@@ -496,6 +487,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     gamma = ADMM_OVER_RELAX
     pri = dua = np.inf
     converged = False
+    psd_split = _PsdSplit(dim)
     threads = (_kernels.blas_threads(1) if dim < ONE_THREAD_MAX_DIM
                else contextlib.nullcontext())
     with threads:
@@ -506,7 +498,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
             Ay = A(y_new)
             AY = gamma * Ay + (1.0 - gamma) * X
             # X-update: PSD projection; U takes the negative part
-            X_new, U = _psd_split(AY + U)
+            X_new, U = psd_split(AY + U)
             pri = float(np.linalg.norm(Ay - X_new))
             dua = rho * float(np.linalg.norm(adjoint(X_new - X)))
             X = X_new

@@ -62,6 +62,18 @@ def test_solve_round_deterministic_body(capsys):
     assert d1 == d2
 
 
+def test_solve_round_reports_solver_tol_and_iterations(capsys):
+    code, out, _ = run(capsys, "solve-round", "--family", "hypercube",
+                       "--d", "2", "--alpha", "0.3", "--k", "2",
+                       "--eps", "0.0", "--degree", "2", "--seed", "5",
+                       "--tol", "1e-5")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["solver_tol"] == 1e-5
+    assert isinstance(rep["sdp_iterations"], int)
+    assert rep["sdp_iterations"] >= 1
+
+
 def test_verify_quick_subset(capsys):
     code, out, _ = run(capsys, "verify", "--only", "spectra")
     assert code == 0

@@ -153,6 +153,104 @@ def test_psd_split_matches_clipped_reconstruction(rng, npos):
     assert np.abs(rest - (S - ref)).max() <= 1e-12
 
 
+needs_dsyevr = pytest.mark.skipif(not _kernels.EigRange.available(),
+                                  reason="no LAPACKE dsyevr in the BLAS")
+
+
+def _spy_partial(monkeypatch):
+    """Record the BLAS thread count at each partial eigensolver call."""
+    seen = []
+    call = _kernels.EigRange.__call__
+
+    def spy(self, S, vl, vu):
+        seen.append(_kernels.get_blas_threads())
+        return call(self, S, vl, vu)
+
+    monkeypatch.setattr(_kernels.EigRange, "__call__", spy)
+    return seen
+
+
+def _rotated(rng, lam):
+    Q, _ = np.linalg.qr(rng.normal(size=(lam.size, lam.size)))
+    S = (Q * lam) @ Q.T
+    return (S + S.T) / 2.0
+
+
+def _spectrum(rng, npos, nzero=0, dim=40):
+    # magnitudes from 1e-8 to 2, so that some lie close to zero
+    lam = -10.0 ** rng.uniform(-8.0, 0.3, size=dim)
+    lam[:npos] *= -1.0
+    lam[npos:npos + nzero] = 0.0
+    return lam
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("npos, nzero, exact, hint", [
+    (3, 0, False, 3),       # few positives
+    (37, 0, False, 37),     # few negatives
+    (0, 0, False, 0),       # none positive
+    (3, 27, False, 3),      # zero eigenvalues up to round-off
+    (35, 3, False, 37),
+    (3, 27, True, 3),       # exact zeros
+    (35, 3, True, 37),
+    (31, 0, False, 2),      # wrong hint: many positives
+    (9, 0, False, 38),      # wrong hint: many negatives
+])
+def test_partial_psd_split_matches_clipped_reconstruction(
+        rng, monkeypatch, npos, nzero, exact, hint):
+    lam = _spectrum(rng, npos, nzero)
+    if exact:
+        perm = rng.permutation(lam.size)
+        S = np.diag(lam)[perm][:, perm]
+    else:
+        S = _rotated(rng, lam)
+    mu, V = np.linalg.eigh(S)
+    ref = (V * np.clip(mu, 0.0, None)) @ V.T
+    seen = _spy_partial(monkeypatch)
+    pos, rest = sos._psd_split(S, npos=hint)
+    assert len(seen) == 1
+    assert np.abs(pos - ref).max() <= 1e-12
+    assert np.abs(rest - (S - ref)).max() <= 1e-12
+
+
+@needs_dsyevr
+def test_partial_eigensolver_reports_lapack_errors():
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.EigRange(4)(np.eye(4), 1.0, 0.0)      # empty range vl >= vu
+
+
+def _pinned_triangle_problem():
+    inst = UgInstance(3, 3, ((0, 1, 1.0, 1), (1, 2, 1.0, 0), (0, 2, 1.0, 1)))
+    return build_relaxation(inst, 4)
+
+
+@needs_dsyevr
+def test_partial_eigensolver_runs_on_one_blas_thread(monkeypatch):
+    if _kernels.get_blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    # partial projections at every step after the first
+    monkeypatch.setattr(sos, "PARTIAL_EIG_DIVISOR", 2)
+    seen = _spy_partial(monkeypatch)
+    with _kernels.blas_threads(2):
+        solve_sdp(_pinned_triangle_problem())
+    assert seen and set(seen) == {1}
+
+
+@needs_dsyevr
+def test_missing_dsyevr_falls_back_to_the_same_iterates(monkeypatch):
+    problem = _pinned_triangle_problem()
+    monkeypatch.setattr(sos, "PARTIAL_EIG_DIVISOR", 2)
+    seen = _spy_partial(monkeypatch)
+    partial = solve_sdp(problem)
+    assert len(seen) == partial.flags["iterations"] - 1
+    monkeypatch.setattr(_kernels, "_lapacke_dsyevr", lambda: None)
+    full = solve_sdp(problem)
+    assert len(seen) == partial.flags["iterations"] - 1
+    assert full.flags["iterations"] == partial.flags["iterations"]
+    assert max(abs(full.moments[m] - partial.moments[m])
+               for m in full.moments) <= 1e-12
+
+
 def _spy_eigh_threads(monkeypatch):
     """Record the BLAS thread count at each np.linalg.eigh call."""
     if _kernels.get_blas_threads() is None:
