@@ -13,6 +13,26 @@ sorted tuple of (vertex, label, copy) triples with at most one label per
 monomial (represented as None and never stored).  `copy` is 0 except after
 `product_copy`, which introduces an independent second copy X'.
 
+`moment_index(n, k, D, copies)` ranks the canonical keys of degree <= D with
+integer ids in `all_canonical_keys` order.  With S = n * copies slots (slot
+copy * n + vertex), a key of degree d is a d-subset of the slots plus a label
+per chosen slot, and its id is offset[d] + rank * k^d + code: offset[d]
+counts the keys of lower degree, rank is the lexicographic rank of the slot
+subset (from a binomial table) and code reads the labels, slot by slot, as a
+base-k number.  The index stores every key as a row of slot entries (label +
+1, or 0 for an unused slot), so a product of keys is an entrywise max of two
+rows (zero where two labels meet at one slot) ranked back to an id, and every
+table the calculus needs -- shifts, moment-matrix entries, partition sums,
+conditioning products, dropped vertices -- is one ranking of such rows.
+
+A dense pseudoexpectation (solver output and what the calculus derives from
+it) is its index plus one float64 array of moments in id order; symmetrize,
+rerandomize, condition, the moment matrix and the partition table are gathers
+from that array.  Point masses and mixtures (`dense=False`) store only their
+nonzero keys in a dict, and symmetrize and condition keep their stored-key
+sets with dict code.  Scalar lookups (`moment`, `pe`) read a key -> value
+dict, which a dense table builds on its first lookup.
+
 Solver
 ------
 `build_relaxation` states the SDP in a *reduced* basis: the partition
@@ -41,10 +61,12 @@ previous thread count is restored afterwards.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,6 +168,119 @@ def all_canonical_keys(n: int, k: int, max_degree: int, copies: int = 1):
                 yield tuple(sorted((v, a, c) for (v, c), a in zip(chosen, labels)))
 
 
+def _index_size(n: int, k: int, D: int, copies: int = 1) -> int:
+    """Number of canonical keys of degree <= D."""
+    return sum(math.comb(n * copies, d) * k**d for d in range(D + 1))
+
+
+class MomentIndex:
+    """Integer ids of the canonical keys of degree <= D over n vertices, k
+    labels and `copies` copies, in `all_canonical_keys` order (see the
+    module docstring); `len` is the number of keys.
+
+    `slots` holds key i as row i: label + 1 at slot copy * n + vertex, 0
+    where the key has no pair.  `rank` maps such rows back to ids, so it
+    answers every "which key is this product" question in one vectorized
+    call.  Build it through the cached `moment_index`."""
+
+    def __init__(self, n: int, k: int, D: int, copies: int = 1):
+        self.n, self.k, self.degree, self.copies = n, k, D, copies
+        # slot entries reach k, and label shifts subtract up to k - 1
+        self.dtype = np.int8 if k < 127 else np.int32
+        S = n * copies
+        self._binom = np.array([[math.comb(a, b) for b in range(D + 1)]
+                                for a in range(S + 1)], dtype=np.int64)
+        self._kpow = k ** np.arange(D + 1, dtype=np.int64)
+        counts = self._binom[S] * self._kpow
+        self.offset = np.concatenate(([0], np.cumsum(counts)))
+
+    def __len__(self):
+        return int(self.offset[-1])
+
+    @functools.cached_property
+    def slots(self) -> np.ndarray:
+        S, k = self.n * self.copies, self.k
+        blocks = []
+        for d in range(self.degree + 1):
+            combos = np.array(list(itertools.combinations(range(S), d)),
+                              dtype=np.intp).reshape(math.comb(S, d), d)
+            labels = np.array(list(itertools.product(range(1, k + 1),
+                                                     repeat=d)),
+                              dtype=self.dtype).reshape(k**d, d)
+            block = np.zeros((len(combos), len(labels), S), dtype=self.dtype)
+            for i in range(d):
+                block[np.arange(len(combos)), :, combos[:, i]] = labels[:, i]
+            blocks.append(block.reshape(len(combos) * len(labels), S))
+        return np.concatenate(blocks)
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        return np.repeat(np.arange(self.degree + 1), np.diff(self.offset))
+
+    @functools.cached_property
+    def keys(self) -> list:
+        """The keys as tuples, in id order."""
+        n, k = self.n, self.k
+        pairs = np.empty(n * self.copies * k, dtype=object)
+        pairs[:] = [(s % n, a, s // n)
+                    for s in range(n * self.copies) for a in range(k)]
+        out = []
+        for d in range(self.degree + 1):
+            block = self.slots[self.offset[d]:self.offset[d + 1]]
+            rows, cols = np.nonzero(block)
+            codes = (cols * k + block[rows, cols] - 1).reshape(len(block), d)
+            chosen = pairs[codes].tolist()
+            out += (map(tuple, chosen) if self.copies == 1
+                    else (tuple(sorted(c)) for c in chosen))
+        return out
+
+    def rank(self, L: np.ndarray) -> np.ndarray:
+        """Ids of the keys whose slot rows are L (any leading shape); -1 for
+        a row of degree above D."""
+        P = L > 0
+        d = P.sum(axis=-1)
+        over = d > self.degree
+        d = np.minimum(d, self.degree)
+        S = L.shape[-1]
+        rank = self._binom[S, d] - 1
+        code = np.zeros_like(rank)
+        seen = np.zeros_like(rank)
+        for s in range(S):
+            p = P[..., s]
+            # lex rank: C(S, d) - 1 - sum_i C(S-1-s_i, d-i) over the chosen
+            # slots s_0 < s_1 < ...
+            left = np.maximum(d - seen, 0)
+            rank -= np.where(p, self._binom[S - 1 - s, left], 0)
+            code = np.where(p, code * self.k + L[..., s] - 1, code)
+            seen += p
+        ids = self.offset[d] + rank * self._kpow[d] + code
+        return np.where(over, -1, ids)
+
+    def mul(self, a, b) -> np.ndarray:
+        """Ids of the products of the keys with ids a and b (broadcast);
+        -1 for the zero monomial."""
+        A, B = self.slots[a], self.slots[b]
+        clash = ((A > 0) & (B > 0) & (A != B)).any(axis=-1)
+        return np.where(clash, -1, self.rank(np.maximum(A, B)))
+
+    def rows(self, keys) -> np.ndarray:
+        """Slot rows of keys given as tuples of (vertex, label, copy)."""
+        L = np.zeros((len(keys), self.n * self.copies), dtype=self.dtype)
+        for row, key in zip(L, keys):
+            for (v, a, c) in key:
+                row[c * self.n + v] = a + 1
+        return L
+
+    def ids(self, keys) -> np.ndarray:
+        """Ids of canonical keys."""
+        return self.rank(self.rows(keys))
+
+
+@functools.lru_cache(maxsize=32)
+def moment_index(n: int, k: int, D: int, copies: int = 1) -> MomentIndex:
+    return MomentIndex(n, k, D, copies)
+
+
 # -- standard polynomials ---------------------------------------------------
 
 def ug_objective_poly(inst: UgInstance, copy: int = 0) -> dict:
@@ -194,25 +329,69 @@ def _copy_parts(key):
 # PseudoExpectation
 # ---------------------------------------------------------------------------
 
-@dataclass
+class _Moments(Mapping):
+    """Read-only view of a table's moments, canonical key -> value."""
+
+    def __init__(self, pE: "PseudoExpectation"):
+        self._pE = pE
+
+    def __getitem__(self, key):
+        return self._pE._table()[key]
+
+    def __iter__(self):
+        return iter(self._pE._table())
+
+    def __len__(self):
+        pE = self._pE
+        return len(pE._dict) if pE._dict is not None else len(pE._values)
+
+
 class PseudoExpectation:
     """Moment table of a degree-D pseudoexpectation over canonical keys.
 
-    `dense` means the table holds *every* canonical key of degree <= D (the
-    solver and the symmetrize/condition/rerandomize operations produce dense
-    tables); missing keys then cannot occur.  Sparse tables (point masses,
-    genuine mixtures) treat missing keys as 0.  Immutable by convention: all
-    calculus operations return new objects.
+    `moments` is a dict from canonical keys to values, or (from the solver
+    and the calculus) a float64 array over `moment_index(num_vertices, k,
+    degree, copy_count)`.  `dense` means the table holds *every* canonical
+    key of degree <= D (the solver and the symmetrize/condition/rerandomize
+    operations produce dense tables); missing keys then cannot occur.
+    Sparse tables (point masses, genuine mixtures) treat missing keys as 0.
+    Immutable by convention: all calculus operations return new objects.
     """
 
-    degree: int
-    k: int
-    num_vertices: int
-    moments: dict
-    copy_count: int = 1
-    dense: bool = True
-    flags: dict = field(default_factory=dict)
-    _base: "PseudoExpectation | None" = None  # set for product-copy views
+    def __init__(self, degree: int, k: int, num_vertices: int, moments,
+                 copy_count: int = 1, dense: bool = True, flags=None,
+                 _base: "PseudoExpectation | None" = None):
+        self.degree, self.k, self.num_vertices = degree, k, num_vertices
+        self.copy_count, self.dense = copy_count, dense
+        self.flags = {} if flags is None else flags
+        self._base = _base  # set for product-copy views
+        if isinstance(moments, np.ndarray):
+            self._values, self._dict = moments, None
+        else:
+            self._values, self._dict = None, dict(moments)
+
+    @property
+    def moments(self) -> Mapping:
+        return _Moments(self)
+
+    @property
+    def index(self) -> MomentIndex:
+        return moment_index(self.num_vertices, self.k, self.degree,
+                            self.copy_count)
+
+    def _table(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.index.keys, self._values.tolist()))
+        return self._dict
+
+    def _array(self) -> np.ndarray:
+        """The moments in id order (0.0 for keys a sparse table omits)."""
+        if self._values is None:
+            values = np.zeros(len(self.index))
+            values[self.index.ids(list(self._dict))] = list(
+                self._dict.values())
+            self._values = values
+        return self._values
 
     def moment(self, key) -> float:
         if key is None:
@@ -225,7 +404,10 @@ class PseudoExpectation:
         if len(key) > self.degree:
             raise DegreeError(
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
-        return self.moments.get(key, 0.0)
+        table = self._dict
+        if table is None:
+            table = self._table()
+        return table.get(key, 0.0)
 
     def pe(self, poly: dict) -> float:
         """Linear extension of the moment mapping to a polynomial."""
@@ -246,11 +428,37 @@ class PseudoExpectation:
 
     @classmethod
     def from_json(cls, text: str) -> "PseudoExpectation":
-        d = json.loads(text)
-        moments = {tuple(tuple(p) for p in key): val for key, val in d["moments"]}
-        return cls(degree=d["degree"], k=d["k"], num_vertices=d["n"],
-                   moments=moments, copy_count=d.get("copy_count", 1),
-                   dense=d.get("dense", True))
+        """Load a table written by `to_json`.  Raises ParameterError on
+        malformed input: a key that is not canonical, exceeds the degree or
+        names a vertex, label or copy out of range, and a dense table that
+        misses a key (it would read as 0)."""
+        try:
+            d = json.loads(text)
+            degree, k, n = d["degree"], d["k"], d["n"]
+            copies, dense = d.get("copy_count", 1), d.get("dense", True)
+            moments = {tuple(tuple(p) for p in key): val
+                       for key, val in d["moments"]}
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ParameterError(f"malformed pseudoexpectation file: {exc}")
+        header = (degree, k, n, copies)
+        if (any(type(x) is not int or x < 0 for x in header)
+                or copies not in (1, 2) or type(dense) is not bool):
+            raise ParameterError(f"bad pseudoexpectation header {header}")
+        for key, val in moments.items():
+            ok = (len(key) <= degree
+                  and all(len(p) == 3 and all(type(x) is int and x >= 0
+                                              for x in p)
+                          and p[0] < n and p[1] < k and p[2] < copies
+                          for p in key)
+                  and canon_key(key) == key)
+            if not ok or type(val) not in (int, float):
+                raise ParameterError(f"bad moment entry {key}: {val!r}")
+        if dense and len(moments) != _index_size(n, k, degree, copies):
+            raise ParameterError(
+                f"dense table has {len(moments)} of "
+                f"{_index_size(n, k, degree, copies)} moments")
+        return cls(degree=degree, k=k, num_vertices=n, moments=moments,
+                   copy_count=copies, dense=dense)
 
 
 def evaluate(pE: PseudoExpectation, poly) -> float:
@@ -322,16 +530,25 @@ def _reduce_poly(poly: dict, k: int) -> dict:
 @dataclass
 class SdpProblem:
     """The degree-D moment relaxation in the reduced basis the solver
-    consumes: the reduced moment-matrix basis and moments, the map from
-    matrix entries to moment ids, and the objective over reduced moments."""
+    consumes: the reduced moment-matrix basis and moments (as indexes over
+    the labels 0..k-2), the map from matrix entries to moment ids, and the
+    objective over reduced moments."""
 
     inst: UgInstance
     degree: int
-    rbasis: list
-    rmoments: list
-    rindex: dict
+    rbasis: MomentIndex
+    rmoments: MomentIndex
     entry_map: np.ndarray         # dim_r x dim_r -> reduced moment id (-1 = zero)
     objective_vec: np.ndarray     # over reduced moments (maximize c.y)
+
+
+def _product_ids(index: MomentIndex, dim: int) -> np.ndarray:
+    """dim x dim matrix of the ids of the products of the first `dim` keys
+    of `index` (-1 = zero monomial)."""
+    rows, cols = np.tril_indices(dim)
+    E = np.empty((dim, dim), dtype=np.int64)
+    E[rows, cols] = E[cols, rows] = index.mul(rows, cols)
+    return E
 
 
 def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
@@ -340,51 +557,43 @@ def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
         raise ParameterError("D must be one of {2, 4, 6}")
     n, k = inst.num_vertices, inst.k
     half = D // 2
-    basis = list(all_canonical_keys(n, k, half))
-    if len(basis) > DIM_CAP:
+    full_dim = _index_size(n, k, half)
+    if full_dim > DIM_CAP:
         raise SizeCapError(
-            f"moment-matrix dimension {len(basis)} exceeds cap {DIM_CAP}")
-    # reduced structures
-    rbasis = [m for m in all_canonical_keys(n, k - 1, half)]
-    rmoments = list(all_canonical_keys(n, k - 1, D))
-    rindex = {m: i for i, m in enumerate(rmoments)}
-    dim_r = len(rbasis)
-    entry_map = np.full((dim_r, dim_r), -1, dtype=np.int64)
-    for i, a in enumerate(rbasis):
-        for j in range(i + 1):
-            km = key_mul(a, rbasis[j])
-            if km is not None:
-                entry_map[i, j] = entry_map[j, i] = rindex[km]
+            f"moment-matrix dimension {full_dim} exceeds cap {DIM_CAP}")
+    rbasis = moment_index(n, k - 1, half)
+    rmoments = moment_index(n, k - 1, D)
+    entry_map = _product_ids(rmoments, len(rbasis))
     obj_red = _reduce_poly(ug_objective_poly(inst), k)
     c = np.zeros(len(rmoments))
-    for key, coef in obj_red.items():
-        c[rindex[key]] += coef
+    c[rmoments.ids(list(obj_red))] += list(obj_red.values())
     return SdpProblem(inst=inst, degree=D, rbasis=rbasis, rmoments=rmoments,
-                      rindex=rindex, entry_map=entry_map, objective_vec=c)
+                      entry_map=entry_map, objective_vec=c)
 
 
-def _full_moments_from_reduced(yvals: dict, n: int, k: int, D: int) -> dict:
-    """Materialize every canonical full-label moment of degree <= D from the
-    reduced table by substituting X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a}."""
-    memo = dict(yvals)
-
-    def get(key):
-        val = memo.get(key)
-        if val is not None:
-            return val
-        for i, (v, a, c) in enumerate(key):
-            if a == k - 1:
-                rest = key[:i] + key[i + 1:]
-                val = get(rest)
-                for b in range(k - 1):
-                    val -= get(tuple(sorted(rest + ((v, b, c),))))
-                memo[key] = val
-                return val
-        raise KeyError(key)
-
-    out = {}
-    for key in all_canonical_keys(n, k, D):
-        out[key] = get(key)
+def _full_moments_from_reduced(y: np.ndarray, n: int, k: int,
+                               D: int) -> np.ndarray:
+    """Every canonical full-label moment of degree <= D, in id order, from
+    the reduced moments y (labels 0..k-2) by substituting
+    X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a} at the lowest such vertex, one level
+    of label-(k-1) count at a time."""
+    full = moment_index(n, k, D)
+    L = full.slots
+    out = np.empty(len(full))
+    out[full.rank(moment_index(n, k - 1, D).slots)] = y
+    last = L == k
+    count = last.sum(axis=1)
+    for t in range(1, D + 1):
+        sel = np.flatnonzero(count == t)
+        rows = L[sel]
+        v = last[sel].argmax(axis=1)
+        at = np.arange(len(sel))
+        rows[at, v] = 0
+        val = out[full.rank(rows)]
+        for b in range(k - 1):
+            rows[at, v] = b + 1
+            val = val - out[full.rank(rows)]
+        out[sel] = val
     return out
 
 
@@ -469,8 +678,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     # A(y) is one gather; structural zeros read an appended 0.0 at index M
     gather = np.where(E >= 0, E, M)
     c = problem.objective_vec
-    i_one = problem.rindex[()]
+    i_one = 0                     # the id of the empty monomial
     dim = len(problem.rbasis)
+    k = problem.inst.k
 
     def adjoint(R):
         return np.bincount(ids, weights=w * R.ravel()[flat], minlength=M)
@@ -480,7 +690,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
 
     rho = 1.0
     # start from the uniform independent distribution (feasible, interior)
-    y = np.array([problem.inst.k ** (-len(m)) for m in problem.rmoments])
+    y = np.array([k ** (-d) for d in range(problem.degree + 1)])[
+        problem.rmoments.degrees]
     y[i_one] = 1.0
     X = A(y)
     U = np.zeros((dim, dim))
@@ -514,20 +725,31 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                     rho /= 2.0
                     U *= 2.0
     inst = problem.inst
-    yvals = {m: float(y[i]) for i, m in enumerate(problem.rmoments)}
-    moments = _full_moments_from_reduced(yvals, inst.num_vertices, inst.k,
+    moments = _full_moments_from_reduced(y, inst.num_vertices, k,
                                          problem.degree)
     flags = {"sdp_value": float(c @ y), "iterations": it + 1,
              "primal_residual": pri, "dual_residual": dua}
     if not converged:
         flags["unconverged"] = True
-    return PseudoExpectation(problem.degree, inst.k, inst.num_vertices,
+    return PseudoExpectation(problem.degree, k, inst.num_vertices,
                              moments, flags=flags)
 
 
 # ---------------------------------------------------------------------------
 # Calculus
 # ---------------------------------------------------------------------------
+
+def _gather(pE: PseudoExpectation, L: np.ndarray) -> np.ndarray:
+    """pE's moments at the keys with slot rows L (over pE's slots, degree
+    <= pE.degree); a product copy multiplies its base's moments at the two
+    copies' parts."""
+    n = pE.num_vertices
+    if pE._base is not None:
+        base = pE._base.index
+        values = pE._base._array()
+        return values[base.rank(L[:, :n])] * values[base.rank(L[:, n:])]
+    return pE._array()[pE.index.rank(L)]
+
 
 def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
     """Uniform mixture over global label shifts: pE_sym[m] =
@@ -536,14 +758,22 @@ def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
     if pE.copy_count != 1:
         raise ParameterError("symmetrize requires copy_count = 1")
     k = pE.k
-    new: dict = {}
-    for key in pE.moments:
-        for s in range(k):
-            skey = shift_key(key, s, k)
-            if skey in new:
-                continue
-            new[skey] = sum(pE.moment(shift_key(skey, -t, k))
-                            for t in range(k)) / k
+    if pE.dense:
+        values, L = pE._array(), pE.index.slots
+        total = np.zeros(len(values))
+        for t in range(k):
+            shifted = np.where(L > 0, (L - 1 - t) % k + 1, 0)
+            total += values[pE.index.rank(shifted)]
+        new = total / k
+    else:
+        new = {}
+        for key in pE.moments:
+            for s in range(k):
+                skey = shift_key(key, s, k)
+                if skey in new:
+                    continue
+                new[skey] = sum(pE.moment(shift_key(skey, -t, k))
+                                for t in range(k)) / k
     flags = dict(pE.flags)
     if "mixture" in flags:
         # the symmetrized distribution is the shift-spread mixture
@@ -572,13 +802,13 @@ def condition(pE: PseudoExpectation, event,
     new_deg = pE.degree - 2 * len(event)
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")
-    new: dict = {}
     if pE.dense:
-        for m in all_canonical_keys(pE.num_vertices, pE.k, new_deg,
-                                    copies=pE.copy_count):
-            km = key_mul(m, event)
-            new[m] = pE.moment(km) / p_event if km is not None else 0.0
+        L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
+        ev = pE.index.rows([event])[0]
+        zero = ((L > 0) & (ev > 0) & (L != ev)).any(axis=1)
+        new = np.where(zero, 0.0, _gather(pE, np.maximum(L, ev)) / p_event)
     else:
+        new = {}
         ev = set(event)
         for skey, val in pE.moments.items():
             if not ev.issubset(skey) or len(skey) - len(event) > new_deg:
@@ -617,14 +847,16 @@ def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
         raise ParameterError("rerandomize requires copy_count = 1")
     S = set(S)
     if not S:
+        moments = pE._values if pE._dict is None else dict(pE._dict)
         return PseudoExpectation(pE.degree, pE.k, pE.num_vertices,
-                                 dict(pE.moments), dense=pE.dense,
+                                 moments, dense=pE.dense,
                                  flags=dict(pE.flags))
-    new: dict = {}
-    for m in all_canonical_keys(pE.num_vertices, pE.k, pE.degree):
-        rest = tuple(p for p in m if p[0] not in S)
-        t = len(m) - len(rest)
-        new[m] = pE.moment(rest) / pE.k**t
+    drop = [v for v in range(pE.num_vertices) if v in S]
+    L = pE.index.slots.copy()
+    t = (L[:, drop] > 0).sum(axis=1)
+    L[:, drop] = 0
+    scale = np.array([pE.k**i for i in range(pE.degree + 1)], dtype=float)
+    new = _gather(pE, L) / scale[t]
     return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, new, dense=True,
                              flags=_solver_status(pE))
 
@@ -659,43 +891,39 @@ def moment_matrix(pE: PseudoExpectation) -> np.ndarray:
     give (a structural zero may come out as -0.0)."""
     n, k, half = pE.num_vertices, pE.k, pE.degree // 2
     if pE._base is not None:
-        base_ids = {m: i for i, m in enumerate(all_canonical_keys(n, k, half))}
-        parts = [_copy_parts(b)
-                 for b in all_canonical_keys(n, k, half, copies=2)]
-        left = [base_ids[m] for m, _ in parts]
-        right = [base_ids[m] for _, m in parts]
+        base = moment_index(n, k, half)
+        L = moment_index(n, k, half, copies=2).slots
+        left, right = base.rank(L[:, :n]), base.rank(L[:, n:])
         Mb = moment_matrix(pE._base)
         return Mb[np.ix_(left, left)] * Mb[np.ix_(right, right)]
-    basis = list(all_canonical_keys(n, k, half, copies=pE.copy_count))
-    dim = len(basis)
-    Mm = np.zeros((dim, dim))
-    for i, a in enumerate(basis):
-        for j in range(i + 1):
-            km = key_mul(a, basis[j])
-            val = pE.moment(km) if km is not None else 0.0
-            Mm[i, j] = Mm[j, i] = val
-    return Mm
+    E = _product_ids(pE.index, len(moment_index(n, k, half, pE.copy_count)))
+    return np.append(pE._array(), 0.0)[E]
 
 
 def _partition_table(pE: PseudoExpectation):
     """(amp, res) over monomials m of degree d < D: amp[d] is the largest
     |pE[m]| and res[d] the largest partition residual
     |sum_a pE[m X_{u,a}] - pE[m]| over all vertices u and copies."""
-    amp = [0.0] * pE.degree
-    res = [0.0] * pE.degree
-    for m in all_canonical_keys(pE.num_vertices, pE.k, pE.degree - 1,
-                                copies=pE.copy_count):
-        d = len(m)
-        pm = pE.moment(m)
-        amp[d] = max(amp[d], abs(pm))
-        for u in range(pE.num_vertices):
-            for cpy in range(pE.copy_count):
-                tot = 0.0
-                for a in range(pE.k):
-                    km = key_mul(m, ((u, a, cpy),))
-                    if km is not None:
-                        tot += pE.moment(km)
-                res[d] = max(res[d], abs(tot - pm))
+    index, D = pE.index, pE.degree
+    L = index.slots[:index.offset[D]]
+    values = pE._array()
+    pm = values[:len(L)]
+    worst = np.zeros(len(L))
+    for s in range(L.shape[1]):
+        # where m already holds slot s, its sum is pE[m] itself (residual 0)
+        free = np.flatnonzero(L[:, s] == 0)
+        rows = L[free]
+        total = np.zeros(len(free))
+        for a in range(1, pE.k + 1):
+            rows[:, s] = a
+            total += values[index.rank(rows)]
+        worst[free] = np.maximum(worst[free], np.abs(total - pm[free]))
+    amp, res = [0.0] * D, [0.0] * D
+    for d in range(D):
+        part = slice(index.offset[d], index.offset[d + 1])
+        if part.start < part.stop:
+            amp[d] = max(0.0, float(np.abs(pm[part]).max()))
+            res[d] = max(0.0, float(worst[part].max()))
     return amp, res
 
 

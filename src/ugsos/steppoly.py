@@ -16,7 +16,8 @@ single integer Horner over all points at once (numpy object arrays of
 Python ints over a common denominator), ending in one correctly rounded
 division per point, so each value is the float nearest the exact one.  This
 keeps the monomial-coefficient contract honest instead of silently
-evaluating noise.
+evaluating noise.  The affine squeeze into [0, 1] does not evaluate again:
+its grid is one exact map of the unsqueezed pass's integers.
 """
 from __future__ import annotations
 
@@ -92,6 +93,13 @@ def _horner_many(coeffs, xs: np.ndarray) -> np.ndarray:
         for c in reversed(fc):
             out = out * xs + c
         return out
+    acc, den = _horner_exact(coeffs, xs)
+    return (acc / den).astype(float).reshape(np.shape(xs))
+
+
+def _horner_exact(coeffs, xs: np.ndarray):
+    """(acc, den): p(x) = acc / den exactly, acc an object array of ints
+    over the flattened points and den = L Q^d (see `_horner_many`)."""
     den = math.lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     ratios = [x.as_integer_ratio() for x in np.ravel(xs).tolist()]
@@ -102,7 +110,7 @@ def _horner_many(coeffs, xs: np.ndarray) -> np.ndarray:
     for c in reversed(nums[:-1]):
         scale *= big_q
         acc = acc * m + c * scale
-    return (acc / (den * scale)).astype(float).reshape(np.shape(xs))
+    return acc, den * scale
 
 
 def eval_step_poly(p: StepPolynomial, x):
@@ -120,8 +128,26 @@ def _grid():
 
 
 @lru_cache(maxsize=32)
+def _grid_memo(coeffs: tuple) -> dict:
+    """The grid evaluation of one coefficient tuple, filled in place:
+    "values", the read-only floats, and "exact", the (acc, den) of the exact
+    Horner when that path ran (`_squeeze_into_unit` maps it affinely)."""
+    return {}
+
+
 def _grid_values_cached(coeffs: tuple) -> np.ndarray:
-    vals = _horner_many(coeffs, _grid())
+    memo = _grid_memo(tuple(coeffs))
+    if "values" not in memo:
+        if _float_safe(coeffs):
+            vals = _horner_many(coeffs, _grid())
+        else:
+            acc, den = memo["exact"] = _horner_exact(coeffs, _grid())
+            vals = (acc / den).astype(float)
+        memo["values"] = _read_only(vals)
+    return memo["values"]
+
+
+def _read_only(vals: np.ndarray) -> np.ndarray:
     vals.setflags(write=False)
     return vals
 
@@ -208,7 +234,17 @@ def _squeeze_into_unit(coeffs):
     shift = Fraction(float(lo * (1.0 + np.sign(lo) * 1e-12)))
     out = [c / scale for c in coeffs]
     out[0] -= shift / scale
-    return tuple(out)
+    out = tuple(out)
+    exact = _grid_memo(tuple(coeffs)).get("exact")
+    if exact is not None and not _float_safe(out):
+        # the squeezed grid is (p(x) - shift) / scale: one exact affine map
+        # of the integers above, correctly rounded as a Horner pass would be
+        acc, den = exact
+        num = ((acc * shift.denominator - shift.numerator * den)
+               * scale.denominator)
+        den *= scale.numerator * shift.denominator
+        _grid_memo(out)["values"] = _read_only((num / den).astype(float))
+    return out
 
 
 def build_step_poly(alpha: float, eps: float, delta: float,

@@ -60,6 +60,13 @@ def cube3_pe(cube3_inst):
 
 
 @pytest.fixture(scope="session")
+def cube3_raw(cube3_inst):
+    """An unsymmetrized cube3 D=4 solve at a loose tolerance."""
+    _, inst, _ = cube3_inst
+    return solve_sdp(build_relaxation(inst, 4), tol=1e-4)
+
+
+@pytest.fixture(scope="session")
 def unsat_pe(triangle_unsat):
     return symmetrize(solve_sdp(build_relaxation(triangle_unsat, 4)))
 

@@ -139,3 +139,19 @@ def test_verify_quick_under_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 6, proc.stdout
+
+
+def test_verify_pe_file_rejects_truncated_and_incomplete(tmp_path, capsys):
+    from ugsos.sos import build_relaxation, solve_sdp
+    from conftest import make_triangle
+    text = solve_sdp(build_relaxation(make_triangle(3), 2)).to_json()
+    doc = json.loads(text)
+    doc["moments"].pop(3)
+    for name, body in (("truncated", text[:-40]),
+                       ("incomplete", json.dumps(doc))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(body)
+        code, _, err = run(capsys, "verify", "--only", "spectra", "--pe",
+                           str(path))
+        assert code == 3, name
+        assert "parameter error" in err

@@ -1,0 +1,265 @@
+"""MomentIndex ranking, and the indexed calculus against dict-based
+reference implementations (the loops the gathers replaced), under exact
+float equality."""
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ugsos import sos
+from ugsos.graphs import johnson_graph
+from ugsos.instances import plant_instance
+from ugsos.sos import (MomentIndex, all_canonical_keys, build_relaxation,
+                       condition, key_mul, mixture_pe, moment_matrix,
+                       point_mass_pe, product_copy, rerandomize, shift_key,
+                       solve_sdp, symmetrize)
+
+from conftest import make_triangle
+
+
+# -- ranking ----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 4),
+       st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+def test_rank_and_unrank_follow_enumeration_order(n, k, D, copies, rnd):
+    idx = MomentIndex(n, k, D, copies)
+    keys = list(all_canonical_keys(n, k, D, copies))
+    assert idx.keys == keys and len(idx) == len(keys)
+    assert np.array_equal(idx.rank(idx.slots), np.arange(len(keys)))
+    assert np.array_equal(idx.ids(keys), np.arange(len(keys)))
+    pos = {key: i for i, key in enumerate(keys)}
+    a = np.array([rnd.randrange(len(keys)) for _ in range(50)])
+    b = np.array([rnd.randrange(len(keys)) for _ in range(50)])
+    expect = []
+    for i, j in zip(a, b):
+        km = key_mul(keys[i], keys[j])
+        expect.append(-1 if km is None or len(km) > D else pos[km])
+    assert idx.mul(a, b).tolist() == expect
+
+
+def test_large_alphabet_ranks_and_shifts():
+    # slot entries and shifted labels outgrow int8 from k = 127 on
+    idx = MomentIndex(2, 130, 2)
+    keys = list(all_canonical_keys(2, 130, 2))
+    assert idx.keys == keys
+    assert np.array_equal(idx.rank(idx.slots), np.arange(len(keys)))
+    rng = np.random.default_rng(3)
+    pE = sos.PseudoExpectation(1, 130, 1, rng.random(131))
+    _same(symmetrize(pE), ref_symmetrize(pE))
+
+
+# -- dict-based references ----------------------------------------------------
+
+def ref_symmetrize(pE):
+    k = pE.k
+    new = {}
+    for key in pE.moments:
+        for s in range(k):
+            skey = shift_key(key, s, k)
+            if skey in new:
+                continue
+            new[skey] = sum(pE.moment(shift_key(skey, -t, k))
+                            for t in range(k)) / k
+    return new
+
+
+def ref_condition(pE, event):
+    event = sos.canon_key(event)
+    p_event = pE.moment(event)
+    new = {}
+    for m in all_canonical_keys(pE.num_vertices, pE.k,
+                                pE.degree - 2 * len(event),
+                                copies=pE.copy_count):
+        km = key_mul(m, event)
+        new[m] = pE.moment(km) / p_event if km is not None else 0.0
+    return new
+
+
+def ref_rerandomize(pE, S):
+    S = set(S)
+    if not S:
+        return dict(pE.moments)
+    new = {}
+    for m in all_canonical_keys(pE.num_vertices, pE.k, pE.degree):
+        rest = tuple(p for p in m if p[0] not in S)
+        t = len(m) - len(rest)
+        new[m] = pE.moment(rest) / pE.k**t
+    return new
+
+
+def ref_moment_matrix(pE):
+    basis = list(all_canonical_keys(pE.num_vertices, pE.k, pE.degree // 2,
+                                    copies=pE.copy_count))
+    M = np.zeros((len(basis), len(basis)))
+    for i, a in enumerate(basis):
+        for j in range(i + 1):
+            km = key_mul(a, basis[j])
+            M[i, j] = M[j, i] = pE.moment(km) if km is not None else 0.0
+    return M
+
+
+def ref_partition_table(pE):
+    amp = [0.0] * pE.degree
+    res = [0.0] * pE.degree
+    for m in all_canonical_keys(pE.num_vertices, pE.k, pE.degree - 1,
+                                copies=pE.copy_count):
+        d = len(m)
+        pm = pE.moment(m)
+        amp[d] = max(amp[d], abs(pm))
+        for u in range(pE.num_vertices):
+            for cpy in range(pE.copy_count):
+                tot = 0.0
+                for a in range(pE.k):
+                    km = key_mul(m, ((u, a, cpy),))
+                    if km is not None:
+                        tot += pE.moment(km)
+                res[d] = max(res[d], abs(tot - pm))
+    return amp, res
+
+
+def ref_full_moments(yvals, n, k, D):
+    memo = dict(yvals)
+
+    def get(key):
+        val = memo.get(key)
+        if val is not None:
+            return val
+        for i, (v, a, c) in enumerate(key):
+            if a == k - 1:
+                rest = key[:i] + key[i + 1:]
+                val = get(rest)
+                for b in range(k - 1):
+                    val -= get(tuple(sorted(rest + ((v, b, c),))))
+                memo[key] = val
+                return val
+        raise KeyError(key)
+
+    return {key: get(key) for key in all_canonical_keys(n, k, D)}
+
+
+def ref_entry_map(inst, D):
+    rbasis = list(all_canonical_keys(inst.num_vertices, inst.k - 1, D // 2))
+    rindex = {m: i for i, m in enumerate(
+        all_canonical_keys(inst.num_vertices, inst.k - 1, D))}
+    E = np.full((len(rbasis), len(rbasis)), -1, dtype=np.int64)
+    for i, a in enumerate(rbasis):
+        for j in range(i + 1):
+            km = key_mul(a, rbasis[j])
+            if km is not None:
+                E[i, j] = E[j, i] = rindex[km]
+    return E
+
+
+# -- inputs -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def j52_raw():
+    inst, _ = plant_instance(johnson_graph(5, 2, 0.5), 3, 0.05, seed=0)
+    return solve_sdp(build_relaxation(inst, 2), tol=1e-4)
+
+
+@pytest.fixture(scope="module")
+def tables(cube3_raw, j52_raw):
+    sym = symmetrize(cube3_raw)
+    return {
+        "cube3": cube3_raw,
+        "cube3-sym": sym,
+        "j52": j52_raw,
+        "point-mass": point_mass_pe(4, 3, [0, 2, 1, 1]),
+        "mixture": mixture_pe(4, 3, [(0.3, [0, 1, 2, 0]),
+                                     (0.7, [1, 1, 0, 2])]),
+        "conditioned": condition(sym, ((2, 1, 0),)),
+    }
+
+
+TABLES = ["cube3", "cube3-sym", "j52", "point-mass", "mixture",
+          "conditioned"]
+
+
+def _same(pE, ref: dict):
+    got = dict(pE.moments)
+    assert got.keys() == ref.keys()
+    assert all(got[key] == val for key, val in ref.items())
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_symmetrize_matches_reference(tables, name):
+    pE = tables[name]
+    _same(symmetrize(pE), ref_symmetrize(pE))
+
+
+@pytest.mark.parametrize("name", ["cube3", "cube3-sym", "j52",
+                                  "conditioned"])
+def test_condition_matches_reference(tables, name):
+    pE = tables[name]
+    event = max((((1, a, 0),) for a in range(pE.k)), key=pE.moment)
+    _same(condition(pE, event), ref_condition(pE, event))
+
+
+def test_condition_of_product_copy_matches_reference(tables):
+    pE2 = product_copy(tables["cube3-sym"])
+    event = ((0, 0, 0), (1, 1, 1))
+    _same(condition(pE2, event), ref_condition(pE2, event))
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_rerandomize_matches_reference(tables, name):
+    pE = tables[name]
+    n = pE.num_vertices
+    for S in ([], [1], [0, 2], list(range(n))):
+        _same(rerandomize(pE, S), ref_rerandomize(pE, S))
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_moment_matrix_and_partition_table_match_reference(tables, name):
+    pE = tables[name]
+    assert np.array_equal(moment_matrix(pE), ref_moment_matrix(pE))
+    assert sos._partition_table(pE) == ref_partition_table(pE)
+
+
+def test_full_moments_match_recursive_substitution():
+    rng = np.random.default_rng(5)
+    for (n, k, D) in [(4, 3, 4), (3, 4, 4), (5, 2, 2), (3, 3, 6)]:
+        y = rng.normal(size=len(sos.moment_index(n, k - 1, D)))
+        yvals = dict(zip(all_canonical_keys(n, k - 1, D), y.tolist()))
+        got = sos._full_moments_from_reduced(y, n, k, D)
+        ref = ref_full_moments(yvals, n, k, D)
+        assert got.tolist() == list(ref.values())
+
+
+def test_entry_map_matches_pairwise_products():
+    for inst, D in [(make_triangle(3), 4), (make_triangle(4), 6),
+                    (plant_instance(johnson_graph(5, 2, 0.5), 3, 0.05,
+                                    seed=0)[0], 4)]:
+        problem = build_relaxation(inst, D)
+        assert np.array_equal(problem.entry_map, ref_entry_map(inst, D))
+
+
+# -- solver status ------------------------------------------------------------
+
+def test_unconverged_flag_survives_every_operation(triangle_unsat):
+    pE = solve_sdp(build_relaxation(triangle_unsat, 4), max_iters=5)
+    assert pE.flags.get("unconverged")
+    pE2 = product_copy(pE)
+    derived = [symmetrize(pE), pE2, condition(pE, ((0, 0, 0),)),
+               condition(pE2, ((0, 0, 0), (1, 1, 1)))]
+    derived += [rerandomize(pE, S) for S in ([], [1], [0, 2], [0, 1, 2])]
+    assert all(d.flags.get("unconverged") for d in derived)
+
+
+# -- scalar view --------------------------------------------------------------
+
+def test_moments_view_is_read_only_and_complete(tables):
+    pE = tables["cube3"]
+    view = pE.moments
+    assert len(view) == len(sos.moment_index(8, 3, 4))
+    assert list(view) == list(all_canonical_keys(8, 3, 4))
+    key = ((0, 1, 0), (5, 2, 0))
+    assert view[key] == pE.moment(key)
+    with pytest.raises(TypeError):
+        view[key] = 0.0
+    assert dict(itertools.islice(view.items(), 3)) == {
+        m: pE.moment(m) for m in list(view)[:3]}

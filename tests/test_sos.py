@@ -1,12 +1,14 @@
 """Pseudoexpectation calculus: canonical keys, solver output, symmetrization,
 conditioning, product copies, rerandomization, and the validity axioms."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugsos import _kernels, sos
-from ugsos.errors import NullEventError, ParameterError
+from ugsos.errors import NullEventError, ParameterError, SizeCapError
 from ugsos.instances import UgInstance, brute_force_opt, value
 from ugsos.sos import (PseudoExpectation, all_canonical_keys,
                        build_relaxation, canon_key, condition, evaluate,
@@ -112,6 +114,24 @@ def test_sdp_degree4_unsat_triangle(unsat_pe, triangle_unsat):
 def test_bad_degree_rejected(triangle_sat):
     with pytest.raises(ParameterError):
         build_relaxation(triangle_sat, 3)
+
+
+def test_dim_cap_counts_the_full_basis_without_building_it(monkeypatch):
+    # D=4, k=3: the full basis has 1 + 3n + 9 C(n,2) keys, 4006 at n = 30
+    ring = UgInstance(30, 3, tuple((v, (v + 1) % 30, 1.0, 1)
+                                   for v in range(30)))
+    monkeypatch.setattr(sos, "all_canonical_keys", None)
+    monkeypatch.setattr(sos, "MomentIndex", None)
+    with pytest.raises(SizeCapError,
+                       match="moment-matrix dimension 4006 exceeds cap 4000"):
+        build_relaxation(ring, 4)
+    monkeypatch.undo()
+    # the triangle's full basis has 1 + 9 + 27 = 37 keys
+    monkeypatch.setattr(sos, "DIM_CAP", 36)
+    with pytest.raises(SizeCapError, match="dimension 37 exceeds cap 36"):
+        build_relaxation(make_triangle(3), 4)
+    monkeypatch.setattr(sos, "DIM_CAP", 37)
+    build_relaxation(make_triangle(3), 4)
 
 
 def test_solver_iterates_pinned():
@@ -462,6 +482,48 @@ def test_pseudo_cauchy_schwarz(cube_pe, cube_inst, rng):
 
 
 # -- serialization ----------------------------------------------------------
+
+def test_pe_json_round_trip_is_byte_identical(cube3_raw):
+    for pE in (cube3_raw, point_mass_pe(4, 3, [0, 2, 1, 1]),
+               mixture_pe(4, 3, [(0.3, [0, 1, 2, 0]), (0.7, [1, 1, 0, 2])])):
+        text = pE.to_json()
+        assert PseudoExpectation.from_json(text).to_json() == text
+
+
+def _edited(text, edit):
+    d = json.loads(text)
+    edit(d)
+    return json.dumps(d)
+
+
+def _key_of_degree(d, degree):
+    return next(key for key, _ in d["moments"] if len(key) == degree)
+
+
+def test_pe_json_rejects_untrustworthy_tables(cube3_raw):
+    text = cube3_raw.to_json()
+    bad = [
+        text[:len(text) // 2],                                    # truncated
+        _edited(text, lambda d: d["moments"].pop(17)),            # missing
+        _edited(text, lambda d: _key_of_degree(d, 2).reverse()),  # unsorted
+        _edited(text, lambda d: _key_of_degree(d, 1).append(      # two labels
+            [_key_of_degree(d, 1)[0][0], 2, 0])),
+        _edited(text, lambda d: _key_of_degree(d, 4).append(      # degree 5
+            [7, 0, 0])),
+        _edited(text, lambda d: _key_of_degree(d, 1)[0].__setitem__(1, 3)),
+        _edited(text, lambda d: d.__setitem__("degree", "4")),
+    ]
+    for doc in bad:
+        with pytest.raises(ParameterError):
+            PseudoExpectation.from_json(doc)
+    # a sparse table may omit keys, but not hold a malformed one
+    sparse = point_mass_pe(3, 3, [0, 1, 2]).to_json()
+    assert PseudoExpectation.from_json(
+        _edited(sparse, lambda d: d["moments"].pop(3))).dense is False
+    with pytest.raises(ParameterError):
+        PseudoExpectation.from_json(
+            _edited(sparse, lambda d: d["moments"][0][0].append([0, 0, 1])))
+
 
 def test_pe_json_round_trip(cube_pe):
     back = PseudoExpectation.from_json(cube_pe.to_json())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugsos import steppoly
 from ugsos.errors import ParameterError
 from ugsos.steppoly import (GRID_POINTS, StepPolynomial, _float_safe,
                             _horner_many, build_capped_step_poly,
@@ -71,6 +72,28 @@ def test_exact_horner_is_correctly_rounded():
         assert q.degree >= 32 and not _float_safe(q.coeffs)
         ref = np.array([_horner_fraction(q.coeffs, x) for x in xs])
         assert np.array_equal(_horner_many(q.coeffs, xs), ref)
+
+
+def test_squeezed_grid_reuses_the_exact_horner(monkeypatch):
+    # one exact grid pass per candidate degree: the squeezed candidate's grid
+    # is an exact affine map of the unsqueezed one, not a second Horner pass
+    steppoly._grid_memo.cache_clear()
+    grid_passes = []
+    horner_exact = steppoly._horner_exact
+
+    def spy(coeffs, xs):
+        if xs.size == GRID_POINTS:
+            grid_passes.append(len(coeffs))
+        return horner_exact(coeffs, xs)
+
+    monkeypatch.setattr(steppoly, "_horner_exact", spy)
+    p = build_step_poly(0.3, 0.05, 0.1)
+    assert grid_passes == [p.degree + 1]
+    assert not _float_safe(p.coeffs)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    monkeypatch.undo()
+    assert np.array_equal(steppoly._grid_values_cached(p.coeffs),
+                          _horner_many(p.coeffs, grid))
 
 
 def test_json_round_trip(p_easy):
