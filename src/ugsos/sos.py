@@ -25,13 +25,11 @@ rows (zero where two labels meet at one slot) ranked back to an id, and every
 table the calculus needs -- shifts, moment-matrix entries, partition sums,
 conditioning products, dropped vertices -- is one ranking of such rows.
 
-A dense pseudoexpectation (solver output and what the calculus derives from
-it) is its index plus one float64 array of moments in id order; symmetrize,
-rerandomize, condition, the moment matrix and the partition table are gathers
-from that array.  Point masses and mixtures (`dense=False`) store only their
-nonzero keys in a dict, and symmetrize and condition keep their stored-key
-sets with dict code.  Scalar lookups (`moment`, `pe`) read a key -> value
-dict, which a dense table builds on its first lookup.
+A pseudoexpectation is its index plus one float64 array of moments in id
+order, whether it comes from the solver, a point mass, a mixture, a JSON file
+or the calculus; symmetrize, rerandomize, condition, the moment matrix and the
+partition table are gathers from that array.  Scalar lookups (`moment`, `pe`)
+read the array through the index's shared key -> id map.
 
 Solver
 ------
@@ -275,6 +273,11 @@ class MomentIndex:
         """Ids of canonical keys."""
         return self.rank(self.rows(keys))
 
+    @functools.cached_property
+    def id_of(self) -> dict:
+        """Canonical key -> id, for scalar lookups."""
+        return dict(zip(self.keys, range(len(self))))
+
 
 @functools.lru_cache(maxsize=32)
 def moment_index(n: int, k: int, D: int, copies: int = 1) -> MomentIndex:
@@ -330,45 +333,48 @@ def _copy_parts(key):
 # ---------------------------------------------------------------------------
 
 class _Moments(Mapping):
-    """Read-only view of a table's moments, canonical key -> value."""
+    """Read-only view of a table's moments, canonical key -> value, in id
+    order."""
 
     def __init__(self, pE: "PseudoExpectation"):
         self._pE = pE
 
     def __getitem__(self, key):
-        return self._pE._table()[key]
+        ids, values = self._pE._scalars()
+        return values[ids[key]]
 
     def __iter__(self):
-        return iter(self._pE._table())
+        return iter(self._pE.index.keys)
 
     def __len__(self):
-        pE = self._pE
-        return len(pE._dict) if pE._dict is not None else len(pE._values)
+        return len(self._pE.index)
 
 
 class PseudoExpectation:
-    """Moment table of a degree-D pseudoexpectation over canonical keys.
+    """Moment table of a degree-D pseudoexpectation over canonical keys: one
+    float64 array over `moment_index(num_vertices, k, degree, copy_count)`.
 
-    `moments` is a dict from canonical keys to values, or (from the solver
-    and the calculus) a float64 array over `moment_index(num_vertices, k,
-    degree, copy_count)`.  `dense` means the table holds *every* canonical
-    key of degree <= D (the solver and the symmetrize/condition/rerandomize
-    operations produce dense tables); missing keys then cannot occur.
-    Sparse tables (point masses, genuine mixtures) treat missing keys as 0.
-    Immutable by convention: all calculus operations return new objects.
+    `moments` is that array, or a mapping from canonical keys to values that
+    is scattered into it once (keys it omits read as 0).  A product copy (see
+    `product_copy`) is a view of its base table and gathers its array on
+    first use.  Immutable by convention: all calculus operations return new
+    objects.
     """
 
     def __init__(self, degree: int, k: int, num_vertices: int, moments,
-                 copy_count: int = 1, dense: bool = True, flags=None,
+                 copy_count: int = 1, flags=None,
                  _base: "PseudoExpectation | None" = None):
         self.degree, self.k, self.num_vertices = degree, k, num_vertices
-        self.copy_count, self.dense = copy_count, dense
+        self.copy_count = copy_count
         self.flags = {} if flags is None else flags
         self._base = _base  # set for product-copy views
-        if isinstance(moments, np.ndarray):
-            self._values, self._dict = moments, None
-        else:
-            self._values, self._dict = None, dict(moments)
+        if isinstance(moments, Mapping):
+            ids = self.index.id_of
+            values = np.zeros(len(ids))
+            values[[ids[key] for key in moments]] = list(moments.values())
+            moments = values
+        self._values = moments
+        self._ids = self._list = None  # see `_scalars`
 
     @property
     def moments(self) -> Mapping:
@@ -379,19 +385,17 @@ class PseudoExpectation:
         return moment_index(self.num_vertices, self.k, self.degree,
                             self.copy_count)
 
-    def _table(self) -> dict:
-        if self._dict is None:
-            self._dict = dict(zip(self.index.keys, self._values.tolist()))
-        return self._dict
-
     def _array(self) -> np.ndarray:
-        """The moments in id order (0.0 for keys a sparse table omits)."""
+        """The moments in id order."""
         if self._values is None:
-            values = np.zeros(len(self.index))
-            values[self.index.ids(list(self._dict))] = list(
-                self._dict.values())
-            self._values = values
+            self._values = _gather(self, self.index.slots)
         return self._values
+
+    def _scalars(self):
+        """(key -> id map, moments as Python floats) for scalar reads."""
+        if self._list is None:
+            self._ids, self._list = self.index.id_of, self._array().tolist()
+        return self._ids, self._list
 
     def moment(self, key) -> float:
         if key is None:
@@ -404,10 +408,11 @@ class PseudoExpectation:
         if len(key) > self.degree:
             raise DegreeError(
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
-        table = self._dict
-        if table is None:
-            table = self._table()
-        return table.get(key, 0.0)
+        values = self._list
+        if values is None:
+            values = self._scalars()[1]
+        i = self._ids.get(key)
+        return 0.0 if i is None else values[i]
 
     def pe(self, poly: dict) -> float:
         """Linear extension of the moment mapping to a polynomial."""
@@ -422,43 +427,37 @@ class PseudoExpectation:
             "k": self.k,
             "n": self.num_vertices,
             "copy_count": self.copy_count,
-            "dense": self.dense,
             "moments": [[[list(p) for p in key], val] for key, val in items],
         })
 
     @classmethod
     def from_json(cls, text: str) -> "PseudoExpectation":
-        """Load a table written by `to_json`.  Raises ParameterError on
-        malformed input: a key that is not canonical, exceeds the degree or
-        names a vertex, label or copy out of range, and a dense table that
-        misses a key (it would read as 0)."""
+        """Load a table written by `to_json`.  Raises ParameterError unless
+        the table holds exactly the canonical keys of degree <= D: on a key
+        that is not canonical, exceeds the degree or names a vertex, label or
+        copy out of range, and on a missing key (it would read as 0)."""
         try:
             d = json.loads(text)
             degree, k, n = d["degree"], d["k"], d["n"]
-            copies, dense = d.get("copy_count", 1), d.get("dense", True)
+            copies = d.get("copy_count", 1)
             moments = {tuple(tuple(p) for p in key): val
                        for key, val in d["moments"]}
         except (ValueError, TypeError, KeyError) as exc:
             raise ParameterError(f"malformed pseudoexpectation file: {exc}")
         header = (degree, k, n, copies)
         if (any(type(x) is not int or x < 0 for x in header)
-                or copies not in (1, 2) or type(dense) is not bool):
+                or copies not in (1, 2)):
             raise ParameterError(f"bad pseudoexpectation header {header}")
+        size = _index_size(n, k, degree, copies)
+        if len(moments) != size:
+            raise ParameterError(f"table has {len(moments)} of {size} moments")
+        known = moment_index(n, k, degree, copies).id_of
         for key, val in moments.items():
-            ok = (len(key) <= degree
-                  and all(len(p) == 3 and all(type(x) is int and x >= 0
-                                              for x in p)
-                          and p[0] < n and p[1] < k and p[2] < copies
-                          for p in key)
-                  and canon_key(key) == key)
-            if not ok or type(val) not in (int, float):
+            if (key not in known or type(val) not in (int, float)
+                    or any(type(x) is not int for p in key for x in p)):
                 raise ParameterError(f"bad moment entry {key}: {val!r}")
-        if dense and len(moments) != _index_size(n, k, degree, copies):
-            raise ParameterError(
-                f"dense table has {len(moments)} of "
-                f"{_index_size(n, k, degree, copies)} moments")
         return cls(degree=degree, k=k, num_vertices=n, moments=moments,
-                   copy_count=copies, dense=dense)
+                   copy_count=copies)
 
 
 def evaluate(pE: PseudoExpectation, poly) -> float:
@@ -476,29 +475,26 @@ def evaluate(pE: PseudoExpectation, poly) -> float:
 
 
 def point_mass_pe(num_vertices: int, k: int, x, degree: int = 4) -> PseudoExpectation:
-    """Moment table of the point mass on the integral assignment x (a genuine
-    distribution: all stored moments are products of indicators)."""
+    """Moment table of the point mass on the integral assignment x: a moment
+    is 1 where every pair of its key agrees with x, and 0 elsewhere."""
     x = [int(v) for v in x]
-    moments = {}
-    for d in range(degree + 1):
-        for verts in itertools.combinations(range(num_vertices), d):
-            moments[tuple(sorted((v, x[v], 0) for v in verts))] = 1.0
-    return PseudoExpectation(degree, k, num_vertices, moments, dense=False,
+    L = moment_index(num_vertices, k, degree).slots
+    values = ((L == 0) | (L == np.array(x) + 1)).all(axis=1).astype(float)
+    return PseudoExpectation(degree, k, num_vertices, values,
                              flags={"mixture": ((1.0, tuple(x)),)})
 
 
 def mixture_pe(num_vertices: int, k: int, weighted_assignments,
                degree: int = 4) -> PseudoExpectation:
-    """Moment table of a finite mixture of point masses."""
-    acc: dict = {}
+    """Moment table of a finite mixture of point masses: their weighted sum,
+    added in the given order."""
     total = sum(w for (w, _) in weighted_assignments)
+    acc = np.zeros(len(moment_index(num_vertices, k, degree)))
     for (w, x) in weighted_assignments:
-        pm = point_mass_pe(num_vertices, k, x, degree)
-        for key, val in pm.moments.items():
-            acc[key] = acc.get(key, 0.0) + (w / total) * val
+        acc += (w / total) * point_mass_pe(num_vertices, k, x, degree)._array()
     comps = tuple((w / total, tuple(int(v) for v in x))
                   for (w, x) in weighted_assignments)
-    return PseudoExpectation(degree, k, num_vertices, acc, dense=False,
+    return PseudoExpectation(degree, k, num_vertices, acc,
                              flags={"mixture": comps})
 
 
@@ -758,30 +754,19 @@ def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
     if pE.copy_count != 1:
         raise ParameterError("symmetrize requires copy_count = 1")
     k = pE.k
-    if pE.dense:
-        values, L = pE._array(), pE.index.slots
-        total = np.zeros(len(values))
-        for t in range(k):
-            shifted = np.where(L > 0, (L - 1 - t) % k + 1, 0)
-            total += values[pE.index.rank(shifted)]
-        new = total / k
-    else:
-        new = {}
-        for key in pE.moments:
-            for s in range(k):
-                skey = shift_key(key, s, k)
-                if skey in new:
-                    continue
-                new[skey] = sum(pE.moment(shift_key(skey, -t, k))
-                                for t in range(k)) / k
+    values, L = pE._array(), pE.index.slots
+    total = np.zeros(len(values))
+    for t in range(k):
+        shifted = np.where(L > 0, (L - 1 - t) % k + 1, 0)
+        total += values[pE.index.rank(shifted)]
     flags = dict(pE.flags)
     if "mixture" in flags:
         # the symmetrized distribution is the shift-spread mixture
         flags["mixture"] = tuple(
             (w / k, tuple((xi + s) % k for xi in x))
             for (w, x) in flags["mixture"] for s in range(k))
-    return PseudoExpectation(pE.degree, k, pE.num_vertices, new,
-                             dense=pE.dense, flags=flags)
+    return PseudoExpectation(pE.degree, k, pE.num_vertices, total / k,
+                             flags=flags)
 
 
 def condition(pE: PseudoExpectation, event,
@@ -802,41 +787,28 @@ def condition(pE: PseudoExpectation, event,
     new_deg = pE.degree - 2 * len(event)
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")
-    if pE.dense:
-        L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
-        ev = pE.index.rows([event])[0]
-        zero = ((L > 0) & (ev > 0) & (L != ev)).any(axis=1)
-        new = np.where(zero, 0.0, _gather(pE, np.maximum(L, ev)) / p_event)
-    else:
-        new = {}
-        ev = set(event)
-        for skey, val in pE.moments.items():
-            if not ev.issubset(skey) or len(skey) - len(event) > new_deg:
-                continue
-            core = tuple(p for p in skey if p not in ev)
-            for r in range(len(event) + 1):
-                for extra in itertools.combinations(sorted(ev), r):
-                    m = tuple(sorted(core + extra))
-                    if len(m) <= new_deg:
-                        new[m] = val / p_event
+    L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
+    ev = pE.index.rows([event])[0]
+    zero = ((L > 0) & (ev > 0) & (L != ev)).any(axis=1)
+    new = np.where(zero, 0.0, _gather(pE, np.maximum(L, ev)) / p_event)
     return PseudoExpectation(new_deg, pE.k, pE.num_vertices, new,
-                             copy_count=pE.copy_count, dense=pE.dense,
+                             copy_count=pE.copy_count,
                              flags=_solver_status(pE))
 
 
 def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
     """Independent second copy: pE_{X,X'}[X^a (X')^b] = pE[X^a] pE[X^b].
 
-    Moments are computed on demand from the base table (the tagged key space
-    is quadratically larger); the result is a valid degree-D
+    Scalar moments are products of the base table's (the tagged key space is
+    quadratically larger), and the full 2-copy table (`moments`, `to_json`)
+    is gathered from it on first use; the result is a valid degree-D
     pseudoexpectation.  `moment_matrix` and `validate` work through the
     factors too: the product moment matrix is gathered from the base one,
     and the partition residuals come from the base's residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
-    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, {},
-                             copy_count=2, dense=pE.dense,
-                             flags=dict(pE.flags), _base=pE)
+    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
+                             copy_count=2, flags=dict(pE.flags), _base=pE)
 
 
 def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
@@ -847,17 +819,15 @@ def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
         raise ParameterError("rerandomize requires copy_count = 1")
     S = set(S)
     if not S:
-        moments = pE._values if pE._dict is None else dict(pE._dict)
         return PseudoExpectation(pE.degree, pE.k, pE.num_vertices,
-                                 moments, dense=pE.dense,
-                                 flags=dict(pE.flags))
+                                 pE._array(), flags=dict(pE.flags))
     drop = [v for v in range(pE.num_vertices) if v in S]
     L = pE.index.slots.copy()
     t = (L[:, drop] > 0).sum(axis=1)
     L[:, drop] = 0
     scale = np.array([pE.k**i for i in range(pE.degree + 1)], dtype=float)
     new = _gather(pE, L) / scale[t]
-    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, new, dense=True,
+    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, new,
                              flags=_solver_status(pE))
 
 

@@ -90,6 +90,25 @@ def test_verify_pe_file(tmp_path, capsys):
     assert "PASS pe-file" in out
 
 
+def test_verify_pe_file_of_product_copy(tmp_path, capsys):
+    # the file holds the full 2-copy table, not the view's empty own table
+    from ugsos.sos import (PseudoExpectation, all_canonical_keys,
+                           point_mass_pe, product_copy)
+    pE2 = product_copy(point_mass_pe(3, 3, [0, 1, 2]))
+    text = pE2.to_json()
+    back = PseudoExpectation.from_json(text)
+    keys = list(all_canonical_keys(3, 3, 4, copies=2))
+    assert back.copy_count == 2 and list(back.moments) == keys
+    assert all(back.moment(key) == val == pE2.moment(key)
+               for key, val in pE2.moments.items())
+    pe_path = tmp_path / "pe2.json"
+    pe_path.write_text(text)
+    code, out, _ = run(capsys, "verify", "--only", "spectra", "--pe",
+                       str(pe_path))
+    assert code == 0
+    assert "PASS pe-file" in out
+
+
 def test_exit_code_parameter_error(capsys):
     # alpha*l not an integer for the johnson family
     code, _, err = run(capsys, "gen", "--family", "johnson", "--n", "6",

@@ -410,7 +410,7 @@ def test_product_validate_matches_entrywise_with_residual():
     moments[((0, 0, 0), (1, 1, 0), (2, 2, 0))] = 2.0
     moments[((0, 0, 0), (2, 1, 0))] = moments.get(((0, 0, 0), (2, 1, 0)),
                                                   0.0) - 0.05
-    bad = PseudoExpectation(4, 3, 3, moments, dense=False)
+    bad = PseudoExpectation(4, 3, 3, moments)
     pE2 = product_copy(bad)
     rep = validate(pE2, 1e-6)
     worst = _entrywise_partition_residual(pE2)
@@ -516,10 +516,11 @@ def test_pe_json_rejects_untrustworthy_tables(cube3_raw):
     for doc in bad:
         with pytest.raises(ParameterError):
             PseudoExpectation.from_json(doc)
-    # a sparse table may omit keys, but not hold a malformed one
+    # nor may a point mass's table omit a key or hold a malformed one
     sparse = point_mass_pe(3, 3, [0, 1, 2]).to_json()
-    assert PseudoExpectation.from_json(
-        _edited(sparse, lambda d: d["moments"].pop(3))).dense is False
+    with pytest.raises(ParameterError):
+        PseudoExpectation.from_json(
+            _edited(sparse, lambda d: d["moments"].pop(3)))
     with pytest.raises(ParameterError):
         PseudoExpectation.from_json(
             _edited(sparse, lambda d: d["moments"][0][0].append([0, 0, 1])))
