@@ -393,5 +393,5 @@ def johnson_pipeline(inst: UgInstance, eps: float, degree: int, seed,
         verts = subcube_vertices(graph, sub)
         return verts, {"cr_val": cv, "subcube": sub.elements}
 
-    outcome = partial_to_full(inst, pE, subroutine, eps, degree)
+    outcome = partial_to_full(inst, pE, subroutine, eps)
     return replace(outcome, seed=seed)

@@ -12,10 +12,11 @@ shift potential, a closed-form lower bound on Condition & Round.
 
 Two evaluation regimes coexist.  Genuine distributions (point masses and
 finite mixtures, recognized by their component tables) are evaluated
-numerically with any step-polynomial degree.  Solver output is evaluated by
-monomial expansion, which caps deg(p) at (D/2 - 1)/2 per factor; callers use
-`truncation_cap` / `build_capped_step_poly` and report the achieved
-(beta, nu_effective).
+numerically with any step-polynomial degree, from one table of partition
+functions per pair of components (`_pair_tables`).  Solver output is
+evaluated by monomial expansion, which caps deg(p) at (D/2 - 1)/2 per factor;
+callers use `truncation_cap` / `build_capped_step_poly` and report the
+achieved (beta, nu_effective).
 """
 from __future__ import annotations
 
@@ -24,13 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ugsos.errors import DegreeError, ParameterError
-from ugsos.instances import UgInstance, local_value
+from ugsos.instances import UgInstance, local_value, value
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, canon_key,
-                       local_value_poly, poly_add, poly_mul, shift_key,
-                       ug_objective_poly, z_var_poly)
+                       check_shift_symmetric, local_value_poly, poly_add,
+                       poly_mul, ug_objective_poly, z_var_poly)
 from ugsos.steppoly import StepPolynomial
-
-SYM_CHECK_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +80,29 @@ def shift_functions(p: StepPolynomial, inst: UgInstance, vertices=None,
     k = inst.k
     if vertices is None:
         vertices = range(inst.num_vertices)
-    out = []
-    for s in range(k):
-        fs = {}
-        for u in vertices:
-            vp = (val_polys[u] if val_polys is not None
-                  else local_value_poly(inst, u))
-            fs[u] = poly_mul(z_var_poly(u, s, k), _p_of_poly(p, vp))
-        out.append(fs)
-    return out
+    pv = {u: _p_of_poly(p, val_polys[u] if val_polys is not None
+                        else local_value_poly(inst, u))
+          for u in vertices}
+    return [{u: poly_mul(z_var_poly(u, s, k), pu) for u, pu in pv.items()}
+            for s in range(k)]
+
+
+def _pair_tables(comps, p: StepPolynomial, inst: UgInstance):
+    """(w1 w2, x1, x2, f) for every ordered pair of mixture components
+    (w1, x1), (w2, x2), where f[s, u] = p(val_u(x1)) Ind[x1_u - x2_u = s]
+    holds the pair's partition functions (0 at vertices with pi_u = 0)."""
+    n, k = inst.num_vertices, inst.k
+    live = np.flatnonzero(inst.stationary > 0)
+    shifts = np.arange(k)[:, None]
+    pv = {}
+    for (w1, x1) in comps:
+        if x1 not in pv:
+            pv[x1] = np.zeros(n)
+            pv[x1][live] = p(np.array([local_value(inst, x1, u)
+                                       for u in live]))
+        for (w2, x2) in comps:
+            diff = np.subtract(x1, x2) % k
+            yield w1 * w2, x1, x2, np.where(diff == shifts, pv[x1], 0.0)
 
 
 def fs_inner(pE2: PseudoExpectation, fs: dict, gs: dict, pi) -> float:
@@ -120,47 +133,27 @@ def viol_poly(inst: UgInstance) -> dict:
 # Phi
 # ---------------------------------------------------------------------------
 
-def _phi_numeric(comps, p_eval, weights, val_fn, k: int) -> float:
-    total = 0.0
-    pvals = {}
-    for (w1, x1) in comps:
-        if x1 not in pvals:
-            pvals[x1] = {u: p_eval(val_fn(u, x1)) for u in weights}
-        pv = pvals[x1]
-        for (w2, x2) in comps:
-            masses = np.zeros(k)
-            for u, wu in weights.items():
-                masses[(x1[u] - x2[u]) % k] += wu * pv[u]
-            total += w1 * w2 * float(masses @ masses)
-    return total
-
-
-def _phi_poly(pE2, p, weights, val_polys, k: int) -> float:
-    total = 0.0
-    for s in range(k):
-        g: dict = {}
-        for u, wu in weights.items():
-            f = poly_mul(z_var_poly(u, s, k), _p_of_poly(p, val_polys[u]))
-            g = poly_add(g, f, wu)
-        total += pE2.pe(poly_mul(g, g))
-    return total
-
-
-def phi_apx(pE2: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
-            pi=None) -> float:
+def phi_apx(pE2: PseudoExpectation, p: StepPolynomial,
+            inst: UgInstance) -> float:
     """pE of sum_s (E_{u~pi} Z_{u,s} p(val_u(X)))^2 over an independent pair."""
     _require_pair(pE2)
-    if pi is None:
-        pi = inst.stationary
-    weights = {u: float(pi[u]) for u in range(inst.num_vertices) if pi[u] > 0}
+    pi = inst.stationary
     comps = _mixture_components(pE2)
     if comps is not None:
-        return _phi_numeric(comps, lambda t: float(p(t)), weights,
-                            lambda u, x: local_value(inst, np.asarray(x), u),
-                            inst.k)
+        total = 0.0
+        for w, _, _, f in _pair_tables(comps, p, inst):
+            masses = f @ pi
+            total += w * float(masses @ masses)
+        return total
     _check_p_degree(pE2, p)
-    return _phi_poly(pE2, p, weights,
-                     {u: local_value_poly(inst, u) for u in weights}, inst.k)
+    weights = {u: float(pi[u]) for u in range(inst.num_vertices) if pi[u] > 0}
+    total = 0.0
+    for fs in shift_functions(p, inst, weights):
+        g: dict = {}
+        for u, wu in weights.items():
+            g = poly_add(g, fs[u], wu)
+        total += pE2.pe(poly_mul(g, g))
+    return total
 
 
 def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:
@@ -180,29 +173,6 @@ def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:
 # Psi
 # ---------------------------------------------------------------------------
 
-def check_shift_symmetric(pE: PseudoExpectation, tol: float = SYM_CHECK_TOL,
-                          strict: bool = True) -> float:
-    """Max deviation of low-degree moments under a global label shift.
-
-    Checks every degree <= 2 canonical moment against its shift by one; a
-    shift-symmetric table has deviation 0."""
-    worst = 0.0
-    n, k = pE.num_vertices, pE.k
-    keys = [((u, a, 0),) for u in range(n) for a in range(k)]
-    keys += [canon_key(((u, a, 0), (v, b, 0)))
-             for u in range(n) for v in range(u, n)
-             for a in range(k) for b in range(k)]
-    for key in keys:
-        if key is None:
-            continue
-        worst = max(worst, abs(pE.moment(key)
-                               - pE.moment(shift_key(key, 1, k))))
-    if strict and worst > tol:
-        raise ParameterError(
-            f"pseudoexpectation is not shift-symmetric (deviation {worst:.3e})")
-    return worst
-
-
 def shift_event_poly(v: int, u: int, s: int, k: int) -> dict:
     """Indicator of X_v - X_u = s as a polynomial (collapses correctly when
     u = v)."""
@@ -214,10 +184,9 @@ def shift_event_poly(v: int, u: int, s: int, k: int) -> dict:
     return out
 
 
-def psi(pE: PseudoExpectation, inst: UgInstance,
-        cond_floor: float = COND_FLOOR) -> float:
+def psi(pE: PseudoExpectation, inst: UgInstance) -> float:
     """E_{u,v~pi} sum_s pPr[X_v - X_u = s]^2 * pE[val_v | X_v - X_u = s],
-    with the convention that a conditional on pseudo-probability <= cond_floor
+    with the convention that a conditional on pseudo-probability <= COND_FLOOR
     contributes 0.  Note q^2 * pE[val*ev]/q = q * pE[val*ev]."""
     if pE.degree < 4:
         raise ParameterError("psi needs degree >= 4")
@@ -236,7 +205,7 @@ def psi(pE: PseudoExpectation, inst: UgInstance,
             for s in range(k):
                 ev = shift_event_poly(v, u, s, k)
                 q = pE.pe(ev)
-                if q <= cond_floor:
+                if q <= COND_FLOOR:
                     continue
                 total += w * q * pE.pe(poly_mul(ev, vp))
     return total
@@ -294,17 +263,8 @@ def potential_report(pE: PseudoExpectation, inst: UgInstance,
         masses = tuple(sum(pi[u] * pE2.pe(fs[u]) for u in fs if pi[u] > 0)
                        for fs in fss)
     else:
-        masses = []
-        for s in range(inst.k):
-            m = 0.0
-            for (w1, x1) in comps:
-                for (w2, x2) in comps:
-                    for u in range(inst.num_vertices):
-                        if pi[u] > 0 and (x1[u] - x2[u]) % inst.k == s:
-                            m += (w1 * w2 * pi[u]
-                                  * float(p(local_value(inst, np.asarray(x1), u))))
-            masses.append(m)
-        masses = tuple(masses)
+        masses = tuple(sum(w * (f @ pi) for w, _, _, f
+                           in _pair_tables(comps, p, inst)).tolist())
     return PotentialReport(phi, psi_v, p.alpha, p.eps, p.degree,
                            locals_, masses)
 
@@ -385,35 +345,23 @@ class _ClaimStats:
 
     def _numeric(self, comps, p, inst, spectral, lam):
         pi = inst.stationary
-        n, k = inst.num_vertices, inst.k
         T = spectral.transition if spectral is not None else None
         P = _projector(spectral, lam) if (spectral is not None
                                           and lam is not None) else None
-        pv_cache: dict = {}
-        from ugsos.instances import value as inst_value
+        viol = {x: 1.0 - value(inst, x) for _, x in comps}
         self.coverage = self.b1 = self.viol_x = self.viol_xp = 0.0
         self.dirichlet = 0.0 if T is not None else None
         self.b2 = 0.0 if P is not None else None
-        for (w1, x1) in comps:
-            if x1 not in pv_cache:
-                xa = np.asarray(x1)
-                pv_cache[x1] = (np.array([float(p(local_value(inst, xa, u)))
-                                          for u in range(n)]),
-                                1.0 - inst_value(inst, xa))
-            pv, vx1 = pv_cache[x1]
-            for (w2, x2) in comps:
-                w = w1 * w2
-                diff = (np.asarray(x1) - np.asarray(x2)) % k
-                self.viol_x += w * vx1
-                self.viol_xp += w * (1.0 - inst_value(inst, np.asarray(x2)))
-                for s in range(k):
-                    f = np.where(diff == s, pv, 0.0)
-                    self.coverage += w * float(pi @ f)
-                    self.b1 += w * float(pi @ (f - f * f))
-                    if T is not None:
-                        self.dirichlet += w * float(pi @ (f * (f - T @ f)))
-                    if P is not None:
-                        self.b2 += w * float(pi @ ((f - f**3) * (P @ f)))
+        for w, x1, x2, fs in _pair_tables(comps, p, inst):
+            self.viol_x += w * viol[x1]
+            self.viol_xp += w * viol[x2]
+            for f in fs:
+                self.coverage += w * float(pi @ f)
+                self.b1 += w * float(pi @ (f - f * f))
+                if T is not None:
+                    self.dirichlet += w * float(pi @ (f * (f - T @ f)))
+                if P is not None:
+                    self.b2 += w * float(pi @ ((f - f**3) * (P @ f)))
 
 
 def claim_vertex_coverage(pE2, p, inst, slack: float = 1e-5) -> ClaimCheck:

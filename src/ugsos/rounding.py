@@ -22,9 +22,9 @@ import numpy as np
 
 from ugsos.errors import ConstructionError, NullEventError, ParameterError
 from ugsos.instances import UgInstance, value
-from ugsos.potentials import check_shift_symmetric
-from ugsos.sos import (COND_FLOOR, PseudoExpectation, canon_key,
-                       rerandomize, symmetrize, ug_objective_poly)
+from ugsos.sos import (COND_FLOOR, PseudoExpectation, check_shift_symmetric,
+                       pair_moments, rerandomize, symmetrize,
+                       ug_objective_poly)
 
 RESYM_TOL = 1e-8
 
@@ -90,25 +90,20 @@ class RoundingOutcome:
 # Conditioned marginals and closed forms
 # ---------------------------------------------------------------------------
 
-def cond_marginals(pE: PseudoExpectation, inst: UgInstance, u: int,
-                   cond_floor: float = COND_FLOOR) -> np.ndarray:
-    """(n, k) matrix of Pr[X_v = a | X_u = 0]; row u is the delta at 0.
+def cond_marginals(pE: PseudoExpectation, inst: UgInstance,
+                   u: int) -> np.ndarray:
+    """(n, k) matrix of Pr[X_v = a | X_u = 0] = pE[X_{u,0} X_{v,a}] /
+    pE[X_{u,0}]; row u is the delta at 0.
 
     Tiny negative entries from an approximately-PSD table are clipped and the
     rows renormalized."""
-    n, k = inst.num_vertices, inst.k
-    mass = pE.moment(((u, 0, 0),))
-    if mass <= cond_floor:
+    k = inst.k
+    joint = pair_moments(pE)[u, :, 0]
+    mass = joint[u, 0]
+    if mass <= COND_FLOOR:
         raise NullEventError(
-            f"pE[X_{u},0] = {mass:.3e} below floor {cond_floor}")
-    q = np.zeros((n, k))
-    for v in range(n):
-        if v == u:
-            q[u, 0] = 1.0
-            continue
-        for a in range(k):
-            q[v, a] = pE.moment(canon_key(((v, a, 0), (u, 0, 0)))) / mass
-    q = np.clip(q, 0.0, None)
+            f"pE[X_{u},0] = {mass:.3e} below floor {COND_FLOOR}")
+    q = np.clip(joint / mass, 0.0, None)
     rows = q.sum(axis=1, keepdims=True)
     bad = rows[:, 0] <= 0.0
     q[bad] = 1.0 / k
@@ -133,6 +128,11 @@ def _edge_arrays(inst: UgInstance, H=None):
     return eu, ev, w / w.sum(), s
 
 
+def _marginals(pE: PseudoExpectation) -> np.ndarray:
+    """(n, k) matrix of the unconditioned marginals pE[X_{v,a}]."""
+    return np.einsum("vvaa->va", pair_moments(pE))
+
+
 def _ind_val_from_marginals(marg: np.ndarray, inst: UgInstance,
                             edges) -> float:
     """E_e sum_a marg[u,a] marg[v,(a-s)%k] for independent rounding."""
@@ -148,12 +148,9 @@ def _ind_val_from_marginals(marg: np.ndarray, inst: UgInstance,
 def ind_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
     """Independent-rounding value from unconditioned marginals, over the
     H-internal (default: all) edges."""
-    n, k = inst.num_vertices, inst.k
-    marg = np.array([[pE.moment(((v, a, 0),)) for a in range(k)]
-                     for v in range(n)])
-    marg = np.clip(marg, 0.0, None)
+    marg = np.clip(_marginals(pE), 0.0, None)
     rows = marg.sum(axis=1, keepdims=True)
-    marg = np.where(rows > 0, marg / np.maximum(rows, 1e-300), 1.0 / k)
+    marg = np.where(rows > 0, marg / np.maximum(rows, 1e-300), 1.0 / inst.k)
     return _ind_val_from_marginals(marg, inst, _edge_arrays(inst, H))
 
 
@@ -290,9 +287,7 @@ def derandomized_round(pE: PseudoExpectation, inst: UgInstance,
     except ParameterError:
         # no internal edges: fall back to per-vertex marginal argmax
         x = np.full(inst.num_vertices, -1, dtype=np.int64)
-        for v in H:
-            marg = [pE.moment(((v, a, 0),)) for a in range(inst.k)]
-            x[v] = int(np.argmax(marg))
+        x[H] = _marginals(pE)[H].argmax(axis=1)
         return RoundingOutcome(x, 0.0, 0.0)
     best_u, best_exp, best_q = None, -1.0, None
     for u in H:
@@ -320,7 +315,7 @@ def derandomized_round(pE: PseudoExpectation, inst: UgInstance,
 # ---------------------------------------------------------------------------
 
 def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
-                    eps: float, degree: int | None = None) -> RoundingOutcome:
+                    eps: float) -> RoundingOutcome:
     """Iteratively round subroutine-chosen subgraphs and rerandomize.
 
     `subroutine(mu)` returns (vertex iterable, info dict) or None; `info` may

@@ -29,7 +29,9 @@ A pseudoexpectation is its index plus one float64 array of moments in id
 order, whether it comes from the solver, a point mass, a mixture, a JSON file
 or the calculus; symmetrize, rerandomize, condition, the moment matrix and the
 partition table are gathers from that array.  Scalar lookups (`moment`, `pe`)
-read the array through the index's shared key -> id map.
+read the array through the index's shared key -> id map, and `pair_moments`
+reshapes its degree-1 and degree-2 blocks into the pairwise tensor that the
+rounding and the shift-symmetry check read.
 
 Solver
 ------
@@ -74,6 +76,7 @@ from ugsos.instances import UgInstance
 
 DIM_CAP = 4000
 COND_FLOOR = 1e-9
+SYM_CHECK_TOL = 1e-6
 ADMM_MAX_ITERS = 100_000
 ADMM_OVER_RELAX = 1.6
 # Reduced dimensions below this run the ADMM loop on one BLAS thread.  Sweep
@@ -769,21 +772,54 @@ def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
                              flags=flags)
 
 
-def condition(pE: PseudoExpectation, event,
-              cond_floor: float = COND_FLOOR) -> PseudoExpectation:
+def pair_moments(pE: PseudoExpectation) -> np.ndarray:
+    """(n, n, k, k) tensor P[u, v, a, b] = pE[X_{u,a} X_{v,b}] of a
+    single-copy table of degree >= 2, read from its degree-1 and degree-2
+    blocks: the pairs u < v come in `np.triu_indices` order (the index's
+    slot-subset order) with the labels as a base-k code, and P[u, u] is
+    diag(pE[X_{u,.}]) by Booleanity and disjointness."""
+    if pE.copy_count != 1 or pE.degree < 2:
+        raise ParameterError(
+            "pair_moments needs a single-copy table of degree >= 2")
+    n, k = pE.num_vertices, pE.k
+    offset, values = pE.index.offset, pE._array()
+    pairs = values[offset[2]:offset[3]].reshape(-1, k, k)
+    P = np.zeros((n, n, k, k))
+    u, v = np.triu_indices(n, 1)
+    P[u, v] = pairs
+    P[v, u] = pairs.transpose(0, 2, 1)
+    w, a = np.arange(n)[:, None], np.arange(k)
+    P[w, w, a, a] = values[offset[1]:offset[2]].reshape(n, k)
+    return P
+
+
+def check_shift_symmetric(pE: PseudoExpectation,
+                          strict: bool = True) -> float:
+    """Max deviation of the degree <= 2 moments under a global label shift
+    by one; a shift-symmetric table has deviation 0.  With `strict`, a
+    deviation above `SYM_CHECK_TOL` raises ParameterError."""
+    P = pair_moments(pE)
+    worst = float(np.abs(P - np.roll(P, -1, axis=(2, 3))).max())
+    if strict and worst > SYM_CHECK_TOL:
+        raise ParameterError(
+            f"pseudoexpectation is not shift-symmetric (deviation {worst:.3e})")
+    return worst
+
+
+def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
     """Reweigh by the indicator monomial `event`: pE'[m] = pE[m event]/pE[event].
 
     The result has degree D - 2*deg(event).  Conditioning on an event with
-    pseudo-probability below `cond_floor` raises NullEventError (the
+    pseudo-probability below `COND_FLOOR` raises NullEventError (the
     "pPr = 0 means conditional = 0" convention lives inside the potential
     formulas, not here)."""
     event = canon_key(event)
     if event is None:
         raise NullEventError("conditioning on the zero monomial")
     p_event = pE.moment(event)
-    if p_event < cond_floor:
+    if p_event < COND_FLOOR:
         raise NullEventError(
-            f"pE[event] = {p_event:.3e} below floor {cond_floor}")
+            f"pE[event] = {p_event:.3e} below floor {COND_FLOOR}")
     new_deg = pE.degree - 2 * len(event)
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")

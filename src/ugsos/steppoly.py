@@ -3,9 +3,10 @@
 A StepPolynomial p approximates s_alpha(x) = Ind[x >= alpha] to within eps
 outside the transition window (alpha-delta, alpha+delta), stays in [0,1] on
 [0,1], and is nondecreasing on the window.  All guarantees are verified on a
-uniform grid of 10^4 points; the construction itself (a Chebyshev
-least-squares fit of a smoothed ramp) is interchangeable with any other
-construction meeting the same guarantees.
+uniform grid of 10^4 points; the range is also enforced between grid points,
+by squeezing over the extrema at the fit's critical points too.  The
+construction itself (a Chebyshev least-squares fit of a smoothed ramp) is
+interchangeable with any other construction meeting the same guarantees.
 
 Numerical note: the monomial coefficients of a step approximant grow like
 ~5.8^degree, far past float64 at the degrees the tight triples need, so
@@ -207,8 +208,9 @@ def _cheb_monomials_exact(n: int):
 
 
 def _cheb_fit_exact(alpha, delta, deg):
-    """Chebyshev least-squares fit of the smoothed ramp, converted exactly to
-    monomial coefficients in x."""
+    """Chebyshev least-squares fit of the smoothed ramp: (its coefficients
+    converted exactly to the monomial basis in x, the Chebyshev series in
+    2x - 1 it was converted from)."""
     xs = np.linspace(0.0, 1.0, 4001)
     ys = _smooth_ramp(alpha, delta)(xs)
     cheb = chebyshev.Chebyshev.fit(xs, ys, deg, domain=[0.0, 1.0])
@@ -218,20 +220,36 @@ def _cheb_fit_exact(alpha, delta, deg):
         fk = Fraction(float(ck))
         for i, t in enumerate(ts[k]):
             coeffs[i] += fk * t
-    return tuple(coeffs)
+    return tuple(coeffs), cheb.coef
 
 
-def _squeeze_into_unit(coeffs):
-    """Affine renormalization so the grid range lies in [0,1]."""
+def _critical_values(coeffs, series) -> np.ndarray:
+    """p at its critical points in [0, 1], evaluated exactly.  The points
+    are the roots of the Chebyshev series' derivative (well conditioned,
+    unlike the monomial one); every root's real part that lands in [0, 1]
+    is kept, a superset of the real roots, since any point of [0, 1] gives
+    a true value of p."""
+    t = chebyshev.chebroots(chebyshev.chebder(series)).real
+    xs = (t[(t >= -1.0) & (t <= 1.0)] + 1.0) / 2.0
+    acc, den = _horner_exact(coeffs, xs)
+    return (acc / den).astype(float)
+
+
+def _squeeze_into_unit(fit):
+    """Affine renormalization of a `_cheb_fit_exact` fit so that its range
+    over [0, 1], the extrema over the grid and the critical points, lies in
+    [0, 1]."""
+    coeffs, series = fit
     vals = _grid_values_cached(tuple(coeffs))
-    lo = min(float(vals.min()), 0.0)
-    hi = max(float(vals.max()), 1.0)
+    crit = _critical_values(coeffs, series)
+    lo = float(min(vals.min(), crit.min(initial=0.0)))
+    hi = float(max(vals.max(), crit.max(initial=1.0)))
     if hi - lo <= 1.0:
         return tuple(coeffs)
-    # use a slightly padded exact scale so the renormalized grid range is
-    # strictly inside [0,1] despite lo/hi being float approximations
+    # pad the exact scale and shift (lo <= 0 moves down) so the renormalized
+    # range is strictly inside [0,1] despite lo/hi being float approximations
     scale = Fraction(float((hi - lo) * (1.0 + 1e-12)))
-    shift = Fraction(float(lo * (1.0 + np.sign(lo) * 1e-12)))
+    shift = Fraction(float(lo * (1.0 + 1e-12)))
     out = [c / scale for c in coeffs]
     out[0] -= shift / scale
     out = tuple(out)

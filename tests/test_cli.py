@@ -160,6 +160,14 @@ def test_verify_quick_under_optimize():
     assert sum(line.startswith("PASS ") for line in lines) == 6, proc.stdout
 
 
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (["verify", "--degree", "4"], ["gen", "--tol", "1e-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_pe_file_rejects_truncated_and_incomplete(tmp_path, capsys):
     from ugsos.sos import build_relaxation, solve_sdp
     from conftest import make_triangle

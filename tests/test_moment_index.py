@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugsos import sos
+from ugsos.errors import NullEventError, ParameterError
 from ugsos.graphs import johnson_graph
-from ugsos.instances import plant_instance
+from ugsos.instances import UgInstance, plant_instance
+from ugsos.rounding import cond_marginals
 from ugsos.sos import (MomentIndex, all_canonical_keys, build_relaxation,
-                       condition, key_mul, mixture_pe, moment_matrix,
-                       point_mass_pe, product_copy, rerandomize, shift_key,
-                       solve_sdp, symmetrize)
+                       canon_key, check_shift_symmetric, condition, key_mul,
+                       mixture_pe, moment_matrix, pair_moments, point_mass_pe,
+                       product_copy, rerandomize, shift_key, solve_sdp,
+                       symmetrize)
 
 from conftest import make_triangle
 
@@ -265,3 +268,79 @@ def test_moments_view_is_read_only_and_complete(tables):
         view[key] = 0.0
     assert dict(itertools.islice(view.items(), 3)) == {
         m: pE.moment(m) for m in list(view)[:3]}
+
+
+# -- pairwise moments and their readers ---------------------------------------
+
+def ref_cond_marginals(pE, u):
+    """`rounding.cond_marginals` as it read the moments key by key."""
+    n, k = pE.num_vertices, pE.k
+    mass = pE.moment(((u, 0, 0),))
+    if mass <= sos.COND_FLOOR:
+        raise NullEventError(f"pE[X_{u},0] = {mass:.3e}")
+    q = np.zeros((n, k))
+    for v in range(n):
+        if v == u:
+            q[u, 0] = 1.0
+            continue
+        for a in range(k):
+            q[v, a] = pE.moment(canon_key(((v, a, 0), (u, 0, 0)))) / mass
+    q = np.clip(q, 0.0, None)
+    rows = q.sum(axis=1, keepdims=True)
+    bad = rows[:, 0] <= 0.0
+    q[bad] = 1.0 / k
+    rows[bad] = 1.0
+    return q / rows
+
+
+def ref_shift_deviation(pE):
+    """`check_shift_symmetric`'s deviation, key by key."""
+    worst = 0.0
+    n, k = pE.num_vertices, pE.k
+    keys = [((u, a, 0),) for u in range(n) for a in range(k)]
+    keys += [canon_key(((u, a, 0), (v, b, 0)))
+             for u in range(n) for v in range(u, n)
+             for a in range(k) for b in range(k)]
+    for key in keys:
+        if key is None:
+            continue
+        worst = max(worst, abs(pE.moment(key)
+                               - pE.moment(shift_key(key, 1, k))))
+    return worst
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_pair_moments_match_per_key_reference(tables, name):
+    pE = tables[name]
+    n, k = pE.num_vertices, pE.k
+    ref = np.array([pE.moment(canon_key(((u, a, 0), (v, b, 0))))
+                    for u, v, a, b in itertools.product(
+                        range(n), range(n), range(k), range(k))])
+    assert np.array_equal(pair_moments(pE), ref.reshape(n, n, k, k))
+
+
+def test_pair_moments_need_one_copy_of_degree_2():
+    pE = point_mass_pe(3, 3, [0, 1, 2])
+    for bad in (product_copy(pE), point_mass_pe(3, 3, [0, 1, 2], degree=1)):
+        with pytest.raises(ParameterError):
+            pair_moments(bad)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_cond_marginals_and_symmetry_check_match_reference(tables, name):
+    pE = tables[name]
+    n, k = pE.num_vertices, pE.k
+    inst = UgInstance(n, k, tuple((v, v + 1, 1.0, 0) for v in range(n - 1)))
+    for u in range(n):
+        try:
+            ref = ref_cond_marginals(pE, u)
+        except NullEventError:
+            with pytest.raises(NullEventError):
+                cond_marginals(pE, inst, u)
+            continue
+        assert np.array_equal(cond_marginals(pE, inst, u), ref)
+    dev = ref_shift_deviation(pE)
+    assert check_shift_symmetric(pE, strict=False) == dev
+    if dev > sos.SYM_CHECK_TOL:
+        with pytest.raises(ParameterError):
+            check_shift_symmetric(pE)

@@ -106,6 +106,26 @@ def test_claim_chain_on_mixture(triangle_sat, sym_pm, p_full):
     assert claim_b2(pE2, p_full, triangle_sat, sd, lam=0.5, eta=1.0).holds
 
 
+def test_mixture_potentials_are_pinned(triangle_sat, sym_pm, p_full):
+    # the values the per-pair loops gave before one pair table served Phi,
+    # the report's shift masses and the claims
+    pE2 = product_copy(sym_pm)
+    sd = spectral_decompose_instance(triangle_sat)
+    assert phi_apx(pE2, p_full, triangle_sat) == pytest.approx(
+        0.9613943415092883, abs=1e-12)
+    rep = potential_report(sym_pm, triangle_sat, p_full)
+    assert rep.shift_masses == pytest.approx((0.32683572861765287,) * 3,
+                                             abs=1e-12)
+    claims = [claim_vertex_coverage(pE2, p_full, triangle_sat),
+              claim_b1(pE2, p_full, triangle_sat),
+              claim_partition_expansion(pE2, p_full, triangle_sat, sd),
+              claim_b2(pE2, p_full, triangle_sat, sd, lam=0.5, eta=1.0)]
+    pinned = [(0.9805071858529584, 0.9), (0.01911284434367033, 0.1),
+              (0.0, 0.2), (0.037115261623210195, 0.6)]
+    for claim, (lhs, rhs) in zip(claims, pinned):
+        assert (claim.lhs, claim.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
+
+
 def test_claim_chain_on_sdp(cube_pe, cube_inst):
     g, inst, _ = cube_inst
     p = build_capped_step_poly(BETA, 0.1, truncation_cap(cube_pe.degree))

@@ -115,3 +115,12 @@ def test_bad_parameters_rejected():
 def test_values_stay_in_unit_interval(x):
     p = build_step_poly(0.5, 0.1, 0.2)
     assert -1e-12 <= float(p(x)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("triple", [(0.5, 0.1, 0.2), (0.3, 0.05, 0.1),
+                                    (0.2, 0.01, 0.05)])
+def test_values_stay_in_unit_interval_between_grid_points(triple):
+    # criterion 6's triples on a grid 20x finer than the construction's:
+    # the squeeze must bound p at its critical points, not only on its grid
+    vals = build_step_poly(*triple)(np.linspace(0.0, 1.0, 2 * 10**5))
+    assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
