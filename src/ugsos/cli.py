@@ -1,7 +1,8 @@
 """Command-line front end: instance generation, solve-and-round pipelines,
 and the verification suite.
 
-Exit codes: 0 ok, 2 invariant/check failure, 3 parameter error, 4 size cap.
+Exit codes: 0 ok, 2 invariant/check failure, 3 parameter error (including a
+command-line usage error or an unreadable or malformed input file), 4 size cap.
 Reports are deterministic given (flags, seed) apart from wall-clock fields.
 """
 from __future__ import annotations
@@ -39,8 +40,16 @@ def _limit_threads():
     _kernels.set_blas_threads(n)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a parameter error (exit 3), not argparse's exit 2,
+    which would read as a failed check; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ugsos")
+    ap = _Parser(prog="ugsos")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def instance_flags(p):
@@ -89,13 +98,21 @@ def _make_graph(args):
     raise ParameterError(f"family {fam!r} has no generator")
 
 
+def _read(path: str) -> str:
+    """The text of an input file; an unreadable one is a parameter error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}")
+
+
 def _load_instance(args):
     from ugsos.instances import UgInstance, plant_instance
     if args.family == "file":
         if not args.path:
             raise ParameterError("--family file needs --path")
-        with open(args.path) as fh:
-            return UgInstance.from_json(fh.read()), None, None
+        return UgInstance.from_json(_read(args.path)), None, None
     graph = _make_graph(args)
     eps = args.eps if args.eps is not None else 0.0
     inst, planted = plant_instance(graph, args.k, eps, seed=args.seed)
@@ -297,8 +314,7 @@ def cmd_verify(args) -> int:
     if args.pe:
         ran += 1
         from ugsos.sos import PseudoExpectation, validate
-        with open(args.pe) as fh:
-            pE = PseudoExpectation.from_json(fh.read())
+        pE = PseudoExpectation.from_json(_read(args.pe))
         rep = validate(pE, 1e-6)
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} pe-file min_eig={rep.min_eigenvalue:.2e} "
@@ -310,10 +326,10 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"gen": cmd_gen, "solve-round": cmd_solve_round,
                 "verify": cmd_verify}
     try:
+        args = _build_parser().parse_args(argv)
         _limit_threads()
         return handlers[args.command](args)
     except SizeCapError as exc:

@@ -101,12 +101,23 @@ class UgInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "UgInstance":
-        d = json.loads(text)
-        return cls(
-            num_vertices=d["n"],
-            k=d["k"],
-            edges=tuple((e["u"], e["v"], e["w"], e["shift"]) for e in d["edges"]),
-        )
+        """Load an instance written by `to_json`.  Raises ParameterError on
+        unparsable JSON, a missing field, a non-integer n, k, u, v or shift,
+        or a non-numeric weight."""
+        try:
+            d = json.loads(text)
+            n, k = d["n"], d["k"]
+            edges = tuple((e["u"], e["v"], e["w"], e["shift"])
+                          for e in d["edges"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ParameterError(f"malformed instance file: {exc!r}")
+        for x in (n, k, *(x for (u, v, _, s) in edges for x in (u, v, s))):
+            if type(x) is not int:
+                raise ParameterError(f"expected an integer, got {x!r}")
+        for (u, v, w, _) in edges:
+            if type(w) not in (int, float):
+                raise ParameterError(f"edge ({u},{v}) has weight {w!r}")
+        return cls(num_vertices=n, k=k, edges=edges)
 
 
 def value(inst: UgInstance, x) -> float:

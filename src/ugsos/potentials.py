@@ -10,13 +10,19 @@ vertices damped by the step approximant p; Phi of a pseudodistribution is its
 pseudoexpectation over an independent pair (X, X').  Psi is the conditioned
 shift potential, a closed-form lower bound on Condition & Round.
 
-Two evaluation regimes coexist.  Genuine distributions (point masses and
-finite mixtures, recognized by their component tables) are evaluated
-numerically with any step-polynomial degree, from one table of partition
-functions per pair of components (`_pair_tables`).  Solver output is
+Phi, the per-shift masses and the small-set-expansion claims are each
+written once over one table of shift moments, `_shift_moments`: the first and
+second moments of the partition functions f_s(u) = Z_{u,s} p(val_u) (and the
+cubic ones E f_s(u)^3 f_s(w) for b2), with f_s(u) = 0 where pi_u = 0.  The
+table has two backends.  Genuine distributions (point masses and finite
+mixtures, recognized by their component tables) are averaged numerically
+over one table of partition functions per pair of components
+(`_pair_tables`), with any step-polynomial degree.  Solver output is
 evaluated by monomial expansion, which caps deg(p) at (D/2 - 1)/2 per factor;
 callers use `truncation_cap` / `build_capped_step_poly` and report the
-achieved (beta, nu_effective).
+achieved (beta, nu_effective).  Vertex averages use the instance's measure
+pi; the walk terms (Dirichlet form, b2) use the spectral data's measure, the
+one its walk matrix and projector are self-adjoint in.
 """
 from __future__ import annotations
 
@@ -73,18 +79,12 @@ def _p_of_poly(p: StepPolynomial, base: dict) -> dict:
     return out
 
 
-def shift_functions(p: StepPolynomial, inst: UgInstance, vertices=None,
-                    val_polys=None):
-    """The partition functions f_s(u) = Z_{u,s} * p(val_u) as per-vertex
-    polynomials: a list over shifts s of {u: poly}."""
-    k = inst.k
-    if vertices is None:
-        vertices = range(inst.num_vertices)
-    pv = {u: _p_of_poly(p, val_polys[u] if val_polys is not None
-                        else local_value_poly(inst, u))
-          for u in vertices}
-    return [{u: poly_mul(z_var_poly(u, s, k), pu) for u, pu in pv.items()}
-            for s in range(k)]
+def shift_functions(p: StepPolynomial, inst: UgInstance, vertices):
+    """The partition functions f_s(u) = Z_{u,s} * p(val_u) at the given
+    vertices as polynomials: a list over shifts s of {u: poly}."""
+    pv = {u: _p_of_poly(p, local_value_poly(inst, u)) for u in vertices}
+    return [{u: poly_mul(z_var_poly(u, s, inst.k), pu) for u, pu in pv.items()}
+            for s in range(inst.k)]
 
 
 def _pair_tables(comps, p: StepPolynomial, inst: UgInstance):
@@ -105,28 +105,91 @@ def _pair_tables(comps, p: StepPolynomial, inst: UgInstance):
             yield w1 * w2, x1, x2, np.where(diff == shifts, pv[x1], 0.0)
 
 
-def fs_inner(pE2: PseudoExpectation, fs: dict, gs: dict, pi) -> float:
-    """<f, g>_pi = E_{u~pi} pE2[f_u g_u]."""
-    return sum(pi[u] * pE2.pe(poly_mul(fs[u], gs[u])) for u in fs)
-
-
-def fs_walk_inner(pE2: PseudoExpectation, fs: dict, gs: dict, pi,
-                  M: np.ndarray) -> float:
-    """<f, M g>_pi = sum_{u,w} pi_u M[u,w] pE2[f_u g_w] for a walk or
-    projection matrix M."""
-    total = 0.0
-    for u, fu in fs.items():
-        row = M[u]
-        for w, gw in gs.items():
-            m = row[w]
-            if m != 0.0:
-                total += pi[u] * m * pE2.pe(poly_mul(fu, gw))
-    return total
-
-
 def viol_poly(inst: UgInstance) -> dict:
     """viol(X) = 1 - val(X) as a polynomial."""
     return poly_add({(): 1.0}, ug_objective_poly(inst), -1.0)
+
+
+def _viol_copy1(pE2, inst) -> float:
+    """viol(X'): the violation polynomial moved to the second copy."""
+    moved = {tuple((v, a, 1) for (v, a, _) in key): c
+             for key, c in viol_poly(inst).items()}
+    return pE2.pe(moved)
+
+
+def _shift_moments(pE2: PseudoExpectation, p: StepPolynomial,
+                   inst: UgInstance, cubes: bool = False):
+    """(m1, m2, m3, viol(X), viol(X')) for the partition functions f_s(u) of
+    an independent pair: m1[s, u] = E f_s(u), m2[s, u, w] = E f_s(u) f_s(w)
+    and, with `cubes`, m3[s, u, w] = E f_s(u)^3 f_s(w) (else None); f_s(u)
+    is 0 wherever pi_u = 0.  Mixtures average their pair tables, solver
+    output expands f_s(u) in monomials."""
+    _require_pair(pE2)
+    n, k = inst.num_vertices, inst.k
+    m1, m2 = np.zeros((k, n)), np.zeros((k, n, n))
+    m3 = np.zeros((k, n, n)) if cubes else None
+    comps = _mixture_components(pE2)
+    if comps is not None:
+        viol = {x: 1.0 - value(inst, x) for _, x in comps}
+        viol_x = viol_xp = 0.0
+        for w, x1, x2, f in _pair_tables(comps, p, inst):
+            m1 += w * f
+            m2 += w * f[:, :, None] * f[:, None, :]
+            if cubes:
+                m3 += w * (f**3)[:, :, None] * f[:, None, :]
+            viol_x += w * viol[x1]
+            viol_xp += w * viol[x2]
+        return m1, m2, m3, viol_x, viol_xp
+    _check_p_degree(pE2, p)
+    live = np.flatnonzero(inst.stationary > 0).tolist()
+    for s, fs in enumerate(shift_functions(p, inst, live)):
+        for i, u in enumerate(live):
+            m1[s, u] = pE2.pe(fs[u])
+            for w in live[i:]:
+                m2[s, u, w] = m2[s, w, u] = pE2.pe(poly_mul(fs[u], fs[w]))
+            if cubes:
+                cube = poly_mul(poly_mul(fs[u], fs[u]), fs[u])
+                for w in live:
+                    m3[s, u, w] = pE2.pe(poly_mul(cube, fs[w]))
+    return m1, m2, m3, pE2.pe(viol_poly(inst)), _viol_copy1(pE2, inst)
+
+
+def _projector(spectral, lam: float) -> np.ndarray:
+    """Pi-self-adjoint projector onto walk eigenvalues >= 1 - lam."""
+    keep = spectral.eigenvalues >= 1.0 - lam
+    V = spectral.eigenvectors[:, keep]
+    return V @ (V.T * spectral.pi)
+
+
+class _ShiftStats:
+    """The shift-partition quantities over one `_shift_moments` table, with
+    pi the instance's measure and sigma the spectral data's:
+    phi = sum_s pi m2[s] pi, masses[s] = E_pi[f_s], coverage = sum of the
+    masses, b1 = sum_s E_pi[f_s - f_s^2], and with spectral data
+    dirichlet = sum_s <f_s, (I - T) f_s>_sigma and (with lam)
+    b2 = sum_s <f_s - f_s^3, P f_s>_sigma; plus viol(X), viol(X') and the
+    claims' ratio viol(X)/(1-beta-nu) + nu, with (beta, nu) = (p.alpha,
+    p.eps)."""
+
+    def __init__(self, pE2, p, inst, spectral=None, lam=None):
+        cubes = spectral is not None and lam is not None
+        m1, m2, m3, self.viol_x, self.viol_xp = _shift_moments(
+            pE2, p, inst, cubes)
+        self.ratio = self.viol_x / (1.0 - p.alpha - p.eps) + p.eps
+        pi = inst.stationary
+        diag = np.einsum("suu->su", m2)
+        self.phi = float(np.einsum("u,suw,w->", pi, m2, pi))
+        self.masses = m1 @ pi
+        self.coverage = float(self.masses.sum())
+        self.b1 = float(((m1 - diag) @ pi).sum())
+        self.dirichlet = self.b2 = None
+        if spectral is not None:
+            sigma = spectral.pi
+            self.dirichlet = float((diag @ sigma).sum() - np.einsum(
+                "u,uw,suw->", sigma, spectral.transition, m2))
+        if cubes:
+            self.b2 = float(np.einsum("u,uw,suw->", spectral.pi,
+                                      _projector(spectral, lam), m2 - m3))
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +199,7 @@ def viol_poly(inst: UgInstance) -> dict:
 def phi_apx(pE2: PseudoExpectation, p: StepPolynomial,
             inst: UgInstance) -> float:
     """pE of sum_s (E_{u~pi} Z_{u,s} p(val_u(X)))^2 over an independent pair."""
-    _require_pair(pE2)
-    pi = inst.stationary
-    comps = _mixture_components(pE2)
-    if comps is not None:
-        total = 0.0
-        for w, _, _, f in _pair_tables(comps, p, inst):
-            masses = f @ pi
-            total += w * float(masses @ masses)
-        return total
-    _check_p_degree(pE2, p)
-    weights = {u: float(pi[u]) for u in range(inst.num_vertices) if pi[u] > 0}
-    total = 0.0
-    for fs in shift_functions(p, inst, weights):
-        g: dict = {}
-        for u, wu in weights.items():
-            g = poly_add(g, fs[u], wu)
-        total += pE2.pe(poly_mul(g, g))
-    return total
+    return _ShiftStats(pE2, p, inst).phi
 
 
 def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:
@@ -250,23 +296,12 @@ def potential_report(pE: PseudoExpectation, inst: UgInstance,
     """Phi, Psi, per-vertex local values and per-shift masses for a solved,
     symmetrized single-copy pseudoexpectation."""
     from ugsos.sos import product_copy
-    pE2 = product_copy(pE)
+    st = _ShiftStats(product_copy(pE), p, inst)
     pi = inst.stationary
-    phi = phi_apx(pE2, p, inst)
-    psi_v = psi(pE, inst)
     locals_ = tuple(pE.pe(local_value_poly(inst, u)) if pi[u] > 0 else 0.0
                     for u in range(inst.num_vertices))
-    comps = _mixture_components(pE2)
-    if comps is None:
-        _check_p_degree(pE2, p)
-        fss = shift_functions(p, inst)
-        masses = tuple(sum(pi[u] * pE2.pe(fs[u]) for u in fs if pi[u] > 0)
-                       for fs in fss)
-    else:
-        masses = tuple(sum(w * (f @ pi) for w, _, _, f
-                           in _pair_tables(comps, p, inst)).tolist())
-    return PotentialReport(phi, psi_v, p.alpha, p.eps, p.degree,
-                           locals_, masses)
+    return PotentialReport(st.phi, psi(pE, inst), p.alpha, p.eps, p.degree,
+                           locals_, tuple(st.masses.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,113 +324,34 @@ class ClaimCheck:
         return self.lhs <= self.rhs + self.slack
 
 
-def _viol_copy1(pE2, inst) -> float:
-    """viol(X'): the violation polynomial moved to the second copy."""
-    moved = {tuple((v, a, 1) for (v, a, _) in key): c
-             for key, c in viol_poly(inst).items()}
-    return pE2.pe(moved)
-
-
-def _projector(spectral, lam: float) -> np.ndarray:
-    """Pi-self-adjoint projector onto walk eigenvalues >= 1 - lam."""
-    keep = spectral.eigenvalues >= 1.0 - lam
-    V = spectral.eigenvectors[:, keep]
-    return V @ (V.T * spectral.pi)
-
-
-class _ClaimStats:
-    """The partition quantities the small-set-expansion chain needs:
-    coverage = sum_s E_pi[f_s], dirichlet = sum_s <f_s, L f_s>_pi,
-    b1 = sum_s E_pi[f_s - f_s^2], b2 = sum_s <f_s - f_s^3, P f_s>_pi,
-    plus viol(X), viol(X').  Two backends: monomial expansion for solver
-    output, exact numeric averaging for genuine mixtures."""
-
-    def __init__(self, pE2, p, inst, spectral=None, lam=None):
-        _require_pair(pE2)
-        self.beta, self.nu = p.alpha, p.eps
-        comps = _mixture_components(pE2)
-        if comps is not None:
-            self._numeric(comps, p, inst, spectral, lam)
-        else:
-            self._polynomial(pE2, p, inst, spectral, lam)
-
-    def _polynomial(self, pE2, p, inst, spectral, lam):
-        _check_p_degree(pE2, p)
-        fss = shift_functions(p, inst)
-        pi = inst.stationary
-        self.viol_x = pE2.pe(viol_poly(inst))
-        self.viol_xp = _viol_copy1(pE2, inst)
-        self.coverage = sum(pi[u] * pE2.pe(fs[u])
-                            for fs in fss for u in fs if pi[u] > 0)
-        self.b1 = sum(pi[u] * (pE2.pe(fs[u]) - pE2.pe(poly_mul(fs[u], fs[u])))
-                      for fs in fss for u in fs if pi[u] > 0)
-        self.dirichlet = self.b2 = None
-        if spectral is not None:
-            T = spectral.transition
-            self.dirichlet = sum(
-                fs_inner(pE2, fs, fs, spectral.pi)
-                - fs_walk_inner(pE2, fs, fs, spectral.pi, T) for fs in fss)
-            if lam is not None:
-                P = _projector(spectral, lam)
-                self.b2 = 0.0
-                for fs in fss:
-                    gs = {u: poly_add(fu, poly_mul(poly_mul(fu, fu), fu), -1.0)
-                          for u, fu in fs.items()}  # f - f^3
-                    self.b2 += fs_walk_inner(pE2, gs, fs, spectral.pi, P)
-
-    def _numeric(self, comps, p, inst, spectral, lam):
-        pi = inst.stationary
-        T = spectral.transition if spectral is not None else None
-        P = _projector(spectral, lam) if (spectral is not None
-                                          and lam is not None) else None
-        viol = {x: 1.0 - value(inst, x) for _, x in comps}
-        self.coverage = self.b1 = self.viol_x = self.viol_xp = 0.0
-        self.dirichlet = 0.0 if T is not None else None
-        self.b2 = 0.0 if P is not None else None
-        for w, x1, x2, fs in _pair_tables(comps, p, inst):
-            self.viol_x += w * viol[x1]
-            self.viol_xp += w * viol[x2]
-            for f in fs:
-                self.coverage += w * float(pi @ f)
-                self.b1 += w * float(pi @ (f - f * f))
-                if T is not None:
-                    self.dirichlet += w * float(pi @ (f * (f - T @ f)))
-                if P is not None:
-                    self.b2 += w * float(pi @ ((f - f**3) * (P @ f)))
-
-
 def claim_vertex_coverage(pE2, p, inst, slack: float = 1e-5) -> ClaimCheck:
     """sum_s E_pi[f_s] >= 1 - viol/(1-beta-nu) - nu."""
-    st = _ClaimStats(pE2, p, inst)
-    rhs = 1.0 - st.viol_x / (1.0 - st.beta - st.nu) - st.nu
-    return ClaimCheck("vertex-coverage", st.coverage, rhs, slack)
+    st = _ShiftStats(pE2, p, inst)
+    return ClaimCheck("vertex-coverage", st.coverage, 1.0 - st.ratio, slack)
 
 
 def claim_partition_expansion(pE2, p, inst, spectral,
                               slack: float = 1e-5) -> ClaimCheck:
-    """sum_s <f_s, L f_s>_pi <= viol(X) + viol(X')
+    """sum_s <f_s, L f_s>_sigma <= viol(X) + viol(X')
     + 2 viol(X)/(1-beta-nu) + 2 nu."""
-    st = _ClaimStats(pE2, p, inst, spectral)
-    rhs = (st.viol_x + st.viol_xp
-           + 2.0 * st.viol_x / (1.0 - st.beta - st.nu) + 2.0 * st.nu)
+    st = _ShiftStats(pE2, p, inst, spectral)
+    rhs = st.viol_x + st.viol_xp + 2.0 * st.ratio
     return ClaimCheck("partition-expansion", st.dirichlet, rhs, slack)
 
 
 def claim_b1(pE2, p, inst, slack: float = 1e-5) -> ClaimCheck:
     """sum_s E_pi[f_s - f_s^2] <= viol/(1-beta-nu) + nu."""
-    st = _ClaimStats(pE2, p, inst)
-    rhs = st.viol_x / (1.0 - st.beta - st.nu) + st.nu
-    return ClaimCheck("b1", st.b1, rhs, slack)
+    st = _ShiftStats(pE2, p, inst)
+    return ClaimCheck("b1", st.b1, st.ratio, slack)
 
 
 def claim_b2(pE2, p, inst, spectral, lam: float, eta: float,
              slack: float = 1e-5) -> ClaimCheck:
-    """sum_s <f_s - f_s^3, P f_s>_pi <= 1/(2 eta)
+    """sum_s <f_s - f_s^3, P f_s>_sigma <= 1/(2 eta)
     + eta (viol/(1-beta-nu) + nu), with P the projector onto walk
     eigenvalues >= 1 - lam."""
-    st = _ClaimStats(pE2, p, inst, spectral, lam)
-    rhs = (1.0 / (2.0 * eta)
-           + eta * (st.viol_x / (1.0 - st.beta - st.nu) + st.nu))
+    st = _ShiftStats(pE2, p, inst, spectral, lam)
+    rhs = 1.0 / (2.0 * eta) + eta * st.ratio
     return ClaimCheck("b2", st.b2, rhs, slack)
 
 
@@ -405,13 +361,10 @@ def sp_pseudo_check(pE2, p, inst, lam: float, C: float, eta: float,
     Phi >= gamma (1 - viol/(1-beta-nu) - nu) + K, with
     gamma = lam^4/(16 C) and the unpinned constant c' taken as 1 (flagged).
     Returns (check, K) so callers can inspect the raw sides."""
-    st = _ClaimStats(pE2, p, inst)
+    st = _ShiftStats(pE2, p, inst)
     gamma = lam**4 / (16.0 * C)
     alpha = lam / 2.0
-    ratio = st.viol_x / (1.0 - st.beta - st.nu) + st.nu
-    K = (alpha - (4.0 + alpha + eta) * ratio - 1.0 / (2.0 * eta)
+    K = (alpha - (4.0 + alpha + eta) * st.ratio - 1.0 / (2.0 * eta)
          - (st.viol_x + st.viol_xp))  # c' = 1 convention
-    phi = phi_apx(pE2, p, inst)
-    rhs = gamma * (1.0 - st.viol_x / (1.0 - st.beta - st.nu) - st.nu) + K
-    check = ClaimCheck("sp-pseudo", phi, rhs, slack)
-    return check, K
+    rhs = gamma * (1.0 - st.ratio) + K
+    return ClaimCheck("sp-pseudo", st.phi, rhs, slack), K

@@ -161,11 +161,53 @@ def test_verify_quick_under_optimize():
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):
+    # a usage error is a parameter error (3), not a failed check (2)
     for argv in (["verify", "--degree", "4"], ["gen", "--tol", "1e-5"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 3
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--tier" in capsys.readouterr().out
+
+
+def _instance_file(case: str) -> str | None:
+    """An instance file body with one defect (None: no file at all)."""
+    doc = {"k": 3, "n": 3, "edges": [{"u": 0, "v": 1, "w": 1.0, "shift": 1},
+                                     {"u": 1, "v": 2, "w": 1.0, "shift": 1}]}
+    if case == "no-shift":
+        del doc["edges"][1]["shift"]
+    if case == "string-vertex":
+        doc["edges"][0]["u"] = "0"
+    if case == "truncated":
+        return json.dumps(doc)[:-10]
+    return None if case == "missing" else json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", ["no-shift", "truncated", "string-vertex",
+                                  "missing"])
+def test_solve_round_rejects_bad_instance_file(case, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    body = _instance_file(case)
+    if body is not None:
+        path.write_text(body)
+    code, _, err = run(capsys, "solve-round", "--family", "file", "--path",
+                       str(path), "--degree", "2")
+    assert code == 3
+    assert "parameter error" in err
+
+
+def test_gen_file_loads_to_an_equal_instance(tmp_path, capsys):
+    from ugsos.graphs import noisy_hypercube
+    from ugsos.instances import UgInstance, plant_instance
+    out = tmp_path / "inst.json"
+    run(capsys, "gen", "--family", "hypercube", "--d", "3", "--alpha", "0.3",
+        "--k", "3", "--eps", "0.05", "--seed", "0", "--out", str(out))
+    inst, _ = plant_instance(noisy_hypercube(3, 0.3), 3, 0.05, seed=0)
+    assert UgInstance.from_json(out.read_text()) == inst
 
 
 def test_verify_pe_file_rejects_truncated_and_incomplete(tmp_path, capsys):

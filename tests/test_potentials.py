@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from ugsos.errors import ParameterError
-from ugsos.graphs import spectral_decompose
+from ugsos.graphs import WeightedGraph, spectral_decompose
+from ugsos.instances import plant_instance
 from ugsos.potentials import (check_shift_symmetric, claim_b1, claim_b2,
                               claim_partition_expansion,
                               claim_vertex_coverage, phi_apx,
                               phi_exact_sampled, potential_report, psi,
                               sp_pseudo_check, truncation_cap)
-from ugsos.sos import point_mass_pe, product_copy, symmetrize
+from ugsos.sos import (PseudoExpectation, build_relaxation, mixture_pe,
+                       point_mass_pe, product_copy, solve_sdp, symmetrize)
 from ugsos.steppoly import build_capped_step_poly, build_step_poly
 
 from conftest import make_triangle
@@ -146,9 +148,68 @@ def test_sp_pseudo_on_satisfiable_sdp(cube_pe, cube_inst):
     assert np.isfinite(K)
 
 
+def _potentials(pE, p, inst, sd):
+    """Phi, the shift masses and the four claims' (lhs, rhs) of one table."""
+    pE2 = product_copy(pE)
+    claims = [claim_vertex_coverage(pE2, p, inst), claim_b1(pE2, p, inst),
+              claim_partition_expansion(pE2, p, inst, sd),
+              claim_b2(pE2, p, inst, sd, lam=0.5, eta=1.0)]
+    return ([phi_apx(pE2, p, inst)]
+            + list(potential_report(pE, inst, p).shift_masses)
+            + [v for c in claims for v in (c.lhs, c.rhs)])
+
+
+# (a) the triangle with its own walk; (b) unequal self-loops, which the
+# planted instance drops, so the walk's measure is not the instance's;
+# (c) vertex 3 carries only a self-loop, so it is isolated in the instance
+_LOOPY = [[3, 1, 1, 0], [1, 0.1, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0.5]]
+_ISOLATED = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("W", [None, _LOOPY, _ISOLATED],
+                         ids=["triangle", "self-loops", "isolated-vertex"])
+def test_mixture_and_component_free_tables_agree(W):
+    # the same moment table, once with its mixture components and once
+    # without, is evaluated by both backends of the shift moments
+    if W is None:
+        inst = make_triangle(3, sat=True)
+        sd = spectral_decompose_instance(inst)
+    else:
+        g = WeightedGraph(4, np.array(W, dtype=float))
+        inst, _ = plant_instance(g, 3, 0.0, seed=1)
+        sd = spectral_decompose(g)
+    n = inst.num_vertices
+    xs = [(0.6, [0, 2, 1, 1][:n]), (0.4, [1, 1, 0, 2][:n])]
+    mix = symmetrize(mixture_pe(n, 3, xs))
+    bare = PseudoExpectation(mix.degree, 3, n, mix._array())
+    p = build_capped_step_poly(BETA, NU, 0)
+    assert _potentials(mix, p, inst, sd) == pytest.approx(
+        _potentials(bare, p, inst, sd), abs=1e-12)
+
+
+def test_solver_output_potentials_with_degree_one_step_poly(triangle_unsat):
+    # D = 6 admits deg p = 1 on solver output; pinned at the values the
+    # separate monomial expansions of Phi, the masses and each claim gave
+    pE = symmetrize(solve_sdp(build_relaxation(triangle_unsat, 6), tol=1e-6))
+    p = build_capped_step_poly(BETA, NU, truncation_cap(6))
+    assert p.degree == 1
+    pE2 = product_copy(pE)
+    sd = spectral_decompose_instance(triangle_unsat)
+    assert phi_apx(pE2, p, triangle_unsat) == pytest.approx(
+        0.3512507253848955, abs=1e-12)
+    masses = potential_report(pE, triangle_unsat, p).shift_masses
+    assert masses == pytest.approx((0.2286053704233471,) * 3, abs=1e-12)
+    lhs = [claim_vertex_coverage(pE2, p, triangle_unsat).lhs,
+           claim_b1(pE2, p, triangle_unsat).lhs,
+           claim_partition_expansion(pE2, p, triangle_unsat, sd).lhs,
+           claim_b2(pE2, p, triangle_unsat, sd, lam=0.5, eta=1.0).lhs]
+    assert lhs == pytest.approx([0.6858161112700414, 0.16611731397953078,
+                                 0.2526721078584223, 0.11642301011783138],
+                                abs=1e-12)
+
+
 def spectral_decompose_instance(inst):
     """Spectral data of the instance's own constraint graph."""
-    from ugsos.graphs import WeightedGraph
     n = inst.num_vertices
     W = np.zeros((n, n))
     for (u, v, w, _) in inst.edges:
