@@ -146,8 +146,8 @@ def cmd_solve_round(args) -> int:
     from ugsos import potentials as pot
     from ugsos import rounding as rnd
     from ugsos.johnson import johnson_pipeline
-    from ugsos.sos import (build_relaxation, product_copy, solve_sdp,
-                           symmetrize, ug_objective_poly)
+    from ugsos.sos import (build_relaxation, solve_sdp, symmetrize,
+                           ug_objective_poly)
     from ugsos.steppoly import build_capped_step_poly
 
     t0 = time.time()
@@ -165,7 +165,7 @@ def cmd_solve_round(args) -> int:
         "degree": args.degree,
         "seed": args.seed,
         "sdp_value": sdp_value,
-        "phi": pot.phi_apx(product_copy(pE), p, inst),
+        "phi": pot.phi_apx(pE, p, inst),
         "psi": pot.psi(pE, inst) if args.degree >= 4 else None,
         "beta": p.alpha,
         "nu_effective": p.eps,

@@ -146,15 +146,13 @@ def _affine_products(d: int, n: int):
     return products
 
 
-def shortcode_graph(d: int, n: int, noise_steps: int = 1) -> WeightedGraph:
+def shortcode_graph(d: int, n: int) -> WeightedGraph:
     """Short-code graph: vertices are degree-<=d multilinear polynomials over
     F_2^n; p and q are adjacent in the base graph when p - q factors as a
-    product of d linearly independent affine forms.  Returns the
-    `noise_steps`-step random-walk matrix of the base graph."""
+    product of d linearly independent affine forms.  Returns the one-step
+    random-walk matrix of the base graph."""
     if not (1 <= d < n <= 4):
         raise SizeCapError("shortcode_graph requires 1 <= d < n <= 4")
-    if noise_steps < 0:
-        raise ParameterError("noise_steps must be >= 0")
     monos = [frozenset(c) for r in range(d + 1)
              for c in itertools.combinations(range(n), r)]
     if len(monos) > 12:
@@ -173,11 +171,9 @@ def shortcode_graph(d: int, n: int, noise_steps: int = 1) -> WeightedGraph:
     for p in range(N):
         for dm in diff_masks:
             A[p, p ^ dm] = 1.0
-    T = A / A.sum(axis=1, keepdims=True)
-    W = np.linalg.matrix_power(T, noise_steps)
-    labels = tuple(range(N))
-    return WeightedGraph(N, W, labels,
-                         {"family": "shortcode", "d": d, "n": n, "t": noise_steps})
+    W = A / A.sum(axis=1, keepdims=True)
+    return WeightedGraph(N, W, tuple(range(N)),
+                         {"family": "shortcode", "d": d, "n": n})
 
 
 def johnson_graph(n: int, l: int, alpha: float) -> WeightedGraph:

@@ -26,8 +26,8 @@ class UgInstance:
     """Weighted constraint graph plus per-edge shifts over Z_k.
 
     Edges are stored once with canonical orientation u < v; traversing an
-    edge in reverse negates its shift mod k.  Weights are arbitrary positive
-    reals, normalized at evaluation time.
+    edge in reverse negates its shift mod k.  Weights are arbitrary finite
+    positive reals, normalized at evaluation time.
     """
 
     num_vertices: int
@@ -45,8 +45,9 @@ class UgInstance:
                 raise ParameterError(f"self-loop on vertex {u} not allowed")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ParameterError(f"edge ({u},{v}) out of range")
-            if w <= 0:
-                raise ParameterError(f"edge ({u},{v}) has non-positive weight {w}")
+            if not 0 < w < float("inf"):
+                raise ParameterError(
+                    f"edge ({u},{v}) needs a finite positive weight, has {w}")
             if u > v:
                 u, v, s = v, u, (-s) % self.k
             canon.append((u, v, float(w), s % self.k))

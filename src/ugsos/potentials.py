@@ -1,28 +1,34 @@
 """Shift-partition potentials and the conditioned shift potential.
 
 For two assignments X, X' the shift partition groups vertices by the label
-difference X_u - X'_u.  The approximate potential
+difference s = X'_u - X_u, with indicator Z_{u,s} = sum_a X_{u,a} X'_{u,a+s}.
+The approximate potential
 
     Phi(X,X') = sum_s ( E_u  Z_{u,s} * p(val_u(X)) )^2
 
 measures the squared mass of each shift component, with low-local-value
-vertices damped by the step approximant p; Phi of a pseudodistribution is its
-pseudoexpectation over an independent pair (X, X').  Psi is the conditioned
-shift potential, a closed-form lower bound on Condition & Round.
+vertices damped by the step approximant p; Phi of a pseudodistribution mu is
+its pseudoexpectation over an independent pair (X, X') of copies of mu.  Psi
+is the conditioned shift potential, a closed-form lower bound on Condition &
+Round.  Every potential takes mu itself, a single-copy table.
 
 Phi, the per-shift masses and the small-set-expansion claims are each
 written once over one table of shift moments, `_shift_moments`: the first and
-second moments of the partition functions f_s(u) = Z_{u,s} p(val_u) (and the
-cubic ones E f_s(u)^3 f_s(w) for b2), with f_s(u) = 0 where pi_u = 0.  The
-table has two backends.  Genuine distributions (point masses and finite
-mixtures, recognized by their component tables) are averaged numerically
-over one table of partition functions per pair of components
-(`_pair_tables`), with any step-polynomial degree.  Solver output is
-evaluated by monomial expansion, which caps deg(p) at (D/2 - 1)/2 per factor;
-callers use `truncation_cap` / `build_capped_step_poly` and report the
-achieved (beta, nu_effective).  Vertex averages use the instance's measure
-pi; the walk terms (Dirichlet form, b2) use the spectral data's measure, the
-one its walk matrix and projector are self-adjoint in.
+second moments of the partition functions f_s(u) = Z_{u,s} p(val_u(X)) (and
+the cubic ones E f_s(u)^3 f_s(w) for b2), with f_s(u) = 0 where pi_u = 0.
+The pair factors: f_s(u) = sum_a g_u^a X'_{u,a+s} with g_u^a =
+X_{u,a} p(val_u(X)), and Z^3 = Z, so every shift moment is a moment of the
+g's under X contracted with mu's pair moments P[u, w, a+s, b+s] under X'
+(`sos.pair_moments`), assembled in one place.  The moments of the g's have
+two sources (`_factors`).  Genuine distributions (point masses and finite
+mixtures, recognized by their component tables) sum over their components
+with p evaluated numerically, at any step-polynomial degree.  Any other
+table takes `pe` of the g's monomial expansions, which caps deg(p) at
+(D/2 - 1)/2 per factor; callers use `truncation_cap` /
+`build_capped_step_poly` and report the achieved (beta, nu_effective).
+Vertex averages use the instance's measure pi; the walk terms (Dirichlet
+form, b2) use the spectral data's measure, the one its walk matrix and
+projector are self-adjoint in.
 """
 from __future__ import annotations
 
@@ -31,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ugsos.errors import DegreeError, ParameterError
-from ugsos.instances import UgInstance, local_value, value
+from ugsos.instances import UgInstance, local_value
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, canon_key,
-                       check_shift_symmetric, local_value_poly, poly_add,
-                       poly_mul, ug_objective_poly, z_var_poly)
+                       check_shift_symmetric, local_value_poly, pair_moments,
+                       poly_add, poly_mul, ug_objective_poly)
 from ugsos.steppoly import StepPolynomial
 
 
@@ -49,23 +55,12 @@ def truncation_cap(degree: int) -> int:
     return max((degree // 2 - 1) // 2, 0)
 
 
-def _mixture_components(pE):
-    base = pE._base if pE._base is not None else pE
-    return base.flags.get("mixture")
-
-
-def _require_pair(pE2: PseudoExpectation):
-    if pE2.copy_count != 2:
-        raise ParameterError("expected a two-copy pseudoexpectation "
-                             "(use product_copy)")
-
-
-def _check_p_degree(pE2: PseudoExpectation, p: StepPolynomial):
-    cap = truncation_cap(pE2.degree)
+def _check_p_degree(pE: PseudoExpectation, p: StepPolynomial):
+    cap = truncation_cap(pE.degree)
     if p.degree > cap:
         raise DegreeError(
             f"step polynomial degree {p.degree} needs pseudoexpectation "
-            f"degree >= {4 * p.degree + 2}, have {pE2.degree} "
+            f"degree >= {4 * p.degree + 2}, have {pE.degree} "
             f"(cap {cap} per factor)")
 
 
@@ -79,79 +74,65 @@ def _p_of_poly(p: StepPolynomial, base: dict) -> dict:
     return out
 
 
-def shift_functions(p: StepPolynomial, inst: UgInstance, vertices):
-    """The partition functions f_s(u) = Z_{u,s} * p(val_u) at the given
-    vertices as polynomials: a list over shifts s of {u: poly}."""
-    pv = {u: _p_of_poly(p, local_value_poly(inst, u)) for u in vertices}
-    return [{u: poly_mul(z_var_poly(u, s, inst.k), pu) for u, pu in pv.items()}
-            for s in range(inst.k)]
-
-
-def _pair_tables(comps, p: StepPolynomial, inst: UgInstance):
-    """(w1 w2, x1, x2, f) for every ordered pair of mixture components
-    (w1, x1), (w2, x2), where f[s, u] = p(val_u(x1)) Ind[x1_u - x2_u = s]
-    holds the pair's partition functions (0 at vertices with pi_u = 0)."""
-    n, k = inst.num_vertices, inst.k
-    live = np.flatnonzero(inst.stationary > 0)
-    shifts = np.arange(k)[:, None]
-    pv = {}
-    for (w1, x1) in comps:
-        if x1 not in pv:
-            pv[x1] = np.zeros(n)
-            pv[x1][live] = p(np.array([local_value(inst, x1, u)
-                                       for u in live]))
-        for (w2, x2) in comps:
-            diff = np.subtract(x1, x2) % k
-            yield w1 * w2, x1, x2, np.where(diff == shifts, pv[x1], 0.0)
-
-
 def viol_poly(inst: UgInstance) -> dict:
     """viol(X) = 1 - val(X) as a polynomial."""
     return poly_add({(): 1.0}, ug_objective_poly(inst), -1.0)
 
 
-def _viol_copy1(pE2, inst) -> float:
-    """viol(X'): the violation polynomial moved to the second copy."""
-    moved = {tuple((v, a, 1) for (v, a, _) in key): c
-             for key, c in viol_poly(inst).items()}
-    return pE2.pe(moved)
-
-
-def _shift_moments(pE2: PseudoExpectation, p: StepPolynomial,
-                   inst: UgInstance, cubes: bool = False):
-    """(m1, m2, m3, viol(X), viol(X')) for the partition functions f_s(u) of
-    an independent pair: m1[s, u] = E f_s(u), m2[s, u, w] = E f_s(u) f_s(w)
-    and, with `cubes`, m3[s, u, w] = E f_s(u)^3 f_s(w) (else None); f_s(u)
-    is 0 wherever pi_u = 0.  Mixtures average their pair tables, solver
-    output expands f_s(u) in monomials."""
-    _require_pair(pE2)
+def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
+             cubes: bool):
+    """(G1, G2, G3) with g_u^a = X_{u,a} p(val_u(X)), 0 where pi_u = 0:
+    G1[u, a] = E g_u^a, G2[u, w, a, b] = E g_u^a g_w^b and, with `cubes`,
+    G3[u, w, a, b] = E g_u^a p(val_u)^2 g_w^b (else None).  Mixtures sum
+    over their components, other tables take `pe` of the monomial
+    expansions."""
     n, k = inst.num_vertices, inst.k
-    m1, m2 = np.zeros((k, n)), np.zeros((k, n, n))
-    m3 = np.zeros((k, n, n)) if cubes else None
-    comps = _mixture_components(pE2)
+    live = np.flatnonzero(inst.stationary > 0)
+    G1, G2 = np.zeros((n, k)), np.zeros((n, n, k, k))
+    G3 = np.zeros((n, n, k, k)) if cubes else None
+    comps = pE.flags.get("mixture")
     if comps is not None:
-        viol = {x: 1.0 - value(inst, x) for _, x in comps}
-        viol_x = viol_xp = 0.0
-        for w, x1, x2, f in _pair_tables(comps, p, inst):
-            m1 += w * f
-            m2 += w * f[:, :, None] * f[:, None, :]
+        for w, x in comps:
+            g = np.zeros((n, k))
+            g[live, np.take(x, live)] = p(np.array(
+                [local_value(inst, x, u) for u in live]))
+            G1 += w * g
+            G2 += w * np.einsum("ua,wb->uwab", g, g)
             if cubes:
-                m3 += w * (f**3)[:, :, None] * f[:, None, :]
-            viol_x += w * viol[x1]
-            viol_xp += w * viol[x2]
-        return m1, m2, m3, viol_x, viol_xp
-    _check_p_degree(pE2, p)
-    live = np.flatnonzero(inst.stationary > 0).tolist()
-    for s, fs in enumerate(shift_functions(p, inst, live)):
-        for i, u in enumerate(live):
-            m1[s, u] = pE2.pe(fs[u])
-            for w in live[i:]:
-                m2[s, u, w] = m2[s, w, u] = pE2.pe(poly_mul(fs[u], fs[w]))
+                G3 += w * np.einsum("ua,wb->uwab", g**3, g)
+        return G1, G2, G3
+    _check_p_degree(pE, p)
+    pv = {u: _p_of_poly(p, local_value_poly(inst, u)) for u in live}
+    g = {(u, a): poly_mul({((u, a, 0),): 1.0}, pv[u])
+         for u in live for a in range(k)}
+    for (u, a), gua in g.items():
+        G1[u, a] = pE.pe(gua)
+        cube = poly_mul(gua, poly_mul(pv[u], pv[u])) if cubes else None
+        for (w, b), gwb in g.items():
+            if (w, b) >= (u, a):
+                G2[u, w, a, b] = G2[w, u, b, a] = pE.pe(poly_mul(gua, gwb))
             if cubes:
-                cube = poly_mul(poly_mul(fs[u], fs[u]), fs[u])
-                for w in live:
-                    m3[s, u, w] = pE2.pe(poly_mul(cube, fs[w]))
-    return m1, m2, m3, pE2.pe(viol_poly(inst)), _viol_copy1(pE2, inst)
+                G3[u, w, a, b] = pE.pe(poly_mul(cube, gwb))
+    return G1, G2, G3
+
+
+def _shift_moments(pE: PseudoExpectation, p: StepPolynomial,
+                   inst: UgInstance, cubes: bool = False):
+    """(m1, m2, m3, viol) for the partition functions f_s(u) of an
+    independent pair (X, X') of copies of pE: m1[s, u] = E f_s(u),
+    m2[s, u, w] = E f_s(u) f_s(w) and, with `cubes`,
+    m3[s, u, w] = E f_s(u)^3 f_s(w) (else None), plus viol = E viol(X),
+    which X' shares.  f_s(u) = sum_a g_u^a X'_{u,a+s} factors over the
+    copies, so each moment is a `_factors` table of X contracted with the
+    pair moments P of X' shifted by s."""
+    P = pair_moments(pE)
+    G1, G2, G3 = _factors(pE, p, inst, cubes)
+    # shifted[s, u, w, a, b] = P[u, w, a + s, b + s]
+    shifted = np.stack([np.roll(P, -s, axis=(2, 3)) for s in range(inst.k)])
+    m1 = np.einsum("ua,suuaa->su", G1, shifted)
+    m2 = np.einsum("uwab,suwab->suw", G2, shifted)
+    m3 = np.einsum("uwab,suwab->suw", G3, shifted) if cubes else None
+    return m1, m2, m3, pE.pe(viol_poly(inst))
 
 
 def _projector(spectral, lam: float) -> np.ndarray:
@@ -167,15 +148,14 @@ class _ShiftStats:
     phi = sum_s pi m2[s] pi, masses[s] = E_pi[f_s], coverage = sum of the
     masses, b1 = sum_s E_pi[f_s - f_s^2], and with spectral data
     dirichlet = sum_s <f_s, (I - T) f_s>_sigma and (with lam)
-    b2 = sum_s <f_s - f_s^3, P f_s>_sigma; plus viol(X), viol(X') and the
-    claims' ratio viol(X)/(1-beta-nu) + nu, with (beta, nu) = (p.alpha,
+    b2 = sum_s <f_s - f_s^3, P f_s>_sigma; plus viol = viol(X) = viol(X')
+    and the claims' ratio viol(X)/(1-beta-nu) + nu, with (beta, nu) = (p.alpha,
     p.eps)."""
 
-    def __init__(self, pE2, p, inst, spectral=None, lam=None):
+    def __init__(self, pE, p, inst, spectral=None, lam=None):
         cubes = spectral is not None and lam is not None
-        m1, m2, m3, self.viol_x, self.viol_xp = _shift_moments(
-            pE2, p, inst, cubes)
-        self.ratio = self.viol_x / (1.0 - p.alpha - p.eps) + p.eps
+        m1, m2, m3, self.viol = _shift_moments(pE, p, inst, cubes)
+        self.ratio = self.viol / (1.0 - p.alpha - p.eps) + p.eps
         pi = inst.stationary
         diag = np.einsum("suu->su", m2)
         self.phi = float(np.einsum("u,suw,w->", pi, m2, pi))
@@ -196,10 +176,11 @@ class _ShiftStats:
 # Phi
 # ---------------------------------------------------------------------------
 
-def phi_apx(pE2: PseudoExpectation, p: StepPolynomial,
+def phi_apx(pE: PseudoExpectation, p: StepPolynomial,
             inst: UgInstance) -> float:
-    """pE of sum_s (E_{u~pi} Z_{u,s} p(val_u(X)))^2 over an independent pair."""
-    return _ShiftStats(pE2, p, inst).phi
+    """pE of sum_s (E_{u~pi} Z_{u,s} p(val_u(X)))^2 over an independent pair
+    of copies of the single-copy table pE."""
+    return _ShiftStats(pE, p, inst).phi
 
 
 def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:
@@ -295,8 +276,7 @@ def potential_report(pE: PseudoExpectation, inst: UgInstance,
                      p: StepPolynomial) -> PotentialReport:
     """Phi, Psi, per-vertex local values and per-shift masses for a solved,
     symmetrized single-copy pseudoexpectation."""
-    from ugsos.sos import product_copy
-    st = _ShiftStats(product_copy(pE), p, inst)
+    st = _ShiftStats(pE, p, inst)
     pi = inst.stationary
     locals_ = tuple(pE.pe(local_value_poly(inst, u)) if pi[u] > 0 else 0.0
                     for u in range(inst.num_vertices))
@@ -324,47 +304,47 @@ class ClaimCheck:
         return self.lhs <= self.rhs + self.slack
 
 
-def claim_vertex_coverage(pE2, p, inst, slack: float = 1e-5) -> ClaimCheck:
+def claim_vertex_coverage(pE, p, inst, slack: float = 1e-5) -> ClaimCheck:
     """sum_s E_pi[f_s] >= 1 - viol/(1-beta-nu) - nu."""
-    st = _ShiftStats(pE2, p, inst)
+    st = _ShiftStats(pE, p, inst)
     return ClaimCheck("vertex-coverage", st.coverage, 1.0 - st.ratio, slack)
 
 
-def claim_partition_expansion(pE2, p, inst, spectral,
+def claim_partition_expansion(pE, p, inst, spectral,
                               slack: float = 1e-5) -> ClaimCheck:
     """sum_s <f_s, L f_s>_sigma <= viol(X) + viol(X')
     + 2 viol(X)/(1-beta-nu) + 2 nu."""
-    st = _ShiftStats(pE2, p, inst, spectral)
-    rhs = st.viol_x + st.viol_xp + 2.0 * st.ratio
+    st = _ShiftStats(pE, p, inst, spectral)
+    rhs = 2.0 * st.viol + 2.0 * st.ratio
     return ClaimCheck("partition-expansion", st.dirichlet, rhs, slack)
 
 
-def claim_b1(pE2, p, inst, slack: float = 1e-5) -> ClaimCheck:
+def claim_b1(pE, p, inst, slack: float = 1e-5) -> ClaimCheck:
     """sum_s E_pi[f_s - f_s^2] <= viol/(1-beta-nu) + nu."""
-    st = _ShiftStats(pE2, p, inst)
+    st = _ShiftStats(pE, p, inst)
     return ClaimCheck("b1", st.b1, st.ratio, slack)
 
 
-def claim_b2(pE2, p, inst, spectral, lam: float, eta: float,
+def claim_b2(pE, p, inst, spectral, lam: float, eta: float,
              slack: float = 1e-5) -> ClaimCheck:
     """sum_s <f_s - f_s^3, P f_s>_sigma <= 1/(2 eta)
     + eta (viol/(1-beta-nu) + nu), with P the projector onto walk
     eigenvalues >= 1 - lam."""
-    st = _ShiftStats(pE2, p, inst, spectral, lam)
+    st = _ShiftStats(pE, p, inst, spectral, lam)
     rhs = 1.0 / (2.0 * eta) + eta * st.ratio
     return ClaimCheck("b2", st.b2, rhs, slack)
 
 
-def sp_pseudo_check(pE2, p, inst, lam: float, C: float, eta: float,
+def sp_pseudo_check(pE, p, inst, lam: float, C: float, eta: float,
                     slack: float = 1e-4):
     """Numeric conclusion of the expander lower bound on Phi:
     Phi >= gamma (1 - viol/(1-beta-nu) - nu) + K, with
     gamma = lam^4/(16 C) and the unpinned constant c' taken as 1 (flagged).
     Returns (check, K) so callers can inspect the raw sides."""
-    st = _ShiftStats(pE2, p, inst)
+    st = _ShiftStats(pE, p, inst)
     gamma = lam**4 / (16.0 * C)
     alpha = lam / 2.0
     K = (alpha - (4.0 + alpha + eta) * st.ratio - 1.0 / (2.0 * eta)
-         - (st.viol_x + st.viol_xp))  # c' = 1 convention
+         - 2.0 * st.viol)  # c' = 1 convention; viol(X') = viol(X)
     rhs = gamma * (1.0 - st.ratio) + K
     return ClaimCheck("sp-pseudo", st.phi, rhs, slack), K

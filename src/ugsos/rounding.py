@@ -52,13 +52,16 @@ class IterationRecord:
 @dataclass(frozen=True)
 class RoundingOutcome:
     """assignment uses -1 for never-assigned vertices (callers complete with
-    label 0 where relevant)."""
+    label 0 where relevant).  `stop_reason` says why `partial_to_full`
+    ended: "value-threshold", "subroutine-none", "stalled" or
+    "iteration-cap" (None for a single rounding)."""
 
     assignment: np.ndarray
     achieved_value: float
     expected_value: float | None
     trace: tuple = ()
     seed: object = None
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if not (-1e-12 <= self.achieved_value <= 1.0 + 1e-12):
@@ -71,6 +74,7 @@ class RoundingOutcome:
             "achieved_value": self.achieved_value,
             "expected_value": self.expected_value,
             "seed": self.seed,
+            "stop_reason": self.stop_reason,
             "trace": [
                 {"subgraph": list(r.subgraph),
                  "cr_val": r.cr_val,
@@ -321,22 +325,25 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
     `subroutine(mu)` returns (vertex iterable, info dict) or None; `info` may
     carry "cr_val" and "subcube" for the trace.  The loop stops when the
     running pseudodistribution's value falls below 1 - 2*eps, the subroutine
-    gives up, or it returns only already-assigned vertices twice in a row.
-    Unassigned vertices are completed with label 0 (shift-symmetry makes any
-    constant equivalent in expectation)."""
+    gives up, it returns only already-assigned vertices twice in a row, or
+    after n + 2 iterations; `stop_reason` names which.  Unassigned vertices
+    are completed with label 0 (shift-symmetry makes any constant equivalent
+    in expectation)."""
     n = inst.num_vertices
     obj = ug_objective_poly(inst)
     mu = pE0
     assigned = np.full(n, -1, dtype=np.int64)
     trace = []
     stall = 0
-    aborted = False
+    stop = "iteration-cap"
+    val_mu = mu.pe(obj)
     for _ in range(n + 2):
-        val_mu = mu.pe(obj)
         if val_mu < 1.0 - 2.0 * eps:
+            stop = "value-threshold"
             break
         sub = subroutine(mu)
         if sub is None:
+            stop = "subroutine-none"
             break
         H, info = sub
         H = sorted(set(int(v) for v in H))
@@ -344,7 +351,7 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
         if not S:
             stall += 1
             if stall >= 2:
-                aborted = True
+                stop = "stalled"
                 break
             continue
         stall = 0
@@ -369,13 +376,11 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
             val_after=val_after,
             resymmetrized=resym,
             subcube=info.get("subcube")))
-        mu = mu_next
+        mu, val_mu = mu_next, val_after
     completed = np.where(assigned < 0, 0, assigned)
-    outcome = RoundingOutcome(
+    return RoundingOutcome(
         assignment=completed,
         achieved_value=value(inst, completed),
         expected_value=None,
-        trace=tuple(trace))
-    if aborted:
-        object.__setattr__(outcome, "seed", "aborted:stalled-subroutine")
-    return outcome
+        trace=tuple(trace),
+        stop_reason=stop)

@@ -289,19 +289,19 @@ def moment_index(n: int, k: int, D: int, copies: int = 1) -> MomentIndex:
 
 # -- standard polynomials ---------------------------------------------------
 
-def ug_objective_poly(inst: UgInstance, copy: int = 0) -> dict:
+def ug_objective_poly(inst: UgInstance) -> dict:
     """E_{(u,v)~E} sum_a X_{u,a} X_{v,a - shift}: the UG value polynomial."""
     out: dict = {}
     k = inst.k
     for (u, v, w, s) in inst.edges:
         cw = w / inst.total_weight
         for a in range(k):
-            key = canon_key(((u, a, copy), (v, (a - s) % k, copy)))
+            key = canon_key(((u, a, 0), (v, (a - s) % k, 0)))
             out[key] = out.get(key, 0.0) + cw
     return out
 
 
-def local_value_poly(inst: UgInstance, u: int, copy: int = 0) -> dict:
+def local_value_poly(inst: UgInstance, u: int) -> dict:
     """val_u(X): weighted fraction of edges at u that are satisfied."""
     inc = inst.incident[u]
     if not inc:
@@ -310,7 +310,7 @@ def local_value_poly(inst: UgInstance, u: int, copy: int = 0) -> dict:
     out: dict = {}
     for (v, w, s) in inc:
         for a in range(inst.k):
-            key = canon_key(((u, a, copy), (v, (a - s) % inst.k, copy)))
+            key = canon_key(((u, a, 0), (v, (a - s) % inst.k, 0)))
             out[key] = out.get(key, 0.0) + w / wtot
     return out
 
@@ -322,13 +322,6 @@ def z_var_poly(u: int, s: int, k: int) -> dict:
         key = canon_key(((u, a, 0), (u, (a + s) % k, 1)))
         out[key] = out.get(key, 0.0) + 1.0
     return out
-
-
-def _copy_parts(key):
-    """The copy-0 and copy-1 parts of a key, each as a single-copy key."""
-    left = tuple((v, a, 0) for (v, a, c) in key if c == 0)
-    right = tuple((v, a, 0) for (v, a, c) in key if c == 1)
-    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +396,6 @@ class PseudoExpectation:
     def moment(self, key) -> float:
         if key is None:
             return 0.0
-        if self._base is not None:
-            # a product of degree-D tables defines mixed moments with degree
-            # up to D in *each* copy
-            left, right = _copy_parts(key)
-            return self._base.moment(left) * self._base.moment(right)
         if len(key) > self.degree:
             raise DegreeError(
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
@@ -816,15 +804,15 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
     event = canon_key(event)
     if event is None:
         raise NullEventError("conditioning on the zero monomial")
-    p_event = pE.moment(event)
-    if p_event < COND_FLOOR:
-        raise NullEventError(
-            f"pE[event] = {p_event:.3e} below floor {COND_FLOOR}")
     new_deg = pE.degree - 2 * len(event)
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")
-    L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
     ev = pE.index.rows([event])[0]
+    p_event = float(_gather(pE, ev[None])[0])
+    if p_event < COND_FLOOR:
+        raise NullEventError(
+            f"pE[event] = {p_event:.3e} below floor {COND_FLOOR}")
+    L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
     zero = ((L > 0) & (ev > 0) & (L != ev)).any(axis=1)
     new = np.where(zero, 0.0, _gather(pE, np.maximum(L, ev)) / p_event)
     return PseudoExpectation(new_deg, pE.k, pE.num_vertices, new,
@@ -835,12 +823,11 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
 def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
     """Independent second copy: pE_{X,X'}[X^a (X')^b] = pE[X^a] pE[X^b].
 
-    Scalar moments are products of the base table's (the tagged key space is
-    quadratically larger), and the full 2-copy table (`moments`, `to_json`)
-    is gathered from it on first use; the result is a valid degree-D
-    pseudoexpectation.  `moment_matrix` and `validate` work through the
-    factors too: the product moment matrix is gathered from the base one,
-    and the partition residuals come from the base's residual table."""
+    The 2-copy table, which scalar reads, `moments` and `to_json` use, is
+    gathered from the base's on first use; the result is a valid degree-D
+    pseudoexpectation.  `moment_matrix` and `validate` never gather it: the
+    product moment matrix is gathered from the base one, and the partition
+    residuals come from the base's residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
     return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
@@ -939,7 +926,8 @@ def validate(pE: PseudoExpectation, tol: float = 1e-6) -> ValidationReport:
 
     Booleanity/disjointness and moment-matrix entry aliasing hold
     structurally: moments live in a canonical-key table, so two entries with
-    the same product read the same number.
+    the same product read the same number.  The scaling pE[1] is the moment
+    matrix's entry at the empty monomial (row and column 0).
 
     A product copy is checked through its factors.  Its moment matrix is
     gathered from the base one (see `moment_matrix`), and at a monomial
@@ -947,8 +935,9 @@ def validate(pE: PseudoExpectation, tol: float = 1e-6) -> ValidationReport:
     |pE[m_1]| r(m_0, u), with r the base's own residual; so the largest one
     is the largest res[d_0] amp[d_1] over d_0 + d_1 < D from the base's
     `_partition_table`."""
-    scaling = abs(pE.moment(()) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(moment_matrix(pE))[0])
+    M = moment_matrix(pE)
+    scaling = abs(float(M[0, 0]) - 1.0)
+    min_eig = float(np.linalg.eigvalsh(M)[0])
     if pE._base is not None:
         amp, res = _partition_table(pE._base)
         max_part = max((res[d] * amp[e] for d in range(pE.degree)

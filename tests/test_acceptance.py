@@ -137,7 +137,7 @@ def test_criterion_03_rounding_floor(suite):
         beta = 0.9
         p = build_capped_step_poly(beta, 0.1, truncation_cap(e.degree))
         nu = p.eps
-        delta = phi_apx(product_copy(e.pe), p, e.inst)
+        delta = phi_apx(e.pe, p, e.inst)
         cf = closed_form_cr(e.pe, e.inst)
         ok &= cf >= (delta - nu) * (beta - nu) - 1e-5
         vals = monte_carlo_cr(e.pe, e.inst, 10_000, seed=17)
@@ -156,7 +156,7 @@ def test_criterion_04_potential_inequality(suite):
         beta = 0.9
         p = build_capped_step_poly(beta, 0.1, truncation_cap(e.degree))
         nu = p.eps
-        phi = phi_apx(product_copy(e.pe), p, e.inst)
+        phi = phi_apx(e.pe, p, e.inst)
         ok &= phi <= psi(e.pe, e.inst) / (beta - nu) + nu + 1e-5
     assert record_criterion(4, "potential-inequality", ok)
 

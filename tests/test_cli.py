@@ -182,13 +182,15 @@ def _instance_file(case: str) -> str | None:
         del doc["edges"][1]["shift"]
     if case == "string-vertex":
         doc["edges"][0]["u"] = "0"
+    if case in ("nan-weight", "inf-weight"):
+        doc["edges"][1]["w"] = float(case[:3])  # written as NaN / Infinity
     if case == "truncated":
         return json.dumps(doc)[:-10]
     return None if case == "missing" else json.dumps(doc)
 
 
 @pytest.mark.parametrize("case", ["no-shift", "truncated", "string-vertex",
-                                  "missing"])
+                                  "missing", "nan-weight", "inf-weight"])
 def test_solve_round_rejects_bad_instance_file(case, tmp_path, capsys):
     path = tmp_path / "inst.json"
     body = _instance_file(case)

@@ -230,6 +230,14 @@ def test_json_round_trip():
     assert UgInstance.from_json(inst.to_json()) == inst
 
 
+@pytest.mark.parametrize("w", ["NaN", "Infinity", "-Infinity"])
+def test_from_json_rejects_non_finite_weight(w):
+    text = ('{"n": 3, "k": 2, "edges": [{"u": 0, "v": 1, "w": 1.0, '
+            '"shift": 0}, {"u": 1, "v": 2, "w": %s, "shift": 1}]}' % w)
+    with pytest.raises(ParameterError):
+        UgInstance.from_json(text)
+
+
 def test_stationary_is_degree_measure():
     inst = UgInstance(3, 2, ((0, 1, 2.0, 0), (1, 2, 1.0, 1)))
     assert np.allclose(inst.stationary, [2 / 6, 3 / 6, 1 / 6])

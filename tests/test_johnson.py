@@ -1,6 +1,7 @@
 """Closed-form spectra, restriction-density Fourier analysis, the structure
 inequality, and subcube search on the Johnson graph and its Cayley model."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -185,6 +186,20 @@ def test_pipeline_degree2_recovers_planted(planted_johnson):
     assert np.all(out.assignment >= 0)
     for rec in out.trace:
         assert rec.drop <= 2.0 * len(rec.subgraph) / inst.num_vertices + 1e-9
+
+
+def test_pipeline_keeps_the_stall_reason(planted_johnson, monkeypatch):
+    # a search that keeps offering the same subcube stalls the loop after one
+    # rounding; the pipeline's outcome says so next to the caller's seed
+    from ugsos import johnson
+    g, inst, _ = planted_johnson
+    monkeypatch.setattr(johnson, "find_best_subcube",
+                        lambda *args: (SubcubeId("J", (0,)), 1.0))
+    with pytest.warns(UserWarning, match="clamped"):
+        out = johnson_pipeline(inst, 0.45, 2, seed=7, graph=g)
+    assert out.seed == 7 and len(out.trace) == 1
+    assert out.stop_reason == "stalled"
+    assert json.loads(out.to_json())["stop_reason"] == "stalled"
 
 
 def test_pipeline_rejects_wrong_graph():

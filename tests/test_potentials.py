@@ -5,9 +5,9 @@ import pytest
 
 from ugsos.errors import ParameterError
 from ugsos.graphs import WeightedGraph, spectral_decompose
-from ugsos.instances import plant_instance
-from ugsos.potentials import (check_shift_symmetric, claim_b1, claim_b2,
-                              claim_partition_expansion,
+from ugsos.instances import local_value, plant_instance
+from ugsos.potentials import (_ShiftStats, check_shift_symmetric, claim_b1,
+                              claim_b2, claim_partition_expansion,
                               claim_vertex_coverage, phi_apx,
                               phi_exact_sampled, potential_report, psi,
                               sp_pseudo_check, truncation_cap)
@@ -63,8 +63,7 @@ def test_phi_exact_sampled_satisfying_pair(triangle_sat, p_full):
 
 
 def test_phi_mixture_matches_sampled_definition(triangle_sat, sym_pm, p_full):
-    pE2 = product_copy(sym_pm)
-    val = phi_apx(pE2, p_full, triangle_sat)
+    val = phi_apx(sym_pm, p_full, triangle_sat)
     # symmetrized point mass = uniform mixture over the 3 global shifts;
     # both copies draw independently, every pair is fully satisfying
     comps = [np.array([(0 + s) % 3, (2 + s) % 3, (1 + s) % 3])
@@ -92,36 +91,33 @@ def test_phi_bounded_by_psi_ratio_sdp(unsat_pe, triangle_unsat):
     beta = 0.9
     p = build_capped_step_poly(beta, 0.1, truncation_cap(unsat_pe.degree))
     nu_eff = p.eps
-    pE2 = product_copy(unsat_pe)
-    phi = phi_apx(pE2, p, triangle_unsat)
+    phi = phi_apx(unsat_pe, p, triangle_unsat)
     psi_v = psi(unsat_pe, triangle_unsat)
     assert phi <= psi_v / (beta - nu_eff) + nu_eff + 1e-5
 
 
 def test_claim_chain_on_mixture(triangle_sat, sym_pm, p_full):
     # fully satisfying mixture: viol = 0, claims hold with slack to spare
-    pE2 = product_copy(sym_pm)
     sd = spectral_decompose_instance(triangle_sat)
-    assert claim_vertex_coverage(pE2, p_full, triangle_sat).holds
-    assert claim_b1(pE2, p_full, triangle_sat).holds
-    assert claim_partition_expansion(pE2, p_full, triangle_sat, sd).holds
-    assert claim_b2(pE2, p_full, triangle_sat, sd, lam=0.5, eta=1.0).holds
+    assert claim_vertex_coverage(sym_pm, p_full, triangle_sat).holds
+    assert claim_b1(sym_pm, p_full, triangle_sat).holds
+    assert claim_partition_expansion(sym_pm, p_full, triangle_sat, sd).holds
+    assert claim_b2(sym_pm, p_full, triangle_sat, sd, lam=0.5, eta=1.0).holds
 
 
 def test_mixture_potentials_are_pinned(triangle_sat, sym_pm, p_full):
     # the values the per-pair loops gave before one pair table served Phi,
     # the report's shift masses and the claims
-    pE2 = product_copy(sym_pm)
     sd = spectral_decompose_instance(triangle_sat)
-    assert phi_apx(pE2, p_full, triangle_sat) == pytest.approx(
+    assert phi_apx(sym_pm, p_full, triangle_sat) == pytest.approx(
         0.9613943415092883, abs=1e-12)
     rep = potential_report(sym_pm, triangle_sat, p_full)
     assert rep.shift_masses == pytest.approx((0.32683572861765287,) * 3,
                                              abs=1e-12)
-    claims = [claim_vertex_coverage(pE2, p_full, triangle_sat),
-              claim_b1(pE2, p_full, triangle_sat),
-              claim_partition_expansion(pE2, p_full, triangle_sat, sd),
-              claim_b2(pE2, p_full, triangle_sat, sd, lam=0.5, eta=1.0)]
+    claims = [claim_vertex_coverage(sym_pm, p_full, triangle_sat),
+              claim_b1(sym_pm, p_full, triangle_sat),
+              claim_partition_expansion(sym_pm, p_full, triangle_sat, sd),
+              claim_b2(sym_pm, p_full, triangle_sat, sd, lam=0.5, eta=1.0)]
     pinned = [(0.9805071858529584, 0.9), (0.01911284434367033, 0.1),
               (0.0, 0.2), (0.037115261623210195, 0.6)]
     for claim, (lhs, rhs) in zip(claims, pinned):
@@ -131,30 +127,27 @@ def test_mixture_potentials_are_pinned(triangle_sat, sym_pm, p_full):
 def test_claim_chain_on_sdp(cube_pe, cube_inst):
     g, inst, _ = cube_inst
     p = build_capped_step_poly(BETA, 0.1, truncation_cap(cube_pe.degree))
-    pE2 = product_copy(cube_pe)
     sd = spectral_decompose(g)
-    assert claim_vertex_coverage(pE2, p, inst).holds
-    assert claim_b1(pE2, p, inst).holds
-    assert claim_partition_expansion(pE2, p, inst, sd).holds
-    assert claim_b2(pE2, p, inst, sd, lam=0.5, eta=1.0).holds
+    assert claim_vertex_coverage(cube_pe, p, inst).holds
+    assert claim_b1(cube_pe, p, inst).holds
+    assert claim_partition_expansion(cube_pe, p, inst, sd).holds
+    assert claim_b2(cube_pe, p, inst, sd, lam=0.5, eta=1.0).holds
 
 
 def test_sp_pseudo_on_satisfiable_sdp(cube_pe, cube_inst):
     _, inst, _ = cube_inst
     p = build_capped_step_poly(BETA, 0.1, truncation_cap(cube_pe.degree))
-    pE2 = product_copy(cube_pe)
-    check, K = sp_pseudo_check(pE2, p, inst, lam=0.6, C=36.0, eta=1.0)
+    check, K = sp_pseudo_check(cube_pe, p, inst, lam=0.6, C=36.0, eta=1.0)
     assert check.holds
     assert np.isfinite(K)
 
 
 def _potentials(pE, p, inst, sd):
     """Phi, the shift masses and the four claims' (lhs, rhs) of one table."""
-    pE2 = product_copy(pE)
-    claims = [claim_vertex_coverage(pE2, p, inst), claim_b1(pE2, p, inst),
-              claim_partition_expansion(pE2, p, inst, sd),
-              claim_b2(pE2, p, inst, sd, lam=0.5, eta=1.0)]
-    return ([phi_apx(pE2, p, inst)]
+    claims = [claim_vertex_coverage(pE, p, inst), claim_b1(pE, p, inst),
+              claim_partition_expansion(pE, p, inst, sd),
+              claim_b2(pE, p, inst, sd, lam=0.5, eta=1.0)]
+    return ([phi_apx(pE, p, inst)]
             + list(potential_report(pE, inst, p).shift_masses)
             + [v for c in claims for v in (c.lhs, c.rhs)])
 
@@ -187,22 +180,72 @@ def test_mixture_and_component_free_tables_agree(W):
         _potentials(bare, p, inst, sd), abs=1e-12)
 
 
+def test_phi_of_an_unsymmetrized_mixture_matches_the_definition():
+    # a mixture whose pair is not concentrated on one shift, with p of a
+    # degree above the cap: Phi and the shift masses of the factored pair
+    # against their definitions over ordered pairs of components, with the
+    # shift s = x2_u - x1_u (the masses at s = 1 and 2 differ here)
+    inst, _ = plant_instance(WeightedGraph(4, np.array(_LOOPY)), 3, 0.0,
+                             seed=2)
+    xs = [(0.6, [0, 2, 1, 1]), (0.4, [1, 1, 0, 2])]
+    p = build_step_poly(0.3, 0.1, 0.1)
+    assert p.degree > truncation_cap(4)
+    pi = inst.stationary
+    phi, masses = 0.0, np.zeros(3)
+    for w1, x1 in xs:
+        pv = p(np.array([local_value(inst, x1, u) for u in range(4)]))
+        for w2, x2 in xs:
+            shift = (np.subtract(x2, x1) % 3)[None, :] == np.arange(3)[:, None]
+            mass = (shift * pi * pv).sum(axis=1)
+            phi += w1 * w2 * float(mass @ mass)
+            masses += w1 * w2 * mass
+    mix = mixture_pe(4, 3, xs)
+    assert phi_apx(mix, p, inst) == pytest.approx(phi, abs=1e-12)
+    assert _ShiftStats(mix, p, inst).masses == pytest.approx(masses,
+                                                             abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["phi_apx", "potential_report", "psi",
+                                  "coverage", "b1", "expansion", "b2",
+                                  "sp_pseudo"])
+def test_potentials_reject_a_product_copy(triangle_sat, sym_pm, p_full,
+                                          name):
+    # every potential takes the single-copy table and builds the pair itself
+    sd = spectral_decompose_instance(triangle_sat)
+    call = {
+        "phi_apx": lambda t: phi_apx(t, p_full, triangle_sat),
+        "potential_report": lambda t: potential_report(t, triangle_sat,
+                                                       p_full),
+        "psi": lambda t: psi(t, triangle_sat),
+        "coverage": lambda t: claim_vertex_coverage(t, p_full, triangle_sat),
+        "b1": lambda t: claim_b1(t, p_full, triangle_sat),
+        "expansion": lambda t: claim_partition_expansion(t, p_full,
+                                                         triangle_sat, sd),
+        "b2": lambda t: claim_b2(t, p_full, triangle_sat, sd, lam=0.5,
+                                 eta=1.0),
+        "sp_pseudo": lambda t: sp_pseudo_check(t, p_full, triangle_sat,
+                                               lam=0.6, C=36.0, eta=1.0),
+    }[name]
+    call(sym_pm)
+    with pytest.raises(ParameterError):
+        call(product_copy(sym_pm))
+
+
 def test_solver_output_potentials_with_degree_one_step_poly(triangle_unsat):
     # D = 6 admits deg p = 1 on solver output; pinned at the values the
     # separate monomial expansions of Phi, the masses and each claim gave
     pE = symmetrize(solve_sdp(build_relaxation(triangle_unsat, 6), tol=1e-6))
     p = build_capped_step_poly(BETA, NU, truncation_cap(6))
     assert p.degree == 1
-    pE2 = product_copy(pE)
     sd = spectral_decompose_instance(triangle_unsat)
-    assert phi_apx(pE2, p, triangle_unsat) == pytest.approx(
+    assert phi_apx(pE, p, triangle_unsat) == pytest.approx(
         0.3512507253848955, abs=1e-12)
     masses = potential_report(pE, triangle_unsat, p).shift_masses
     assert masses == pytest.approx((0.2286053704233471,) * 3, abs=1e-12)
-    lhs = [claim_vertex_coverage(pE2, p, triangle_unsat).lhs,
-           claim_b1(pE2, p, triangle_unsat).lhs,
-           claim_partition_expansion(pE2, p, triangle_unsat, sd).lhs,
-           claim_b2(pE2, p, triangle_unsat, sd, lam=0.5, eta=1.0).lhs]
+    lhs = [claim_vertex_coverage(pE, p, triangle_unsat).lhs,
+           claim_b1(pE, p, triangle_unsat).lhs,
+           claim_partition_expansion(pE, p, triangle_unsat, sd).lhs,
+           claim_b2(pE, p, triangle_unsat, sd, lam=0.5, eta=1.0).lhs]
     assert lhs == pytest.approx([0.6858161112700414, 0.16611731397953078,
                                  0.2526721078584223, 0.11642301011783138],
                                 abs=1e-12)

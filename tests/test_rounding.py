@@ -72,7 +72,7 @@ def test_rounding_floor_from_potential(cube_pe, cube_inst):
     beta = 0.9
     p = build_capped_step_poly(beta, 0.1, truncation_cap(cube_pe.degree))
     nu = p.eps
-    delta = phi_apx(product_copy(cube_pe), p, inst)
+    delta = phi_apx(cube_pe, p, inst)
     assert closed_form_cr(cube_pe, inst) >= (delta - nu) * (beta - nu) - 1e-5
 
 
@@ -136,7 +136,7 @@ def test_partial_to_full_stall_aborts(cube_pe, cube_inst):
         return [0], {}  # keeps returning the same vertex
 
     out = partial_to_full(inst, cube_pe, stubborn, eps=0.4)
-    assert out.seed == "aborted:stalled-subroutine"
+    assert out.stop_reason == "stalled"
 
 
 def test_partial_to_full_no_reassignment(cube3_pe, cube3_inst):
