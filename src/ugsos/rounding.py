@@ -54,7 +54,8 @@ class RoundingOutcome:
     """assignment uses -1 for never-assigned vertices (callers complete with
     label 0 where relevant).  `stop_reason` says why `partial_to_full`
     ended: "value-threshold", "subroutine-none", "stalled" or
-    "iteration-cap" (None for a single rounding)."""
+    "iteration-cap" (None for a single rounding).  `unconverged` is True
+    when the rounded table came from a solve that hit its iteration cap."""
 
     assignment: np.ndarray
     achieved_value: float
@@ -62,6 +63,7 @@ class RoundingOutcome:
     trace: tuple = ()
     seed: object = None
     stop_reason: str | None = None
+    unconverged: bool = False
 
     def __post_init__(self):
         if not (-1e-12 <= self.achieved_value <= 1.0 + 1e-12):
@@ -75,6 +77,7 @@ class RoundingOutcome:
             "expected_value": self.expected_value,
             "seed": self.seed,
             "stop_reason": self.stop_reason,
+            "unconverged": self.unconverged,
             "trace": [
                 {"subgraph": list(r.subgraph),
                  "cr_val": r.cr_val,
@@ -326,9 +329,13 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
     carry "cr_val" and "subcube" for the trace.  The loop stops when the
     running pseudodistribution's value falls below 1 - 2*eps, the subroutine
     gives up, it returns only already-assigned vertices twice in a row, or
-    after n + 2 iterations; `stop_reason` names which.  Unassigned vertices
-    are completed with label 0 (shift-symmetry makes any constant equivalent
-    in expectation)."""
+    after n + 2 iterations; `stop_reason` names which.  The value test
+    follows a rounding step, so `pE0` always gets at least one: its value is
+    an SDP solve's, known only to within the solver's tolerance, and the
+    rounding's hypothesis is the instance's, not that number.  Unassigned
+    vertices are completed with label 0 (shift-symmetry makes any constant
+    equivalent in expectation).  The outcome's `unconverged` repeats
+    `pE0`'s solver flag."""
     n = inst.num_vertices
     obj = ug_objective_poly(inst)
     mu = pE0
@@ -338,9 +345,6 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
     stop = "iteration-cap"
     val_mu = mu.pe(obj)
     for _ in range(n + 2):
-        if val_mu < 1.0 - 2.0 * eps:
-            stop = "value-threshold"
-            break
         sub = subroutine(mu)
         if sub is None:
             stop = "subroutine-none"
@@ -377,10 +381,14 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
             resymmetrized=resym,
             subcube=info.get("subcube")))
         mu, val_mu = mu_next, val_after
+        if val_mu < 1.0 - 2.0 * eps:
+            stop = "value-threshold"
+            break
     completed = np.where(assigned < 0, 0, assigned)
     return RoundingOutcome(
         assignment=completed,
         achieved_value=value(inst, completed),
         expected_value=None,
         trace=tuple(trace),
-        stop_reason=stop)
+        stop_reason=stop,
+        unconverged=bool(pE0.flags.get("unconverged", False)))

@@ -29,7 +29,8 @@ A pseudoexpectation is its index plus one float64 array of moments in id
 order, whether it comes from the solver, a point mass, a mixture, a JSON file
 or the calculus; symmetrize, rerandomize, condition, the moment matrix and the
 partition table are gathers from that array.  Scalar lookups (`moment`, `pe`)
-read the array through the index's shared key -> id map, and `pair_moments`
+read the array through the index's shared key -> id map (a product copy
+gathers the one row from its base), and `pair_moments`
 reshapes its degree-1 and degree-2 blocks into the pairwise tensor that the
 rounding and the shift-symmetry check read.
 
@@ -42,7 +43,11 @@ reduced feasible set maps onto the full one exactly (the full basis spans the
 same polynomial space modulo the constraint ideal), so PSD-ness and
 feasibility transfer.  `DIM_CAP` bounds the full-basis dimension.  The SDP is
 solved by ADMM: a diagonal least-squares y-update, projection onto the PSD
-cone by eigendecomposition, over-relaxation 1.6, iteration cap 100000.
+cone by eigendecomposition, over-relaxation 1.6, iteration cap 100000.  The
+point that is projected, S = X + U (the Douglas-Rachford variable), is
+extrapolated by safeguarded type-II Anderson acceleration (`_Anderson`;
+Walker & Ni 2011, Zhang, O'Donoghue & Boyd 2020), which still takes one
+projection per iteration and with an empty history is the plain step.
 
 Each iteration is one eigendecomposition plus O(dim^2) bookkeeping.  The
 adjoint A^T(R) of the moment-matrix map reads only the nonzero lower
@@ -79,6 +84,15 @@ COND_FLOOR = 1e-9
 SYM_CHECK_TOL = 1e-6
 ADMM_MAX_ITERS = 100_000
 ADMM_OVER_RELAX = 1.6
+# Anderson acceleration of the ADMM fixed-point map keeps the last
+# ANDERSON_MEMORY steps and regularizes its least-squares problem by
+# ANDERSON_REG times the trace of its Gram matrix.  Sweep of the memory
+# (iterations to the unchanged stopping test): cube3 D=4 seed 0 at tol 1e-7
+# took 524, 315 and 288 iterations at memory 5, 10 and 20 (2397 without
+# acceleration); J(5,2) D=4 seed 0 at tol 3e-3 took 397 and 291 at 5 and 10
+# (407 without).  Memory 20 doubles the history for 9% fewer iterations.
+ANDERSON_MEMORY = 10
+ANDERSON_REG = 1e-10
 # Reduced dimensions below this run the ADMM loop on one BLAS thread.  Sweep
 # of np.linalg.eigh on random symmetric matrices (2-core x86-64, numpy 2.4
 # with OpenBLAS), ms wall per call, 1 thread vs 2 threads:
@@ -352,8 +366,9 @@ class PseudoExpectation:
 
     `moments` is that array, or a mapping from canonical keys to values that
     is scattered into it once (keys it omits read as 0).  A product copy (see
-    `product_copy`) is a view of its base table and gathers its array on
-    first use.  Immutable by convention: all calculus operations return new
+    `product_copy`) is a view of its base table: a scalar read multiplies
+    two base moments, and the whole array is gathered on first use.
+    Immutable by convention: all calculus operations return new
     objects.
     """
 
@@ -399,6 +414,9 @@ class PseudoExpectation:
         if len(key) > self.degree:
             raise DegreeError(
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
+        if self._base is not None and self._values is None:
+            # one row: a scalar read need not gather the whole 2-copy table
+            return float(_gather(self, self.index.rows([key]))[0])
         values = self._list
         if values is None:
             values = self._scalars()[1]
@@ -648,6 +666,86 @@ def _psd_split(S: np.ndarray, npos: int | None = None):
     return _PsdSplit(S.shape[0], npos)(S)
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map S -> T(S) on
+    symmetric dim x dim matrices (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011).
+
+    Each point S takes two calls.  `accepts(g)` records the residual
+    g = T(S) - S.  `step(T)` then returns the next point T - sum_j c_j dT_j,
+    where dT_j and dG_j are the differences of T and of g over the last
+    ANDERSON_MEMORY points and c minimizes |g - sum_j c_j dG_j|^2 + reg |c|^2, with
+    reg = ANDERSON_REG times the trace of the Gram matrix
+    H_ij = <dG_i, dG_j>.  With an empty history that is T itself, the plain
+    step.  Matrices are stored packed: the lower triangle with off-diagonal
+    entries weighted sqrt(2), so inner products are Frobenius ones.
+
+    Safeguard: when S was extrapolated and its residual is larger than the
+    residual at the point before, `accepts` clears the history and returns
+    False; the caller then takes the plain step the extrapolation replaced,
+    which starts a new history.  The verdict comes before `step` so that the
+    caller can drop the plain step it kept for a rejection before `step`
+    allocates: the history is what sets the solve's peak memory."""
+
+    def __init__(self, dim: int):
+        self.dim, self.memory = dim, ANDERSON_MEMORY
+        # boolean indexing by the lower triangle reads it row by row, in
+        # np.tril_indices order
+        self.lower = np.tri(dim, dtype=bool)
+        rows, cols = np.tril_indices(dim)
+        self.weight = np.where(rows == cols, 1.0, math.sqrt(2.0))
+        self.dT = np.empty((self.memory, rows.size))
+        self.dG = np.empty((self.memory, rows.size))
+        self.gram = np.empty((self.memory, self.memory))
+        self.reset()
+
+    def reset(self):
+        self.count = 0          # differences recorded since the last reset
+        self.last = None        # packed T and g, and |g|, at the last point
+        self.pending = None     # packed g and |g| at the current point
+
+    def pack(self, M: np.ndarray) -> np.ndarray:
+        v = M[self.lower]
+        v *= self.weight
+        return v
+
+    def accepts(self, g: np.ndarray) -> bool:
+        g = self.pack(g)
+        gnorm = float(np.linalg.norm(g))
+        # with a history, the current point was extrapolated
+        if self.count and gnorm > self.last[2]:
+            self.reset()
+            return False
+        self.pending = (g, gnorm)
+        return True
+
+    def step(self, T: np.ndarray) -> np.ndarray:
+        t, (g, gnorm) = self.pack(T), self.pending
+        if self.last is not None:
+            t0, g0, _ = self.last
+            j = self.count % self.memory
+            np.subtract(t, t0, out=self.dT[j])
+            np.subtract(g, g0, out=self.dG[j])
+            self.count += 1
+            m = min(self.count, self.memory)
+            self.gram[j, :m] = self.gram[:m, j] = self.dG[:m] @ self.dG[j]
+        self.last, self.pending = (t, g, gnorm), None
+        if not self.count:
+            return T
+        m = min(self.count, self.memory)
+        H = self.gram[:m, :m]
+        # the tiny floor keeps an all-zero history solvable (c = 0)
+        reg = ANDERSON_REG * np.trace(H) + np.finfo(float).tiny
+        coef = np.linalg.solve(H + reg * np.eye(m), self.dG[:m] @ g)
+        s = coef @ self.dT[:m]
+        np.subtract(t, s, out=s)
+        s /= self.weight
+        S = np.empty((self.dim, self.dim))
+        S[self.lower] = s
+        S.T[self.lower] = s
+        return S
+
+
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
               max_iters: int = ADMM_MAX_ITERS) -> PseudoExpectation:
     """Maximize the UG objective over degree-D pseudoexpectations by ADMM.
@@ -655,15 +753,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     Splitting: X = A(y) with X constrained PSD and y the reduced moment
     vector (y[1] pinned to 1).  A^T A is diagonal (each matrix entry reads a
     single moment), so the y-update is closed-form; the X-update is a PSD
-    projection; over-relaxation 1.6; residual-balanced penalty.  Returns a
+    projection; over-relaxation 1.6; residual-balanced penalty; Anderson
+    acceleration of the projected point (`_Anderson`).  Returns a
     PseudoExpectation carrying the SDP objective in flags["sdp_value"] and
     "unconverged": True if the iteration cap was hit."""
     E = problem.entry_map
     M = len(problem.rmoments)
     flat, ids, w = _tril_adjoint_index(E)
     counts = np.bincount(ids, weights=w, minlength=M)
-    # A(y) is one gather; structural zeros read an appended 0.0 at index M
-    gather = np.where(E >= 0, E, M)
+    # A(y) is one gather; structural zeros (id -1) read an appended 0.0
     c = problem.objective_vec
     i_one = 0                     # the id of the empty monomial
     dim = len(problem.rbasis)
@@ -673,7 +771,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         return np.bincount(ids, weights=w * R.ravel()[flat], minlength=M)
 
     def A(y):
-        return np.append(y, 0.0).take(gather)
+        return np.append(y, 0.0).take(E)
 
     rho = 1.0
     # start from the uniform independent distribution (feasible, interior)
@@ -686,6 +784,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     pri = dua = np.inf
     converged = False
     psd_split = _PsdSplit(dim)
+    accel = _Anderson(dim)
     threads = (_kernels.blas_threads(1) if dim < ONE_THREAD_MAX_DIM
                else contextlib.nullcontext())
     with threads:
@@ -694,9 +793,19 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
             y_new = (c / rho + adjoint(X - U)) / np.maximum(counts, 1.0)
             y_new[i_one] = 1.0
             Ay = A(y_new)
-            AY = gamma * Ay + (1.0 - gamma) * X
+            # the Douglas-Rachford map of the current point S = X + U is
+            # T = gamma A(y) + (1 - gamma) X + U, with residual gamma (A(y) - X)
+            if accel.accepts(gamma * (Ay - X)):
+                # T takes U's buffer, which the iteration no longer reads
+                T = np.add(gamma * Ay + (1.0 - gamma) * X, U, out=U)
+                plain = (y_new, X, T)
+                S = accel.step(T)
+            else:
+                # safeguard: redo the plain step the extrapolation replaced
+                y_new, X, S = plain
+                Ay = A(y_new)
             # X-update: PSD projection; U takes the negative part
-            X_new, U = psd_split(AY + U)
+            X_new, U = psd_split(S)
             pri = float(np.linalg.norm(Ay - X_new))
             dua = rho * float(np.linalg.norm(adjoint(X_new - X)))
             X = X_new
@@ -708,9 +817,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                 if pri > 10.0 * dua:
                     rho *= 2.0
                     U /= 2.0
+                    accel.reset()
                 elif dua > 10.0 * pri:
                     rho /= 2.0
                     U *= 2.0
+                    accel.reset()
     inst = problem.inst
     moments = _full_moments_from_reduced(y, inst.num_vertices, k,
                                          problem.degree)
@@ -823,8 +934,9 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
 def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
     """Independent second copy: pE_{X,X'}[X^a (X')^b] = pE[X^a] pE[X^b].
 
-    The 2-copy table, which scalar reads, `moments` and `to_json` use, is
-    gathered from the base's on first use; the result is a valid degree-D
+    The 2-copy table, which `moments` and `to_json` use, is gathered from
+    the base's on first use; until then a scalar read (`moment`, `pe`)
+    gathers only its own row.  The result is a valid degree-D
     pseudoexpectation.  `moment_matrix` and `validate` never gather it: the
     product moment matrix is gathered from the base one, and the partition
     residuals come from the base's residual table."""

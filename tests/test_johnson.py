@@ -202,6 +202,18 @@ def test_pipeline_keeps_the_stall_reason(planted_johnson, monkeypatch):
     assert json.loads(out.to_json())["stop_reason"] == "stalled"
 
 
+def test_pipeline_outcome_carries_the_solver_status(planted_johnson):
+    from ugsos.sos import build_relaxation, solve_sdp, symmetrize
+    g, inst, _ = planted_johnson
+    problem = build_relaxation(inst, 2)
+    for max_iters, stalled in ((5, True), (100_000, False)):
+        pE = symmetrize(solve_sdp(problem, tol=1e-6, max_iters=max_iters))
+        with pytest.warns(UserWarning, match="clamped"):
+            out = johnson_pipeline(inst, 0.05, 2, seed=0, graph=g, pE=pE)
+        assert out.unconverged is stalled
+        assert json.loads(out.to_json())["unconverged"] is stalled
+
+
 def test_pipeline_rejects_wrong_graph():
     g = johnson_cayley_graph(4, 2, 0.5)
     inst, _ = plant_instance(g, 2, 0.0, seed=0)

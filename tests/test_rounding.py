@@ -127,6 +127,22 @@ def test_partial_to_full_whole_graph(cube_pe, cube_inst):
     assert rec.drop <= 2.0 * len(rec.subgraph) / inst.num_vertices + 1e-9
 
 
+def test_partial_to_full_rounds_a_table_below_the_threshold_once(
+        triangle_unsat):
+    # the table's value 2/3 is below 1 - 2 eps = 0.8 from the start; the
+    # value test follows a rounding step, so the graph is still rounded
+    x = [2, 1, 0]
+    assert value(triangle_unsat, x) == pytest.approx(2.0 / 3.0)
+    pE = symmetrize(point_mass_pe(3, 3, x))
+
+    def whole(mu):
+        return range(3), {}
+
+    out = partial_to_full(triangle_unsat, pE, whole, eps=0.1)
+    assert len(out.trace) == 1 and out.stop_reason == "value-threshold"
+    assert out.achieved_value == pytest.approx(2.0 / 3.0)
+
+
 def test_partial_to_full_stall_aborts(cube_pe, cube_inst):
     _, inst, _ = cube_inst
     calls = {"n": 0}

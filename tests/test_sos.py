@@ -137,11 +137,120 @@ def test_dim_cap_counts_the_full_basis_without_building_it(monkeypatch):
 def test_solver_iterates_pinned():
     # the instance of `ugsos verify`'s symmetry check; per-iteration
     # optimizations of the ADMM loop must keep its iterates, so the iteration
-    # count is exact and the value agrees to round-off
+    # count is exact and the value agrees to round-off (102 iterations
+    # without Anderson acceleration)
     inst = UgInstance(3, 3, ((0, 1, 1.0, 1), (1, 2, 1.0, 0), (0, 2, 1.0, 1)))
     pE = solve_sdp(build_relaxation(inst, 4))
-    assert pE.flags["iterations"] == 102
-    assert abs(pE.flags["sdp_value"] - 0.9999999427511829) <= 1e-10
+    assert pE.flags["iterations"] == 50
+    assert abs(pE.flags["sdp_value"] - 0.9999998986395502) <= 1e-10
+
+
+def test_cube3_iterations_pinned(cube3_pe):
+    # criterion 5's seed-0 hypercube at tol 1e-7: 2397 iterations without
+    # Anderson acceleration, so a silent fall-back to the plain step shows
+    assert cube3_pe.flags["iterations"] == 315
+
+
+def _affine_contraction(rng, accel, p):
+    """T(S) = L S + B on symmetric matrices, with |L| = 0.9 in the packed
+    (Frobenius) coordinates."""
+    L = rng.normal(size=(p, p))
+    L *= 0.9 / np.linalg.norm(L, 2)
+    b = rng.normal(size=p)
+
+    def T(S):
+        v = (L @ accel.pack(S) + b) / accel.weight
+        out = np.empty_like(S)
+        out[accel.lower] = out.T[accel.lower] = v
+        return out
+
+    return T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_anderson_solves_an_affine_contraction_in_memory_plus_one_steps(seed):
+    # 3 x 3 symmetric matrices are 6 packed coordinates, fewer than the
+    # memory: extrapolation finds the fixed point within memory + 1 steps,
+    # where the plain iteration would still be at about 0.9^11 of its start
+    rng = np.random.default_rng(seed)
+    accel = sos._Anderson(3)
+    T = _affine_contraction(rng, accel, 6)
+    S = np.zeros((3, 3))
+    g0 = np.linalg.norm(T(S) - S)
+    for _ in range(accel.memory + 1):
+        TS = T(S)
+        if accel.accepts(TS - S):
+            S, plain = accel.step(TS), TS
+        else:
+            S = plain
+    assert np.linalg.norm(T(S) - S) <= 1e-10 * g0
+    assert np.array_equal(S, S.T)
+
+
+def test_anderson_empty_history_is_the_plain_step():
+    rng = np.random.default_rng(1)
+    accel = sos._Anderson(4)
+    T = rng.normal(size=(4, 4))
+    T = T + T.T
+    assert accel.accepts(rng.normal(size=(4, 4)))
+    assert accel.step(T) is T and accel.count == 0
+    assert accel.accepts(T)
+    assert accel.step(T + 1.0) is not T and accel.count == 1
+
+
+def test_anderson_safeguard_rejects_a_worse_point_and_clears_history():
+    rng = np.random.default_rng(2)
+    accel = sos._Anderson(3)
+    sym = rng.normal(size=(3, 3))
+    sym = sym + sym.T
+    accel.accepts(sym)
+    accel.step(sym)
+    accel.accepts(0.5 * sym)
+    accel.step(2.0 * sym)
+    assert accel.count == 1       # so that point was extrapolated
+    # the residual at the extrapolated point exceeds the one before it
+    assert not accel.accepts(0.6 * sym)
+    assert accel.count == 0 and accel.last is None
+    # the plain step that follows starts a fresh history
+    assert accel.accepts(0.7 * sym)
+    T = 4.0 * sym
+    assert accel.step(T) is T and accel.count == 0
+
+
+def test_anderson_history_resets_on_each_penalty_change(cube3_inst,
+                                                        monkeypatch):
+    steps, resets, plain_after = [], [], []
+    inside = []
+    accepts, step, reset = (sos._Anderson.accepts, sos._Anderson.step,
+                            sos._Anderson.reset)
+
+    def spy_accepts(self, g):
+        inside.append(True)
+        out = accepts(self, g)
+        inside.pop()
+        return out
+
+    def spy_step(self, T):
+        out = step(self, T)
+        if resets and resets[-1] == len(steps):
+            plain_after.append(out is T)
+        steps.append(out)
+        return out
+
+    def spy_reset(self):
+        if not inside and steps:      # not the safeguard, not construction
+            resets.append(len(steps))
+        reset(self)
+
+    monkeypatch.setattr(sos._Anderson, "accepts", spy_accepts)
+    monkeypatch.setattr(sos._Anderson, "step", spy_step)
+    monkeypatch.setattr(sos._Anderson, "reset", spy_reset)
+    _, inst, _ = cube3_inst
+    solve_sdp(build_relaxation(inst, 4), tol=1e-4)
+    # rho is rebalanced only after every 50th iteration; this solve does so
+    # at least once, and the step after each such reset is the plain one
+    assert resets and all(r % 50 == 0 for r in resets)
+    assert len(plain_after) == len(resets) and all(plain_after)
 
 
 def test_tril_adjoint_matches_full_bincount(rng):
@@ -428,6 +537,8 @@ def test_z_var_identity_on_product(cube_pe, cube_inst):
     for u in range(inst.num_vertices):
         tot = sum(pE2.pe(z_var_poly(u, s, inst.k)) for s in range(inst.k))
         assert tot == pytest.approx(1.0, abs=1e-7)
+    # scalar reads gathered one row each, not the whole 2-copy table
+    assert pE2._values is None
 
 
 def test_rerandomize_uniformizes(cube_pe, cube_inst):
