@@ -37,7 +37,8 @@ import numpy as np
 # costs about k^(n-1) * j*k flops.  Only the low side is tabulated: V_L and
 # P_L^T (about j*k^(j+1) floats) and C (|H|*j*k^2); the high side is decoded
 # block by block.  Memory is those tables plus one block, below the state
-# count except at n = 3, where k^(j+1) = k^2 is the state count.
+# count except at n = 3, where k^(j+1) = k^2 is the state count.  With one
+# low vertex (n = 3 or 4) P_L^T is the k x k identity and is not built.
 # ---------------------------------------------------------------------------
 
 _BLOCK_FLOATS = 1 << 16
@@ -75,8 +76,11 @@ def brute_force_scan(eu, ev, ew, eshift, n, k):
     nlo, nhi = k ** j, k ** len(high)
     xl = _side_labels(low, 0, nlo, n, k)
     vl = inside(xl, in_low)
-    plt = np.zeros((j * k, nlo))  # P_L^T
-    plt[np.arange(j)[:, None] * k + xl[low], np.arange(nlo)] = 1.0
+    if j == 1:
+        plt = None  # P_L^T is the k x k identity: a block is G itself
+    else:
+        plt = np.zeros((j * k, nlo))  # P_L^T
+        plt[np.arange(j)[:, None] * k + xl[low], np.arange(nlo)] = 1.0
     # C[h, b] is the row (h, b) of C; a crossing edge holds when
     # x_l - x_h = t, so at (x_h, x_l) = (b, b + t)
     flip = ~low_u[cross]
@@ -93,7 +97,7 @@ def brute_force_scan(eu, ev, ew, eshift, n, k):
         xh = _side_labels(high, h0, min(step, nhi - h0), n, k)
         # rows of G = P_H C, one gathered row of C per high vertex
         G = C[np.arange(len(high))[:, None], xh[high]].sum(axis=0)
-        block = G @ plt
+        block = G if plt is None else G @ plt
         block += inside(xh, in_high)[:, None]
         block += vl
         i = int(np.argmax(block))

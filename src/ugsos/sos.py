@@ -30,7 +30,7 @@ order, whether it comes from the solver, a point mass, a mixture, a JSON file
 or the calculus; symmetrize, rerandomize, condition, the moment matrix and the
 partition table are gathers from that array.  Scalar lookups (`moment`, `pe`)
 read the array through the index's shared key -> id map (a product copy
-gathers the one row from its base), and `pair_moments`
+multiplies two scalar reads of its base), and `pair_moments`
 reshapes its degree-1 and degree-2 blocks into the pairwise tensor that the
 rounding and the shift-symmetry check read.
 
@@ -43,7 +43,8 @@ reduced feasible set maps onto the full one exactly (the full basis spans the
 same polynomial space modulo the constraint ideal), so PSD-ness and
 feasibility transfer.  `DIM_CAP` bounds the full-basis dimension.  The SDP is
 solved by ADMM: a diagonal least-squares y-update, projection onto the PSD
-cone by eigendecomposition, over-relaxation 1.6, iteration cap 100000.  The
+cone by eigendecomposition, over-relaxation 1.6, a residual-balanced penalty
+that starts at `ADMM_RHO0`, iteration cap 100000.  The
 point that is projected, S = X + U (the Douglas-Rachford variable), is
 extrapolated by safeguarded type-II Anderson acceleration (`_Anderson`;
 Walker & Ni 2011, Zhang, O'Donoghue & Boyd 2020), which still takes one
@@ -93,6 +94,18 @@ ADMM_OVER_RELAX = 1.6
 # (407 without).  Memory 20 doubles the history for 9% fewer iterations.
 ANDERSON_MEMORY = 10
 ANDERSON_REG = 1e-10
+# ADMM's initial penalty, on the balancing rule's power-of-two lattice.  From
+# rho = 1 the rule settles at 1/2 on cube3 and at 1/4 on J(5,2), and each
+# change clears the Anderson history.
+# Sweep, iterations to the unchanged stopping test at rho0 = 1, 1/2, 1/4, 1/8:
+#   J(5,2) D=4 seed 0, tol 3e-3          291   229   136   116
+#   cube3 D=4 seed 0, tol 1e-7           315   283   278   319
+#   criterion 5's ten cube3 seeds       4102  3980  3170  2631
+#   criterion 10's ten J(6,2) seeds    10253  7888  5585  3036
+#   the acceptance suite's 21 solves    3594  2806  3208  3611
+# At 1/8 the first two land further from their tight-tolerance optima
+# (|sdp - reference| 9.7e-4 and 5.8e-8, against 1.5e-4 and 9.5e-9 at 1/4).
+ADMM_RHO0 = 0.25
 # Reduced dimensions below this run the ADMM loop on one BLAS thread.  Sweep
 # of np.linalg.eigh on random symmetric matrices (2-core x86-64, numpy 2.4
 # with OpenBLAS), ms wall per call, 1 thread vs 2 threads:
@@ -415,8 +428,11 @@ class PseudoExpectation:
             raise DegreeError(
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
         if self._base is not None and self._values is None:
-            # one row: a scalar read need not gather the whole 2-copy table
-            return float(_gather(self, self.index.rows([key]))[0])
+            # the two base moments `_gather` multiplies, without gathering
+            # the 2-copy table
+            m0 = tuple((v, a, 0) for (v, a, c) in key if c == 0)
+            m1 = tuple((v, a, 0) for (v, a, c) in key if c == 1)
+            return self._base.moment(m0) * self._base.moment(m1)
         values = self._list
         if values is None:
             values = self._scalars()[1]
@@ -753,10 +769,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     Splitting: X = A(y) with X constrained PSD and y the reduced moment
     vector (y[1] pinned to 1).  A^T A is diagonal (each matrix entry reads a
     single moment), so the y-update is closed-form; the X-update is a PSD
-    projection; over-relaxation 1.6; residual-balanced penalty; Anderson
-    acceleration of the projected point (`_Anderson`).  Returns a
-    PseudoExpectation carrying the SDP objective in flags["sdp_value"] and
-    "unconverged": True if the iteration cap was hit."""
+    projection; over-relaxation 1.6; penalty rho from `ADMM_RHO0`, doubled
+    or halved after every 50th iteration while one residual exceeds ten
+    times the other; Anderson acceleration of the projected point
+    (`_Anderson`).  Returns a PseudoExpectation carrying the SDP objective in
+    flags["sdp_value"], the iteration count, both residuals and the final
+    rho in flags["rho"], and "unconverged": True if the iteration cap was
+    hit."""
     E = problem.entry_map
     M = len(problem.rmoments)
     flat, ids, w = _tril_adjoint_index(E)
@@ -773,7 +792,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     def A(y):
         return np.append(y, 0.0).take(E)
 
-    rho = 1.0
+    rho = ADMM_RHO0
     # start from the uniform independent distribution (feasible, interior)
     y = np.array([k ** (-d) for d in range(problem.degree + 1)])[
         problem.rmoments.degrees]
@@ -826,7 +845,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     moments = _full_moments_from_reduced(y, inst.num_vertices, k,
                                          problem.degree)
     flags = {"sdp_value": float(c @ y), "iterations": it + 1,
-             "primal_residual": pri, "dual_residual": dua}
+             "primal_residual": pri, "dual_residual": dua, "rho": rho}
     if not converged:
         flags["unconverged"] = True
     return PseudoExpectation(problem.degree, k, inst.num_vertices,
@@ -936,10 +955,10 @@ def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
 
     The 2-copy table, which `moments` and `to_json` use, is gathered from
     the base's on first use; until then a scalar read (`moment`, `pe`)
-    gathers only its own row.  The result is a valid degree-D
-    pseudoexpectation.  `moment_matrix` and `validate` never gather it: the
-    product moment matrix is gathered from the base one, and the partition
-    residuals come from the base's residual table."""
+    multiplies the base's moments at the two copies' parts.  The result is
+    a valid degree-D pseudoexpectation.  `moment_matrix` and `validate`
+    never gather it: the product moment matrix is gathered from the base
+    one, and the partition residuals come from the base's residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
     return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,

@@ -11,14 +11,15 @@ interchangeable with any other construction meeting the same guarantees.
 Numerical note: the monomial coefficients of a step approximant grow like
 ~5.8^degree, far past float64 at the degrees the tight triples need, so
 coefficients are stored as exact rationals (the Chebyshev fit is converted
-exactly) and Horner evaluation runs in exact arithmetic whenever the
-coefficients are too large for a safe float path.  The exact path is a
-single integer Horner over all points at once (numpy object arrays of
-Python ints over a common denominator), ending in one correctly rounded
-division per point, so each value is the float nearest the exact one.  This
-keeps the monomial-coefficient contract honest instead of silently
-evaluating noise.  The affine squeeze into [0, 1] does not evaluate again:
-its grid is one exact map of the unsqueezed pass's integers.
+exactly) and Horner evaluation runs in exact arithmetic unless the float
+path's a-priori error bound is at most a tenth of GRID_SLACK.  The exact
+path is a single integer Horner over all points at once (numpy object
+arrays of Python ints over a common denominator), ending in one correctly
+rounded division per point, so each value is the float nearest the exact
+one.  This keeps the monomial-coefficient contract honest instead of
+silently evaluating noise.  The affine squeeze into [0, 1] does not
+evaluate again: its grid is one exact map of the unsqueezed pass's
+integers.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from ugsos.errors import ConstructionError, ParameterError
 GRID_POINTS = 10**4
 DEGREE_CAP = 200
 GRID_SLACK = 1e-9
-_FLOAT_SAFE_COEF = 1e12  # below this magnitude float Horner is accurate enough
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,18 @@ class StepPolynomial:
 
 
 def _float_safe(coeffs) -> bool:
-    return max(abs(float(c)) for c in coeffs) <= _FLOAT_SAFE_COEF
+    """Whether float Horner is within GRID_SLACK / 10 of p on [0, 1] by its
+    a-priori bound (2d + 1) u sum |a_i|, u the unit roundoff: d multiply-add
+    steps round 2d times and each coefficient rounds once on conversion
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1)."""
+    u = np.finfo(float).eps / 2.0
+    bound = (2 * len(coeffs) - 1) * u * sum(abs(float(c)) for c in coeffs)
+    return bound <= GRID_SLACK / 10.0
 
 
 def _horner_many(coeffs, xs: np.ndarray) -> np.ndarray:
-    """Horner over an array of points; float path when safe, exact otherwise.
+    """Horner over an array of points in [0, 1]; float path when its error
+    bound is safe (`_float_safe`), exact otherwise.
 
     The exact path is one integer Horner for all points.  With L the lcm of
     the coefficient denominators, N_i = c_i L, and every point written as

@@ -191,6 +191,52 @@ def test_brute_force_scan_memory_bound(inst):
     assert peak < 8 * 2**20
 
 
+def _one_low_vertex_edges(n, k, seed):
+    """Every ordered vertex pair once, random shifts and dyadic weights
+    (so every summation order gives the same float)."""
+    rng = np.random.default_rng(seed)
+    eu, ev = map(np.array, zip(*itertools.permutations(range(n), 2)))
+    return (eu, ev, rng.choice([0.25, 0.5, 1.0, 2.0], size=eu.size),
+            rng.integers(0, k, size=eu.size))
+
+
+def _enumerated_scan(eu, ev, ew, eshift, n, k):
+    """First best code and weight by direct numpy enumeration of every
+    x_0 = 0 assignment, vertex 1 the lowest base-k digit."""
+    codes = np.arange(k ** (n - 1))
+    x = np.zeros((n, codes.size), dtype=np.int64)
+    for v in range(1, n):
+        codes, x[v] = np.divmod(codes, k)
+    wsat = ew @ ((x[eu] - x[ev]) % k == eshift[:, None])
+    best = int(np.argmax(wsat))
+    return best, float(wsat[best])
+
+
+def test_brute_force_scan_one_low_vertex_large_alphabet():
+    # n = 3: one low vertex, so the low side's one-hot table would be the
+    # k x k identity (8 MB at k = 1000) and each block a GEMM against it;
+    # the crossing table C (k^2 floats) is what remains
+    n, k = 3, 1000
+    edges = _one_low_vertex_edges(n, k, 31)
+    tracemalloc.start()
+    try:
+        got = _kernels.brute_force_scan(*edges, n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert got == _enumerated_scan(*edges, n, k)
+
+
+@pytest.mark.parametrize("k", [7, 40])
+def test_brute_force_scan_n4_matches_enumeration(k, monkeypatch):
+    # n = 4 also has one low vertex; small blocks make the scan cross blocks
+    monkeypatch.setattr(_kernels, "_BLOCK_FLOATS", 3 * k)
+    edges = _one_low_vertex_edges(4, k, k)
+    assert (_kernels.brute_force_scan(*edges, 4, k)
+            == _enumerated_scan(*edges, 4, k))
+
+
 @st.composite
 def _raw_instances(draw):
     n = draw(st.integers(1, 7))

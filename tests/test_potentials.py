@@ -107,19 +107,21 @@ def test_claim_chain_on_mixture(triangle_sat, sym_pm, p_full):
 
 def test_mixture_potentials_are_pinned(triangle_sat, sym_pm, p_full):
     # the values the per-pair loops gave before one pair table served Phi,
-    # the report's shift masses and the claims
+    # the report's shift masses and the claims, with p_full (degree 16,
+    # coefficients up to 1.1e9) evaluated exactly; float Horner's round-off
+    # moved Phi by 2.4e-7
     sd = spectral_decompose_instance(triangle_sat)
     assert phi_apx(sym_pm, p_full, triangle_sat) == pytest.approx(
-        0.9613943415092883, abs=1e-12)
+        0.9613940968377822, abs=1e-12)
     rep = potential_report(sym_pm, triangle_sat, p_full)
-    assert rep.shift_masses == pytest.approx((0.32683572861765287,) * 3,
+    assert rep.shift_masses == pytest.approx((0.32683568702837384,) * 3,
                                              abs=1e-12)
     claims = [claim_vertex_coverage(sym_pm, p_full, triangle_sat),
               claim_b1(sym_pm, p_full, triangle_sat),
               claim_partition_expansion(sym_pm, p_full, triangle_sat, sd),
               claim_b2(sym_pm, p_full, triangle_sat, sd, lam=0.5, eta=1.0)]
-    pinned = [(0.9805071858529584, 0.9), (0.01911284434367033, 0.1),
-              (0.0, 0.2), (0.037115261623210195, 0.6)]
+    pinned = [(0.9805070610851213, 0.9), (0.019112964247339322, 0.1),
+              (0.0, 0.2), (0.037115487403247174, 0.6)]
     for claim, (lhs, rhs) in zip(claims, pinned):
         assert (claim.lhs, claim.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
 
@@ -241,15 +243,15 @@ def test_solver_output_potentials_with_degree_one_step_poly(triangle_unsat):
     assert p.degree == 1
     sd = spectral_decompose_instance(triangle_unsat)
     assert phi_apx(pE, p, triangle_unsat) == pytest.approx(
-        0.35202815696750517, abs=1e-12)
+        0.350952848093197, abs=1e-12)
     masses = potential_report(pE, triangle_unsat, p).shift_masses
-    assert masses == pytest.approx((0.22860472771276952,) * 3, abs=1e-12)
+    assert masses == pytest.approx((0.2286044080271204,) * 3, abs=1e-12)
     lhs = [claim_vertex_coverage(pE, p, triangle_unsat).lhs,
            claim_b1(pE, p, triangle_unsat).lhs,
            claim_partition_expansion(pE, p, triangle_unsat, sd).lhs,
            claim_b2(pE, p, triangle_unsat, sd, lam=0.5, eta=1.0).lhs]
-    assert lhs == pytest.approx([0.6858141831383086, 0.16611689237457386,
-                                 0.25150370069434413, 0.11680011885615088],
+    assert lhs == pytest.approx([0.6858132240813613, 0.1661167513288112,
+                                 0.2531154369890294, 0.11627893288888158],
                                 abs=1e-12)
 
 

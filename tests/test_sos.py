@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ugsos import _kernels, sos
 from ugsos.errors import NullEventError, ParameterError, SizeCapError
-from ugsos.instances import UgInstance, brute_force_opt, value
+from ugsos.graphs import johnson_graph
+from ugsos.instances import UgInstance, brute_force_opt, plant_instance, value
 from ugsos.sos import (PseudoExpectation, all_canonical_keys,
                        build_relaxation, canon_key, condition, evaluate,
                        key_mul, mixture_pe,
@@ -138,17 +139,29 @@ def test_solver_iterates_pinned():
     # the instance of `ugsos verify`'s symmetry check; per-iteration
     # optimizations of the ADMM loop must keep its iterates, so the iteration
     # count is exact and the value agrees to round-off (102 iterations
-    # without Anderson acceleration)
+    # without Anderson acceleration, 50 with it from rho = 1)
     inst = UgInstance(3, 3, ((0, 1, 1.0, 1), (1, 2, 1.0, 0), (0, 2, 1.0, 1)))
     pE = solve_sdp(build_relaxation(inst, 4))
-    assert pE.flags["iterations"] == 50
-    assert abs(pE.flags["sdp_value"] - 0.9999998986395502) <= 1e-10
+    assert pE.flags["iterations"] == 72
+    assert abs(pE.flags["sdp_value"] - 1.0000001076389866) <= 1e-10
+    assert pE.flags["rho"] == sos.ADMM_RHO0
 
 
 def test_cube3_iterations_pinned(cube3_pe):
     # criterion 5's seed-0 hypercube at tol 1e-7: 2397 iterations without
-    # Anderson acceleration, so a silent fall-back to the plain step shows
-    assert cube3_pe.flags["iterations"] == 315
+    # Anderson acceleration and 315 with it from rho = 1, so a silent
+    # fall-back to the plain step or the old start shows
+    assert cube3_pe.flags["iterations"] == 278
+
+
+def test_johnson52_iterations_pinned():
+    # the benchmark's J(5,2) instance (criterion 10's parameters, seed 0) at
+    # tol 3e-3: 291 iterations from rho = 1, from which the balancing rule
+    # settled at 1/4, clearing the Anderson history at each change
+    inst, _ = plant_instance(johnson_graph(5, 2, 0.5), 3, 0.05, seed=0)
+    pE = solve_sdp(build_relaxation(inst, 4), tol=3e-3)
+    assert pE.flags["iterations"] == 136
+    assert pE.flags["rho"] == 0.25
 
 
 def _affine_contraction(rng, accel, p):
@@ -245,6 +258,8 @@ def test_anderson_history_resets_on_each_penalty_change(cube3_inst,
     monkeypatch.setattr(sos._Anderson, "accepts", spy_accepts)
     monkeypatch.setattr(sos._Anderson, "step", spy_step)
     monkeypatch.setattr(sos._Anderson, "reset", spy_reset)
+    # from rho0 = 1/4 this solve never rebalances; from 1 it does
+    monkeypatch.setattr(sos, "ADMM_RHO0", 1.0)
     _, inst, _ = cube3_inst
     solve_sdp(build_relaxation(inst, 4), tol=1e-4)
     # rho is rebalanced only after every 50th iteration; this solve does so
@@ -474,6 +489,16 @@ def test_product_copy_factorizes(cube_pe):
         cube_pe.moment(a) * cube_pe.moment(a), abs=1e-12)
 
 
+def test_product_copy_scalar_reads_equal_the_gathered_table(unsat_pe):
+    # a scalar read multiplies the same two base floats as the gather
+    pE2 = product_copy(unsat_pe)
+    keys = list(all_canonical_keys(3, 3, 4, copies=2))
+    reads = [pE2.moment(key) for key in keys]
+    assert pE2._values is None
+    table = product_copy(unsat_pe).moments
+    assert reads == [table[key] for key in keys]
+
+
 def test_product_copy_is_valid(cube_pe):
     pE2 = product_copy(cube_pe)
     rep = validate(pE2, 1e-5)
@@ -537,7 +562,7 @@ def test_z_var_identity_on_product(cube_pe, cube_inst):
     for u in range(inst.num_vertices):
         tot = sum(pE2.pe(z_var_poly(u, s, inst.k)) for s in range(inst.k))
         assert tot == pytest.approx(1.0, abs=1e-7)
-    # scalar reads gathered one row each, not the whole 2-copy table
+    # scalar reads left the 2-copy table ungathered
     assert pE2._values is None
 
 

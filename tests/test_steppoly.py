@@ -74,9 +74,22 @@ def test_exact_horner_is_correctly_rounded():
         assert np.array_equal(_horner_many(q.coeffs, xs), ref)
 
 
+def test_large_coefficient_fit_takes_the_exact_path():
+    # a degree-20 squeezed fit whose largest coefficient is 6.3e11: float
+    # Horner misses it by about 1e-4 on [0, 1], far past GRID_SLACK
+    coeffs = steppoly._squeeze_into_unit(
+        steppoly._cheb_fit_exact(0.4, 0.15, 20))
+    assert len(coeffs) == 21 and max(abs(float(c)) for c in coeffs) > 1e11
+    assert not _float_safe(coeffs)
+    xs = np.linspace(0.0, 1.0, 501)
+    ref = np.array([_horner_fraction(coeffs, x) for x in xs])
+    assert np.array_equal(_horner_many(coeffs, xs), ref)
+
+
 def test_squeezed_grid_reuses_the_exact_horner(monkeypatch):
     # one exact grid pass per candidate degree: the squeezed candidate's grid
-    # is an exact affine map of the unsqueezed one, not a second Horner pass
+    # is an exact affine map of the unsqueezed one, not a second Horner pass.
+    # Degrees 4 and 8 are float-safe; 16 and 32 are not.
     steppoly._grid_memo.cache_clear()
     grid_passes = []
     horner_exact = steppoly._horner_exact
@@ -88,7 +101,7 @@ def test_squeezed_grid_reuses_the_exact_horner(monkeypatch):
 
     monkeypatch.setattr(steppoly, "_horner_exact", spy)
     p = build_step_poly(0.3, 0.05, 0.1)
-    assert grid_passes == [p.degree + 1]
+    assert grid_passes == [17, p.degree + 1]
     assert not _float_safe(p.coeffs)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     monkeypatch.undo()
