@@ -1,6 +1,5 @@
-"""Hot numeric kernels in numpy, and two handles on the OpenBLAS that numpy
-loaded: its thread count, and its LAPACKE dsyevr, which the SDP solver's PSD
-projection uses to compute only the eigenpairs in a value range.
+"""Hot numeric kernels in numpy, and a handle on the thread count of the
+OpenBLAS that numpy loaded.
 
 The brute-force scan splits the vertices into two halves and scores all
 assignments of one block of high-half labels against all low-half labels
@@ -128,12 +127,11 @@ def subset_cut_scan(combos, W, deg):
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads and the partial eigensolver.
+# BLAS threads.
 #
 # numpy's OpenBLAS is found among the shared objects mapped into this process
 # and driven through ctypes.  Without an OpenBLAS (another BLAS, or no
-# /proc/self/maps) the thread calls below are no-ops and `EigRange` is
-# unavailable.
+# /proc/self/maps) the thread calls below are no-ops.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1)
@@ -195,82 +193,3 @@ def blas_threads(n: int):
     finally:
         if prev is not None:
             set_blas_threads(prev)
-
-
-@functools.lru_cache(maxsize=1)
-def _lapacke_dsyevr():
-    """(LAPACKE_dsyevr_work, its integer type) from the loaded OpenBLAS, or
-    None when no OpenBLAS exports it."""
-    for handle in _openblas_libs():
-        for name, cint in (("scipy_LAPACKE_dsyevr_work64_", ctypes.c_int64),
-                           ("LAPACKE_dsyevr_work64_", ctypes.c_int64),
-                           ("LAPACKE_dsyevr_work", ctypes.c_int32)):
-            fn = getattr(handle, name, None)
-            if fn is None:
-                continue
-            ptr, char, dbl = ctypes.c_void_p, ctypes.c_char, ctypes.c_double
-            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-            # m, w, z, ldz, isuppz, work, lwork, iwork, liwork
-            fn.argtypes = [ctypes.c_int, char, char, char, cint, ptr, cint,
-                           dbl, dbl, cint, cint, dbl, ptr, ptr, ptr, cint,
-                           ptr, ptr, cint, ptr, cint]
-            fn.restype = cint
-            return fn, cint
-    return None
-
-
-class EigRange:
-    """Eigenpairs of n x n symmetric matrices with eigenvalues in a half-open
-    range (vl, vu], by LAPACK's dsyevr with RANGE='V' (Householder
-    tridiagonalization, bisection and inverse iteration for just the wanted
-    pairs).  All work arrays are allocated once, here, and reused by every
-    call; it runs on numpy's OpenBLAS, so `blas_threads` governs it.
-
-    `available()` says whether the loaded OpenBLAS exports the routine."""
-
-    _COL_MAJOR = 102
-
-    @staticmethod
-    def available() -> bool:
-        return _lapacke_dsyevr() is not None
-
-    def __init__(self, n: int):
-        self.fn, cint = _lapacke_dsyevr()
-        itype = np.int64 if cint is ctypes.c_int64 else np.int32
-        self.n = n
-        self.a = np.empty((n, n))
-        self.w = np.empty(n)
-        self.z = np.empty((n, n))
-        self.isuppz = np.empty(2 * n, dtype=itype)
-        self.m = np.zeros(1, dtype=itype)
-        query_w = np.empty(1)
-        query_i = np.empty(1, dtype=itype)
-        self._call(0.0, 1.0, query_w, -1, query_i, -1)
-        self.work = np.empty(max(int(query_w[0]), 26 * n))
-        self.iwork = np.empty(max(int(query_i[0]), 10 * n), dtype=itype)
-
-    def _call(self, vl, vu, work, lwork, iwork, liwork):
-        n = self.n
-        info = self.fn(self._COL_MAJOR, b"V", b"V", b"U", n,
-                       self.a.ctypes.data, n, vl, vu, 0, 0, 0.0,
-                       self.m.ctypes.data, self.w.ctypes.data,
-                       self.z.ctypes.data, n, self.isuppz.ctypes.data,
-                       work.ctypes.data, lwork, iwork.ctypes.data, liwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed: info = {info}")
-
-    def __call__(self, S: np.ndarray, vl: float, vu: float):
-        """(mu, Z): the m eigenvalues of S in (vl, vu], ascending, and Z of
-        shape (m, n) whose rows are their unit eigenvectors.  Both are views
-        into buffers that the next call overwrites."""
-        if S.shape != self.a.shape:
-            raise ValueError(f"expected a {self.n} x {self.n} matrix, got "
-                             f"shape {S.shape}")
-        # S is symmetric, so its C-order layout is its column-major one, and
-        # column-major 'U' reads the lower triangle that np.linalg.eigh reads;
-        # dsyevr overwrites its input, hence the copy
-        np.copyto(self.a, S)
-        self._call(vl, vu, self.work, self.work.size, self.iwork,
-                   self.iwork.size)
-        m = int(self.m[0])
-        return self.w[:m], self.z[:m]

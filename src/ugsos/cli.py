@@ -146,16 +146,14 @@ def cmd_solve_round(args) -> int:
     from ugsos import potentials as pot
     from ugsos import rounding as rnd
     from ugsos.johnson import johnson_pipeline
-    from ugsos.sos import (build_relaxation, solve_sdp, symmetrize,
-                           ug_objective_poly)
+    from ugsos.sos import build_relaxation, solve_sdp, ug_objective_poly
     from ugsos.steppoly import build_capped_step_poly
 
     t0 = time.time()
     inst, _, graph = _load_instance(args)
     eps = args.eps if args.eps is not None else 0.0
     solving_tol = args.tol if args.family != "johnson" else max(args.tol, 3e-4)
-    pE = symmetrize(solve_sdp(build_relaxation(inst, args.degree),
-                              tol=solving_tol))
+    pE = solve_sdp(build_relaxation(inst, args.degree), tol=solving_tol)
     sdp_value = pE.pe(ug_objective_poly(inst))
     p = build_capped_step_poly(args.beta, args.nu,
                                pot.truncation_cap(args.degree))
@@ -165,6 +163,7 @@ def cmd_solve_round(args) -> int:
         "degree": args.degree,
         "seed": args.seed,
         "sdp_value": sdp_value,
+        "sdp_upper_bound": pE.flags["sdp_upper_bound"],
         "phi": pot.phi_apx(pE, p, inst),
         "psi": pot.psi(pE, inst) if args.degree >= 4 else None,
         "beta": p.alpha,
@@ -275,15 +274,17 @@ def _checks(args):
         return worst <= 1e-8, f"{count} functions, worst residual {worst:.2e}"
 
     def structure():
+        from ugsos.graphs import johnson_cayley_graph
         from ugsos.johnson import structure_inequality_check
         rng = np.random.default_rng(1)
         count = 200 if full else 50
         sizes = [(5, 2)] + ([(6, 2)] if full else [])
         for (n, l) in sizes:
+            g = johnson_cayley_graph(n, l, 0.5)
             for _ in range(count):
                 A = rng.random((n, n))
                 F = (A + A.T) / 2.0
-                rep = structure_inequality_check(F, 1, n, l, 0.5, "C")
+                rep = structure_inequality_check(F, 1, n, l, 0.5, "C", g)
                 if not rep.holds:
                     return False, f"violation {rep.residual:.2e} at n={n}"
         return True, f"{count} functions per graph"

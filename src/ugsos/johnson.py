@@ -23,7 +23,7 @@ from ugsos.errors import ParameterError, SizeCapError
 from ugsos.graphs import WeightedGraph, johnson_cayley_graph
 from ugsos.instances import UgInstance
 from ugsos.rounding import RoundingOutcome, cr_val, partial_to_full
-from ugsos.sos import build_relaxation, solve_sdp, symmetrize, ug_objective_poly
+from ugsos.sos import build_relaxation, solve_sdp, ug_objective_poly
 
 LEVEL_CAP = 10**5
 SUBCUBE_CAP = 10**5
@@ -362,9 +362,9 @@ def johnson_pipeline(inst: UgInstance, eps: float, degree: int, seed,
                      graph: WeightedGraph, solver_tol: float = 3e-4,
                      r_override: int | None = None,
                      pE=None) -> RoundingOutcome:
-    """Solve the degree-D relaxation, symmetrize, then repeatedly round the
-    best restricted subcube and rerandomize until the running value drops
-    below 1 - 2*eps.
+    """Solve the degree-D relaxation (its output is shift-symmetric), then
+    repeatedly round the best restricted subcube and rerandomize until the
+    running value drops below 1 - 2*eps.
 
     The restriction budget is r = min(floor(32 eps/alpha), floor(l/4));
     beta = 201 eps is clamped to 0.9 with a warning when infeasible (it only
@@ -385,8 +385,7 @@ def johnson_pipeline(inst: UgInstance, eps: float, degree: int, seed,
     r = (min(math.floor(32.0 * eps / alpha), math.floor(l / 4))
          if r_override is None else r_override)
     if pE is None:
-        pE = symmetrize(solve_sdp(build_relaxation(inst, degree),
-                                  tol=solver_tol))
+        pE = solve_sdp(build_relaxation(inst, degree), tol=solver_tol)
 
     def subroutine(mu):
         sub, cv = find_best_subcube(mu, inst, graph, r)

@@ -36,33 +36,37 @@ rounding and the shift-symmetry check read.
 
 Solver
 ------
-`build_relaxation` states the SDP in a *reduced* basis: the partition
-constraint eliminates the label k-1 via X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a},
-after which every linear constraint except pE[1] = 1 is structural.  The
-reduced feasible set maps onto the full one exactly (the full basis spans the
-same polynomial space modulo the constraint ideal), so PSD-ness and
-feasibility transfer.  `DIM_CAP` bounds the full-basis dimension.  The SDP is
-solved by ADMM: a diagonal least-squares y-update, projection onto the PSD
-cone by eigendecomposition, over-relaxation 1.6, a residual-balanced penalty
-that starts at `ADMM_RHO0`, iteration cap 100000.  The
-point that is projected, S = X + U (the Douglas-Rachford variable), is
-extrapolated by safeguarded type-II Anderson acceleration (`_Anderson`;
-Walker & Ni 2011, Zhang, O'Donoghue & Boyd 2020), which still takes one
-projection per iteration and with an empty history is the plain step.
+`build_relaxation` states the SDP in the characters chi_u^j =
+sum_a omega^(ja) X_{u,a}, omega = exp(2 pi i / k).  They obey chi^g chi^h =
+chi^(g+h) for g in Z_k^n, so the partition, Booleanity and disjointness
+constraints hold by construction; a charge monomial chi^g is a row of
+`moment_index(n, k - 1, .)` with slot entry g_u.  The solver searches
+shift-invariant tables only, so its output needs no `symmetrize`; the SDP
+restricted to them has the same value (Gatermann & Parrilo, J. Pure Appl.
+Algebra 192, 2004).  Those have only
+charge-0 moments yhat(g) (sum g = 0 mod k), with yhat(-g) = conj yhat(g):
+the real coordinates y are one per g = -g and (re, im) per conjugate pair.
+The moment matrix over k^(-|supp g|/2) chi^g, |supp g| <= D/2, reads
+yhat(g - h) at (g, h), so it splits by charge c = sum g, block -c the
+conjugate of block c.  `_ChargeLayout` (cached per (n, k, D)) stores
+c = 0..floor(k/2), a block with c = -c in a real cos/sin basis (a fixed
+unitary change), the others as Hermitian blocks of weight 2, all packed into
+one vector whose Euclidean inner product is the Frobenius one; A is a sparse
+map onto it with A^T A diagonal.  `DIM_CAP` bounds the full-basis dimension.
 
-Each iteration is one eigendecomposition plus O(dim^2) bookkeeping.  The
-adjoint A^T(R) of the moment-matrix map reads only the nonzero lower
-triangle (flat indices, moment ids and weights 1 on / 2 off the diagonal,
-built once per solve), and A(y) is a single gather from the moment vector
-with an appended zero for structural zeros.  The PSD projection rebuilds
-from the smaller of the negative and nonnegative eigenspaces, and the dual
-iterate is the rest of the projected matrix.  The moment matrices have low
-rank, so once an iterate leaves at most dim / PARTIAL_EIG_DIVISOR eigenvalues
-on one side of zero, the next projection asks LAPACK's dsyevr for that side's
-eigenpairs only (`_kernels.EigRange`) instead of running a full
-`np.linalg.eigh`.  Below `ONE_THREAD_MAX_DIM` the loop runs on one BLAS
-thread, which is as fast as two at those sizes for half the CPU; the
-previous thread count is restored afterwards.
+ADMM: closed-form y-update, PSD projection of each block (rebuilt from the
+smaller eigenspace; the dual iterate U is the rest), over-relaxation 1.6, a
+residual-balanced penalty from `ADMM_RHO0`, iteration cap 100000, and
+safeguarded type-II Anderson acceleration of the projected point S = X + U
+(`_Anderson`; Walker & Ni 2011, Zhang, O'Donoghue & Boyd 2020).  It stops
+when both residuals and the duality gap |c.y - r_empty| are at most tol,
+r = c + A^T(-rho U) with -rho U PSD, as SCS does (O'Donoghue et al., JOTA
+169, 2016); small residuals alone can stop short of the optimum.  Since
+|yhat(g)| <= 1 (pseudo-Cauchy-Schwarz), r_empty + sum |r_g| over the other
+coordinates bounds the SDP value, and OPT, from above.  The full-label table
+is one FFT per degree (`_full_moments_from_reduced`).  When every block is
+below `ONE_THREAD_MAX_DIM` the loop runs on one BLAS thread, as fast as two
+at those sizes for half the CPU; the thread count is restored afterwards.
 """
 from __future__ import annotations
 
@@ -87,26 +91,26 @@ ADMM_MAX_ITERS = 100_000
 ADMM_OVER_RELAX = 1.6
 # Anderson acceleration of the ADMM fixed-point map keeps the last
 # ANDERSON_MEMORY steps and regularizes its least-squares problem by
-# ANDERSON_REG times the trace of its Gram matrix.  Sweep of the memory
-# (iterations to the unchanged stopping test): cube3 D=4 seed 0 at tol 1e-7
-# took 524, 315 and 288 iterations at memory 5, 10 and 20 (2397 without
-# acceleration); J(5,2) D=4 seed 0 at tol 3e-3 took 397 and 291 at 5 and 10
-# (407 without).  Memory 20 doubles the history for 9% fewer iterations.
+# ANDERSON_REG times the trace of its Gram matrix.  Iterations at memory
+# 5, 10 and 20 (and without acceleration; J(6,2) capped at 5000 a solve),
+# from ADMM_RHO0:
+#   cube3 D=4 seed 0, tol 1e-7            180    62    41   (1387)
+#   J(5,2) D=4 seed 0, tol 3e-3            82    36    36    (683)
+#   criterion 10's ten J(6,2) seeds      1808   941   810  (12003)
+# The history is what sets the solve's peak memory; 20 doubles it.
 ANDERSON_MEMORY = 10
 ANDERSON_REG = 1e-10
-# ADMM's initial penalty, on the balancing rule's power-of-two lattice.  From
-# rho = 1 the rule settles at 1/2 on cube3 and at 1/4 on J(5,2), and each
-# change clears the Anderson history.
-# Sweep, iterations to the unchanged stopping test at rho0 = 1, 1/2, 1/4, 1/8:
-#   J(5,2) D=4 seed 0, tol 3e-3          291   229   136   116
-#   cube3 D=4 seed 0, tol 1e-7           315   283   278   319
-#   criterion 5's ten cube3 seeds       4102  3980  3170  2631
-#   criterion 10's ten J(6,2) seeds    10253  7888  5585  3036
-#   the acceptance suite's 21 solves    3594  2806  3208  3611
-# At 1/8 the first two land further from their tight-tolerance optima
-# (|sdp - reference| 9.7e-4 and 5.8e-8, against 1.5e-4 and 9.5e-9 at 1/4).
-ADMM_RHO0 = 0.25
-# Reduced dimensions below this run the ADMM loop on one BLAS thread.  Sweep
+# ADMM's initial penalty, on the balancing rule's power-of-two lattice (each
+# change clears the Anderson history).  Iterations to the stopping test at
+# rho0 = 1/256, 1/128, 1/64, 1/32, 1/16:
+#   J(5,2) D=4 seed 0, tol 3e-3           31    39    36    51    74
+#   cube3 D=4 seed 0, tol 1e-7            57    60    62    62    76
+#   criterion 5's ten cube3 seeds        527   495   521   579   688
+#   criterion 10's ten J(6,2) seeds      573   683   941  1684  2934
+#   the acceptance suite's 21 solves    1632  1022   746   703   542
+# |sdp - reference| on cube3 is 6.5e-9, 1.2e-9, 1.9e-11, 2.3e-10, 7.8e-9.
+ADMM_RHO0 = 1.0 / 64
+# Blocks below this dimension run the ADMM loop on one BLAS thread.  Sweep
 # of np.linalg.eigh on random symmetric matrices (2-core x86-64, numpy 2.4
 # with OpenBLAS), ms wall per call, 1 thread vs 2 threads:
 #   dim 129: 1.9-2.0 vs 1.8-2.5    dim 201: 5.3-5.7 vs 5.2-5.8
@@ -115,22 +119,6 @@ ADMM_RHO0 = 0.25
 # Two threads cost about twice the CPU at every size and save wall time only
 # from about 300 on.
 ONE_THREAD_MAX_DIM = 300
-# The PSD projection computes only the smaller eigenspace (dsyevr, value
-# range) when the previous iteration's smaller side held at most
-# dim / PARTIAL_EIG_DIVISOR eigenpairs.  Sweep on matrices with m positive
-# eigenvalues (2-core x86-64, numpy 2.4 with OpenBLAS, the solver's thread
-# count: 1 below dim 300, 2 above), ms wall per projection, full eigh vs
-# partial, lower quartile of two passes:
-#   dim 129:  m=3 1.6 vs 0.6   m=8 1.9-2.1 vs 1.1   m=16 1.3-1.5 vs 1.3-1.5
-#             m=32 2.1 vs 2.4
-#   dim 201:  m=3 5.9 vs 2.1   m=12 3.7-4.2 vs 2.2-2.5   m=25 4.5-4.9 vs
-#             3.7-4.1   m=50 3.9 vs 7.2
-#   dim 301:  m=3 10.0 vs 4.0  m=18 8.9-10.4 vs 6.2-6.6  m=37 8.3-10.2 vs
-#             8.3-9.4   m=75 9.5 vs 16.6
-#   dim 451:  m=3 23.8 vs 9.3  m=28 21.2-24.2 vs 13.8-14.8  m=56 20.9-23.8
-#             vs 19.6-23.2   m=112 24.6 vs 37.6
-# The partial path breaks even at about m = dim/8 and loses from dim/6 on.
-PARTIAL_EIG_DIVISOR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -527,40 +515,187 @@ def mixture_pe(num_vertices: int, k: int, weighted_assignments,
 # Relaxation
 # ---------------------------------------------------------------------------
 
-def _reduce_poly(poly: dict, k: int) -> dict:
-    """Rewrite a polynomial over full labels into the reduced basis (labels
-    0..k-2) via X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a}."""
-    out: dict = {}
-    stack = list(poly.items())
-    while stack:
-        key, coef = stack.pop()
-        hit = next(((i, p) for i, p in enumerate(key) if p[1] == k - 1), None)
-        if hit is None:
-            out[key] = out.get(key, 0.0) + coef
-            continue
-        i, (v, _, c) = hit
-        rest = key[:i] + key[i + 1:]
-        stack.append((rest, coef))
-        for b in range(k - 1):
-            km = key_mul(rest, ((v, b, c),))
-            if km is not None:
-                stack.append((km, -coef))
-    return out
+class _Block:
+    """A stored block, packed as its lower triangle (real parts, then a
+    complex block's strictly lower imaginary parts), weighted sqrt(2) off
+    the diagonal and sqrt(weight) throughout: Frobenius inner products."""
+
+    def __init__(self, dim: int, real: bool, weight: float, start: int):
+        self.dim, self.real = dim, real
+        self.rows, self.cols = np.tril_indices(dim)
+        self.off = self.rows != self.cols
+        self.f = math.sqrt(weight) * np.where(self.off, math.sqrt(2.0), 1.0)
+        size = self.rows.size + (0 if real else int(self.off.sum()))
+        self.part = slice(start, start + size)
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        """The lower triangle of the block packed in v (all `eigh` reads)."""
+        M = np.zeros((self.dim, self.dim), dtype=float if self.real else complex)
+        lower = v[:self.rows.size] / self.f
+        if not self.real:
+            lower = lower.astype(complex)
+            lower[self.off] += 1j * v[self.rows.size:] / self.f[self.off]
+        M[self.rows, self.cols] = lower
+        return M
+
+    def pack(self, M: np.ndarray) -> np.ndarray:
+        lower = M[self.rows, self.cols]
+        if self.real:
+            return lower * self.f
+        return np.concatenate((lower.real * self.f,
+                               lower.imag[self.off] * self.f[self.off]))
+
+
+def _psd_split(S: np.ndarray):
+    """(S_+, S - S_+), S_+ the PSD projection of the symmetric or Hermitian
+    S, rebuilt from its smaller eigenspace.  `eigh` reads only the lower
+    triangle, so only the results' lower triangles need a full S."""
+    lam, V = np.linalg.eigh(S)
+    nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
+    negative = 2 * nneg < len(lam)
+    side = slice(0, nneg) if negative else slice(nneg, None)
+    part = (V[:, side] * lam[side]) @ V[:, side].conj().T
+    return (S - part, part) if negative else (part, S - part)
+
+
+class _ChargeLayout:
+    """What the charge-basis SDP needs of (n, k, D) (module docstring): the
+    coordinates, the stored blocks and A from coordinates to packed blocks,
+    a sparse matrix (t_row, t_col, t_coef).  Built by `_charge_layout`."""
+
+    def __init__(self, n: int, k: int, D: int):
+        self.k = k
+        self.rbasis = moment_index(n, k - 1, D // 2)
+        self.rmoments = moment_index(n, k - 1, D)
+        self._coordinates()
+        B = self.rbasis.slots
+        charge = B.sum(axis=1, dtype=np.int64) % k
+        partner = self.rbasis.rank(np.where(B > 0, k - B, 0))  # of -g
+        scale = float(k) ** (-0.5 * (B > 0).sum(axis=1))
+        self.blocks, terms, start = [], [], 0
+        for c in range(k // 2 + 1):
+            ids = np.flatnonzero(charge == c)
+            real = 2 * c % k == 0
+            block = _Block(ids.size, real, 1.0 if real else 2.0, start)
+            fns = self._basis(ids, partner, scale, real)
+            terms += [(row + start, col, coef) for row, col, coef
+                      in self._entries(block, fns, B)]
+            self.blocks.append(block)
+            start = block.part.stop
+        self.packed_size = start
+        # sum the terms of each (packed entry, coordinate) pair, drop zeros
+        rows, cols, coefs = map(np.concatenate, zip(*terms))
+        key, inv = np.unique(rows * self.size + cols, return_inverse=True)
+        coef = np.bincount(inv, weights=coefs)
+        keep = np.abs(coef) > 1e-12
+        self.t_row, self.t_col = np.divmod(key[keep], self.size)
+        self.t_coef = coef[keep]
+        # the diagonal of A^T A, which is diagonal (module docstring)
+        self.counts = np.bincount(self.t_col, weights=self.t_coef**2,
+                                  minlength=self.size)
+
+    def _coordinates(self):
+        """Coordinates of the charge-0 moments in id order, one for g = -g
+        and two for a pair: yhat(g) = y[re[g]] + 1j sign[g] y[im[g]]."""
+        k, G = self.k, self.rmoments.slots
+        ids = np.flatnonzero(G.sum(axis=1, dtype=np.int64) % k == 0)
+        partner = self.rmoments.rank(np.where(G[ids] > 0, k - G[ids], 0))
+        first, single = partner > ids, partner == ids
+        width = np.where(first, 2, np.where(single, 1, 0))
+        start = np.cumsum(width) - width
+        self.size = int(width.sum())
+        self.charge0 = ids
+        self.re, self.im = np.zeros((2, len(G)), dtype=np.int64)
+        self.sign = np.zeros(len(G))
+        own = first | single
+        self.re[ids[own]], self.im[ids[first]] = start[own], start[first] + 1
+        self.sign[ids[first]] = 1.0
+        later, mate = ids[~own], partner[~own]
+        self.re[later], self.im[later] = self.re[mate], self.im[mate]
+        self.sign[later] = -1.0
+        self.pairs = (start[first], start[first] + 1)
+        self.reals = start[single][1:]       # coordinate 0 is yhat(empty)
+
+    @staticmethod
+    def _basis(ids, partner, scale, real):
+        """Basis functions as two (rbasis id, coef) terms: the scaled
+        characters s chi^g, or in a real block s (chi^g + chi^-g)/sqrt2,
+        s (chi^g - chi^-g)/(i sqrt2) and the real s chi^g with g = -g."""
+        fns, r = [], 1.0 / math.sqrt(2.0)
+        for i in ids.tolist():
+            s, j = scale[i], int(partner[i])
+            if not real or j == i:
+                fns.append((i, s, i, 0.0))
+            elif j > i:
+                fns += [(i, s * r, j, s * r), (i, -1j * s * r, j, 1j * s * r)]
+        g1, q1, g2, q2 = zip(*fns)
+        return ((np.array(g1, dtype=np.intp), np.array(q1, dtype=complex)),
+                (np.array(g2, dtype=np.intp), np.array(q2, dtype=complex)))
+
+    def _entries(self, block, fns, B):
+        """(packed entry, coordinate, coef) triples of one block: entry
+        (i, j) is E[f_i conj(f_j)] = sum q q' yhat(g - g'), and each yhat
+        reads one or two coordinates."""
+        rows, cols, k = block.rows, block.cols, self.k
+        ntri = rows.size
+        off = np.flatnonzero(block.off)
+        for (ga, qa), (gb, qb) in itertools.product(fns, fns):
+            alpha = qa[rows] * qb[cols].conj() * block.f
+            m = self.rmoments.rank((B[ga[rows]] - B[gb[cols]]) % k)
+            re, im, sign = self.re[m], self.im[m], self.sign[m]
+            yield np.arange(ntri), re, alpha.real
+            yield np.arange(ntri), im, -sign * alpha.imag
+            if not block.real:
+                at = ntri + np.arange(off.size)
+                yield at, re[off], alpha.imag[off]
+                yield at, im[off], (sign * alpha.real)[off]
+
+    def A(self, y: np.ndarray) -> np.ndarray:
+        """The packed blocks of the moment matrix of coordinates y."""
+        return np.bincount(self.t_row, weights=self.t_coef * y[self.t_col],
+                           minlength=self.packed_size)
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        return np.bincount(self.t_col, weights=self.t_coef * r[self.t_row],
+                           minlength=self.size)
+
+    def psd_split(self, s: np.ndarray):
+        """(S_+, S - S_+) of the packed blocks s, block by block."""
+        plus = np.empty_like(s)
+        for b in self.blocks:
+            plus[b.part] = b.pack(_psd_split(b.unpack(s[b.part]))[0])
+        return plus, s - plus
+
+    def moments(self, y: np.ndarray) -> np.ndarray:
+        """The complex charge moments yhat over `rmoments` (0 off charge 0)."""
+        out = np.zeros(len(self.rmoments), dtype=complex)
+        ids = self.charge0
+        out[ids] = y[self.re[ids]] + 1j * self.sign[ids] * y[self.im[ids]]
+        return out
+
+    def upper_bound(self, r: np.ndarray) -> float:
+        """r_empty + sum over the other coordinates of |r|, a pair's two
+        taken together, which bounds r . y since |yhat(g)| <= 1."""
+        re, im = self.pairs
+        return float(r[0] + np.hypot(r[re], r[im]).sum()
+                     + np.abs(r[self.reals]).sum())
+
+
+_charge_layout = functools.lru_cache(maxsize=16)(_ChargeLayout)
 
 
 @dataclass
 class SdpProblem:
-    """The degree-D moment relaxation in the reduced basis the solver
-    consumes: the reduced moment-matrix basis and moments (as indexes over
-    the labels 0..k-2), the map from matrix entries to moment ids, and the
-    objective over reduced moments."""
+    """The degree-D relaxation in the charge basis: the charge monomials of
+    the matrix basis and of the moments (slot entry = charge), the layout,
+    and the objective over the coordinates."""
 
     inst: UgInstance
     degree: int
     rbasis: MomentIndex
     rmoments: MomentIndex
-    entry_map: np.ndarray         # dim_r x dim_r -> reduced moment id (-1 = zero)
-    objective_vec: np.ndarray     # over reduced moments (maximize c.y)
+    layout: _ChargeLayout
+    objective_vec: np.ndarray     # over the real coordinates (maximize c.y)
 
 
 def _product_ids(index: MomentIndex, dim: int) -> np.ndarray:
@@ -572,120 +707,71 @@ def _product_ids(index: MomentIndex, dim: int) -> np.ndarray:
     return E
 
 
+def _charge_objective(inst: UgInstance, layout: _ChargeLayout) -> np.ndarray:
+    """The UG objective over the coordinates: [x_u - x_v = s] is
+    (1/k) sum_j omega^(-js) chi_u^j chi_v^(-j)."""
+    n, k = inst.num_vertices, inst.k
+    c = np.zeros(layout.size)
+    c[0] = 1.0 / k
+    eu, ev, w, s = inst._arrays
+    j = np.arange(1, k)
+    e, t = np.arange(len(eu))[:, None], np.arange(k - 1)[None, :]
+    G = np.zeros((len(eu), k - 1, n), dtype=layout.rmoments.dtype)
+    G[e, t, eu[:, None]] = j
+    G[e, t, ev[:, None]] = k - j
+    m = layout.rmoments.rank(G).ravel()
+    coef = ((w / inst.total_weight / k)[:, None]
+            * np.exp(-2j * np.pi * np.outer(s, j) / k)).ravel()
+    np.add.at(c, layout.re[m], coef.real)
+    np.add.at(c, layout.im[m], -layout.sign[m] * coef.imag)
+    return c
+
+
 def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
     """Degree-D moment relaxation of the UG integer program."""
     if D not in (2, 4, 6):
         raise ParameterError("D must be one of {2, 4, 6}")
     n, k = inst.num_vertices, inst.k
-    half = D // 2
-    full_dim = _index_size(n, k, half)
+    full_dim = _index_size(n, k, D // 2)
     if full_dim > DIM_CAP:
         raise SizeCapError(
             f"moment-matrix dimension {full_dim} exceeds cap {DIM_CAP}")
-    rbasis = moment_index(n, k - 1, half)
-    rmoments = moment_index(n, k - 1, D)
-    entry_map = _product_ids(rmoments, len(rbasis))
-    obj_red = _reduce_poly(ug_objective_poly(inst), k)
-    c = np.zeros(len(rmoments))
-    c[rmoments.ids(list(obj_red))] += list(obj_red.values())
-    return SdpProblem(inst=inst, degree=D, rbasis=rbasis, rmoments=rmoments,
-                      entry_map=entry_map, objective_vec=c)
+    layout = _charge_layout(n, k, D)
+    return SdpProblem(inst=inst, degree=D, rbasis=layout.rbasis,
+                      rmoments=layout.rmoments, layout=layout,
+                      objective_vec=_charge_objective(inst, layout))
 
 
-def _full_moments_from_reduced(y: np.ndarray, n: int, k: int,
+@functools.lru_cache(maxsize=16)
+def _fft_ids(n: int, k: int, D: int) -> np.ndarray:
+    """Per full-label key, the id of the charge monomial whose charges are
+    its labels (label 0 drops the slot): the grid the FFT transforms."""
+    L = moment_index(n, k, D).slots
+    return moment_index(n, k - 1, D).rank(np.where(L > 0, L - 1, 0))
+
+
+def _full_moments_from_reduced(yhat: np.ndarray, n: int, k: int,
                                D: int) -> np.ndarray:
     """Every canonical full-label moment of degree <= D, in id order, from
-    the reduced moments y (labels 0..k-2) by substituting
-    X_{u,k-1} = 1 - sum_{a<k-1} X_{u,a} at the lowest such vertex, one level
-    of label-(k-1) count at a time."""
-    full = moment_index(n, k, D)
-    L = full.slots
-    out = np.empty(len(full))
-    out[full.rank(moment_index(n, k - 1, D).slots)] = y
-    last = L == k
-    count = last.sum(axis=1)
-    for t in range(1, D + 1):
-        sel = np.flatnonzero(count == t)
-        rows = L[sel]
-        v = last[sel].argmax(axis=1)
-        at = np.arange(len(sel))
-        rows[at, v] = 0
-        val = out[full.rank(rows)]
-        for b in range(k - 1):
-            rows[at, v] = b + 1
-            val = val - out[full.rank(rows)]
-        out[sel] = val
+    the complex charge moments yhat over `moment_index(n, k - 1, D)`:
+    pE[prod_{u in S} X_{u,a_u}] = k^-|S| sum_g omega^(-g.a) yhat(g) over g
+    in Z_k^S, one `np.fft.fftn` per degree over the (C(n,d), k, ..., k)
+    layout of the ids."""
+    index = moment_index(n, k, D)
+    grid = yhat[_fft_ids(n, k, D)]
+    out = np.empty(len(index))
+    for d in range(D + 1):
+        part = slice(index.offset[d], index.offset[d + 1])
+        block = grid[part].reshape((-1,) + (k,) * d)
+        if d:
+            block = np.fft.fftn(block, axes=tuple(range(1, d + 1))) / k**d
+        out[part] = block.real.ravel()
     return out
-
-
-def _tril_adjoint_index(entry_map: np.ndarray):
-    """Flat positions, moment ids and weights of the nonzero lower-triangle
-    entries of `entry_map`: for a symmetric R, the adjoint A^T(R) is
-    bincount(ids, w * R.ravel()[flat]) with weight 1 on the diagonal and 2
-    off it."""
-    rows, cols = np.tril_indices(entry_map.shape[0])
-    ids = entry_map[rows, cols]
-    keep = ids >= 0
-    rows, cols, ids = rows[keep], cols[keep], ids[keep]
-    flat = rows * entry_map.shape[0] + cols
-    w = np.where(rows == cols, 1.0, 2.0)
-    return flat, ids, w
-
-
-class _PsdSplit:
-    """PSD projection for the iterates of one solve: called on symmetric S,
-    returns (S_+, S - S_+), reconstructed from whichever eigenspace
-    (negative or nonnegative) is smaller.
-
-    It keeps `npos`, the number of nonnegative eigenvalues the last call
-    found (zeros may count on either side), and an `_kernels.EigRange` with
-    its work arrays when the loaded OpenBLAS exports dsyevr.  When `npos`
-    leaves at most dim / PARTIAL_EIG_DIVISOR eigenvalues on one side of zero,
-    the call computes only that side's eigenpairs: those in (0, bound] or in
-    (-bound, 0], with bound above the spectral radius, so the projection is
-    exact whatever `npos` predicted and a wrong prediction costs only time.
-    Otherwise, and on the first call, it runs a full `np.linalg.eigh`."""
-
-    def __init__(self, dim: int, npos: int | None = None):
-        self.npos = npos
-        self.eig = (_kernels.EigRange(dim) if _kernels.EigRange.available()
-                    else None)
-
-    def __call__(self, S: np.ndarray):
-        mu, V, positive = self._smaller_side(S)
-        part = (V * mu) @ V.T
-        return (part, S - part) if positive else (S - part, part)
-
-    def _smaller_side(self, S):
-        """(eigenvalues, eigenvector columns, whether they are the positive
-        side) of the side of the spectrum to rebuild from."""
-        n = S.shape[0]
-        if (self.eig is not None and self.npos is not None
-                and PARTIAL_EIG_DIVISOR * min(self.npos, n - self.npos) <= n):
-            bound = 1.0 + 2.0 * float(np.linalg.norm(S))
-            positive = 2 * self.npos <= n
-            mu, Z = self.eig(S, *((0.0, bound) if positive else (-bound, 0.0)))
-            self.npos = mu.size if positive else n - mu.size
-            return mu, Z.T, positive
-        lam, Q = np.linalg.eigh(S)
-        nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
-        self.npos = n - nneg
-        if 2 * nneg < n:
-            return lam[:nneg], Q[:, :nneg], False
-        return lam[nneg:], Q[:, nneg:], True
-
-
-def _psd_split(S: np.ndarray, npos: int | None = None):
-    """(S_+, S - S_+) with S_+ the projection of symmetric S onto the PSD
-    cone; `npos` predicts the number of nonnegative eigenvalues as in
-    `_PsdSplit`."""
-    return _PsdSplit(S.shape[0], npos)(S)
 
 
 class _Anderson:
     """Type-II Anderson acceleration of a fixed-point map S -> T(S) on
-    symmetric dim x dim matrices (Walker & Ni, SIAM J. Numer. Anal. 49,
-    2011).
+    vectors of length dim (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
 
     Each point S takes two calls.  `accepts(g)` records the residual
     g = T(S) - S.  `step(T)` then returns the next point T - sum_j c_j dT_j,
@@ -693,8 +779,7 @@ class _Anderson:
     ANDERSON_MEMORY points and c minimizes |g - sum_j c_j dG_j|^2 + reg |c|^2, with
     reg = ANDERSON_REG times the trace of the Gram matrix
     H_ij = <dG_i, dG_j>.  With an empty history that is T itself, the plain
-    step.  Matrices are stored packed: the lower triangle with off-diagonal
-    entries weighted sqrt(2), so inner products are Frobenius ones.
+    step.
 
     Safeguard: when S was extrapolated and its residual is larger than the
     residual at the point before, `accepts` clears the history and returns
@@ -704,29 +789,18 @@ class _Anderson:
     allocates: the history is what sets the solve's peak memory."""
 
     def __init__(self, dim: int):
-        self.dim, self.memory = dim, ANDERSON_MEMORY
-        # boolean indexing by the lower triangle reads it row by row, in
-        # np.tril_indices order
-        self.lower = np.tri(dim, dtype=bool)
-        rows, cols = np.tril_indices(dim)
-        self.weight = np.where(rows == cols, 1.0, math.sqrt(2.0))
-        self.dT = np.empty((self.memory, rows.size))
-        self.dG = np.empty((self.memory, rows.size))
+        self.memory = ANDERSON_MEMORY
+        self.dT = np.empty((self.memory, dim))
+        self.dG = np.empty((self.memory, dim))
         self.gram = np.empty((self.memory, self.memory))
         self.reset()
 
     def reset(self):
         self.count = 0          # differences recorded since the last reset
-        self.last = None        # packed T and g, and |g|, at the last point
-        self.pending = None     # packed g and |g| at the current point
-
-    def pack(self, M: np.ndarray) -> np.ndarray:
-        v = M[self.lower]
-        v *= self.weight
-        return v
+        self.last = None        # T and g, and |g|, at the last point
+        self.pending = None     # g and |g| at the current point
 
     def accepts(self, g: np.ndarray) -> bool:
-        g = self.pack(g)
         gnorm = float(np.linalg.norm(g))
         # with a history, the current point was extrapolated
         if self.count and gnorm > self.last[2]:
@@ -736,16 +810,16 @@ class _Anderson:
         return True
 
     def step(self, T: np.ndarray) -> np.ndarray:
-        t, (g, gnorm) = self.pack(T), self.pending
+        g, gnorm = self.pending
         if self.last is not None:
             t0, g0, _ = self.last
             j = self.count % self.memory
-            np.subtract(t, t0, out=self.dT[j])
+            np.subtract(T, t0, out=self.dT[j])
             np.subtract(g, g0, out=self.dG[j])
             self.count += 1
             m = min(self.count, self.memory)
             self.gram[j, :m] = self.gram[:m, j] = self.dG[:m] @ self.dG[j]
-        self.last, self.pending = (t, g, gnorm), None
+        self.last, self.pending = (T, g, gnorm), None
         if not self.count:
             return T
         m = min(self.count, self.memory)
@@ -754,64 +828,43 @@ class _Anderson:
         reg = ANDERSON_REG * np.trace(H) + np.finfo(float).tiny
         coef = np.linalg.solve(H + reg * np.eye(m), self.dG[:m] @ g)
         s = coef @ self.dT[:m]
-        np.subtract(t, s, out=s)
-        s /= self.weight
-        S = np.empty((self.dim, self.dim))
-        S[self.lower] = s
-        S.T[self.lower] = s
-        return S
+        np.subtract(T, s, out=s)
+        return s
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
               max_iters: int = ADMM_MAX_ITERS) -> PseudoExpectation:
-    """Maximize the UG objective over degree-D pseudoexpectations by ADMM.
-
-    Splitting: X = A(y) with X constrained PSD and y the reduced moment
-    vector (y[1] pinned to 1).  A^T A is diagonal (each matrix entry reads a
-    single moment), so the y-update is closed-form; the X-update is a PSD
-    projection; over-relaxation 1.6; penalty rho from `ADMM_RHO0`, doubled
+    """Maximize the UG objective over shift-invariant degree-D
+    pseudoexpectations by ADMM in the charge basis (module docstring):
+    X = A(y) with X's blocks PSD and y[0] = yhat(empty) = 1; rho doubled
     or halved after every 50th iteration while one residual exceeds ten
-    times the other; Anderson acceleration of the projected point
-    (`_Anderson`).  Returns a PseudoExpectation carrying the SDP objective in
-    flags["sdp_value"], the iteration count, both residuals and the final
-    rho in flags["rho"], and "unconverged": True if the iteration cap was
-    hit."""
-    E = problem.entry_map
-    M = len(problem.rmoments)
-    flat, ids, w = _tril_adjoint_index(E)
-    counts = np.bincount(ids, weights=w, minlength=M)
-    # A(y) is one gather; structural zeros (id -1) read an appended 0.0
+    times the other.  Returns a PseudoExpectation carrying the SDP objective
+    c.y in flags["sdp_value"], the certified bound >= OPT in
+    flags["sdp_upper_bound"] (it bounds the SDP optimum, so it may lie below
+    c.y of a tol-feasible y), c.y - r_empty in flags["duality_gap"], the
+    iteration count, both residuals, the final rho in flags["rho"], and
+    "unconverged": True if the iteration cap was hit."""
+    lay = problem.layout
     c = problem.objective_vec
-    i_one = 0                     # the id of the empty monomial
-    dim = len(problem.rbasis)
-    k = problem.inst.k
-
-    def adjoint(R):
-        return np.bincount(ids, weights=w * R.ravel()[flat], minlength=M)
-
-    def A(y):
-        return np.append(y, 0.0).take(E)
-
     rho = ADMM_RHO0
     # start from the uniform independent distribution (feasible, interior)
-    y = np.array([k ** (-d) for d in range(problem.degree + 1)])[
-        problem.rmoments.degrees]
-    y[i_one] = 1.0
-    X = A(y)
-    U = np.zeros((dim, dim))
+    y = np.zeros(lay.size)
+    y[0] = 1.0
+    X = lay.A(y)
+    U = np.zeros(lay.packed_size)
     gamma = ADMM_OVER_RELAX
     pri = dua = np.inf
     converged = False
-    psd_split = _PsdSplit(dim)
-    accel = _Anderson(dim)
-    threads = (_kernels.blas_threads(1) if dim < ONE_THREAD_MAX_DIM
+    accel = _Anderson(lay.packed_size)
+    threads = (_kernels.blas_threads(1)
+               if max(b.dim for b in lay.blocks) < ONE_THREAD_MAX_DIM
                else contextlib.nullcontext())
     with threads:
         for it in range(max_iters):
-            # y-update: diagonal normal equations over the valid entries
-            y_new = (c / rho + adjoint(X - U)) / np.maximum(counts, 1.0)
-            y_new[i_one] = 1.0
-            Ay = A(y_new)
+            # y-update: diagonal normal equations
+            y_new = (c / rho + lay.adjoint(X - U)) / lay.counts
+            y_new[0] = 1.0
+            Ay = lay.A(y_new)
             # the Douglas-Rachford map of the current point S = X + U is
             # T = gamma A(y) + (1 - gamma) X + U, with residual gamma (A(y) - X)
             if accel.accepts(gamma * (Ay - X)):
@@ -822,16 +875,18 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
             else:
                 # safeguard: redo the plain step the extrapolation replaced
                 y_new, X, S = plain
-                Ay = A(y_new)
+                Ay = lay.A(y_new)
             # X-update: PSD projection; U takes the negative part
-            X_new, U = psd_split(S)
+            X_new, U = lay.psd_split(S)
             pri = float(np.linalg.norm(Ay - X_new))
-            dua = rho * float(np.linalg.norm(adjoint(X_new - X)))
+            dua = rho * float(np.linalg.norm(lay.adjoint(X_new - X)))
             X = X_new
             y = y_new
             if pri <= tol and dua <= tol:
-                converged = True
-                break
+                r = c - rho * lay.adjoint(U)
+                if abs(c @ y - r[0]) <= tol:
+                    converged = True
+                    break
             if it % 50 == 49:
                 if pri > 10.0 * dua:
                     rho *= 2.0
@@ -842,13 +897,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                     U *= 2.0
                     accel.reset()
     inst = problem.inst
-    moments = _full_moments_from_reduced(y, inst.num_vertices, k,
-                                         problem.degree)
-    flags = {"sdp_value": float(c @ y), "iterations": it + 1,
+    moments = _full_moments_from_reduced(lay.moments(y), inst.num_vertices,
+                                         inst.k, problem.degree)
+    r = c - rho * lay.adjoint(U)
+    flags = {"sdp_value": float(c @ y), "sdp_upper_bound": lay.upper_bound(r),
+             "duality_gap": float(c @ y - r[0]), "iterations": it + 1,
              "primal_residual": pri, "dual_residual": dua, "rho": rho}
     if not converged:
         flags["unconverged"] = True
-    return PseudoExpectation(problem.degree, k, inst.num_vertices,
+    return PseudoExpectation(problem.degree, inst.k, inst.num_vertices,
                              moments, flags=flags)
 
 

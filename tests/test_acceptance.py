@@ -118,6 +118,15 @@ def test_criterion_01_sdp_validity(suite):
     assert record_criterion(1, "sdp-validity", ok)
 
 
+def test_suite_values_lie_between_opt_and_the_certified_bound(suite):
+    # the duality-gap stop keeps every value within the solve's tol 1e-7 of
+    # OPT, and the bound holds up to the round-off of its own sum
+    entries, _ = suite
+    for e in entries:
+        assert e.raw.flags["sdp_value"] >= e.opt - 1e-7, e.name
+        assert e.raw.flags["sdp_upper_bound"] >= e.opt - 1e-12, e.name
+
+
 def test_criterion_02_symmetrization(suite):
     entries, _ = suite
     ok = True

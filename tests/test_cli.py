@@ -40,6 +40,19 @@ def test_gen_then_solve_file_round_trip(tmp_path, capsys):
     assert rep["derandomized_value"] == pytest.approx(1.0)
 
 
+def test_solve_round_reports_a_certified_upper_bound(capsys):
+    # every rounded assignment's value is at most OPT, and OPT at most the
+    # bound; the bound is within the solve's tolerance of the SDP value
+    code, out, _ = run(capsys, "solve-round", "--family", "hypercube",
+                       "--d", "2", "--alpha", "0.3", "--k", "3",
+                       "--eps", "0.2", "--degree", "4", "--seed", "3")
+    assert code == 0
+    rep = json.loads(out)
+    bound = rep["sdp_upper_bound"]
+    assert max(rep["rounded_value"], rep["derandomized_value"]) <= bound
+    assert abs(bound - rep["sdp_value"]) <= 1e-5
+
+
 def test_solve_round_degree4_reports_potentials(capsys):
     code, out, _ = run(capsys, "solve-round", "--family", "hypercube",
                        "--d", "2", "--alpha", "0.3", "--k", "2",

@@ -19,8 +19,6 @@ from ugsos.sos import (MomentIndex, all_canonical_keys, build_relaxation,
                        product_copy, rerandomize, shift_key, solve_sdp,
                        symmetrize)
 
-from conftest import make_triangle
-
 
 # -- ranking ----------------------------------------------------------------
 
@@ -123,39 +121,6 @@ def ref_partition_table(pE):
     return amp, res
 
 
-def ref_full_moments(yvals, n, k, D):
-    memo = dict(yvals)
-
-    def get(key):
-        val = memo.get(key)
-        if val is not None:
-            return val
-        for i, (v, a, c) in enumerate(key):
-            if a == k - 1:
-                rest = key[:i] + key[i + 1:]
-                val = get(rest)
-                for b in range(k - 1):
-                    val -= get(tuple(sorted(rest + ((v, b, c),))))
-                memo[key] = val
-                return val
-        raise KeyError(key)
-
-    return {key: get(key) for key in all_canonical_keys(n, k, D)}
-
-
-def ref_entry_map(inst, D):
-    rbasis = list(all_canonical_keys(inst.num_vertices, inst.k - 1, D // 2))
-    rindex = {m: i for i, m in enumerate(
-        all_canonical_keys(inst.num_vertices, inst.k - 1, D))}
-    E = np.full((len(rbasis), len(rbasis)), -1, dtype=np.int64)
-    for i, a in enumerate(rbasis):
-        for j in range(i + 1):
-            km = key_mul(a, rbasis[j])
-            if km is not None:
-                E[i, j] = E[j, i] = rindex[km]
-    return E
-
-
 # -- inputs -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -222,22 +187,72 @@ def test_moment_matrix_and_partition_table_match_reference(tables, name):
     assert sos._partition_table(pE) == ref_partition_table(pE)
 
 
-def test_full_moments_match_recursive_substitution():
-    rng = np.random.default_rng(5)
-    for (n, k, D) in [(4, 3, 4), (3, 4, 4), (5, 2, 2), (3, 3, 6)]:
-        y = rng.normal(size=len(sos.moment_index(n, k - 1, D)))
-        yvals = dict(zip(all_canonical_keys(n, k - 1, D), y.tolist()))
-        got = sos._full_moments_from_reduced(y, n, k, D)
-        ref = ref_full_moments(yvals, n, k, D)
-        assert got.tolist() == list(ref.values())
+def _charge_moments(n, k, D, comps):
+    """yhat(g) = sum_x w omega^(g . x) of a mixture, over the charge
+    monomials of `moment_index(n, k - 1, D)` (slot entry = charge)."""
+    G = sos.moment_index(n, k - 1, D).slots.astype(np.int64)
+    total = sum(w for w, _ in comps)
+    yhat = np.zeros(len(G), dtype=complex)
+    for w, x in comps:
+        yhat += (w / total) * np.exp(2j * np.pi * (G @ np.array(x)) / k)
+    return yhat
 
 
-def test_entry_map_matches_pairwise_products():
-    for inst, D in [(make_triangle(3), 4), (make_triangle(4), 6),
-                    (plant_instance(johnson_graph(5, 2, 0.5), 3, 0.05,
-                                    seed=0)[0], 4)]:
-        problem = build_relaxation(inst, D)
-        assert np.array_equal(problem.entry_map, ref_entry_map(inst, D))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 5), st.integers(0, 4),
+       st.lists(st.tuples(st.floats(0.1, 1.0),
+                          st.lists(st.integers(0, 4), min_size=4,
+                                   max_size=4)),
+                min_size=1, max_size=3))
+def test_full_moments_match_shift_symmetric_mixtures(n, k, D, draws):
+    # all k shifts of each drawn assignment: only charge-0 moments survive
+    comps = [(w, [(a + t) % k for a in x[:n]])
+             for w, x in draws for t in range(k)]
+    got = sos._full_moments_from_reduced(_charge_moments(n, k, D, comps),
+                                         n, k, D)
+    ref = mixture_pe(n, k, comps, D)._array()
+    assert np.abs(got - ref).max() <= 1e-14
+
+
+def ref_block(layout, yhat, c):
+    """Block c of the moment matrix over the scaled characters
+    k^(-|g|/2) chi^g of charge c, entry (g, h) = yhat(g - h), from the keys
+    (label = charge - 1) and a dict of the moment keys."""
+    k = layout.k
+    ids = {key: i for i, key in enumerate(layout.rmoments.keys)}
+    basis = [key for key in layout.rbasis.keys
+             if sum(a + 1 for (_, a, _) in key) % k == c]
+    charge = [{v: a + 1 for (v, a, _) in key} for key in basis]
+    H = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, g in enumerate(charge):
+        for j, h in enumerate(charge):
+            diff = {v: (g.get(v, 0) - h.get(v, 0)) % k for v in g.keys() | h}
+            key = tuple(sorted((v, q - 1, 0) for v, q in diff.items() if q))
+            H[i, j] = (k ** (-(len(g) + len(h)) / 2.0)) * yhat[ids[key]]
+    return H
+
+
+def test_blocks_match_pairwise_products():
+    # a Hermitian block holds the reference entries; a block with c = -c is
+    # stored in a real basis, a unitary change, so only its spectrum is kept
+    rng = np.random.default_rng(11)
+    for (n, k, D) in [(3, 3, 4), (3, 4, 6), (10, 3, 4), (4, 2, 4)]:
+        layout = sos._charge_layout(n, k, D)
+        y = rng.normal(size=layout.size)
+        y[0] = 1.0
+        X = layout.A(y)
+        yhat = layout.moments(y)
+        for c, block in enumerate(layout.blocks):
+            H = ref_block(layout, yhat, c)
+            M = block.unpack(X[block.part])
+            M = M + np.tril(M, -1).conj().T
+            assert np.abs(H - H.conj().T).max() <= 1e-15
+            if block.real:
+                assert M.dtype == float
+                assert np.allclose(np.linalg.eigvalsh(M),
+                                   np.linalg.eigvalsh(H), rtol=0, atol=1e-12)
+            else:
+                assert np.abs(M - H).max() <= 1e-15
 
 
 # -- solver status ------------------------------------------------------------
