@@ -23,7 +23,7 @@ from ugsos.errors import ParameterError, SizeCapError
 from ugsos.graphs import WeightedGraph, johnson_cayley_graph
 from ugsos.instances import UgInstance
 from ugsos.rounding import RoundingOutcome, cr_val, partial_to_full
-from ugsos.sos import build_relaxation, solve_sdp, ug_objective_poly
+from ugsos.sos import build_relaxation, solve_sdp
 
 LEVEL_CAP = 10**5
 SUBCUBE_CAP = 10**5

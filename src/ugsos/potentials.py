@@ -10,7 +10,9 @@ measures the squared mass of each shift component, with low-local-value
 vertices damped by the step approximant p; Phi of a pseudodistribution mu is
 its pseudoexpectation over an independent pair (X, X') of copies of mu.  Psi
 is the conditioned shift potential, a closed-form lower bound on Condition &
-Round.  Every potential takes mu itself, a single-copy table.
+Round, read from mu's pair and triple moments.  Every potential takes mu
+itself, a single-copy table; viol and the local values are weighted sums of
+its per-edge agreements (`sos.edge_agreement`).
 
 Phi, the per-shift masses and the small-set-expansion claims are each
 written once over one table of shift moments, `_shift_moments`: the first and
@@ -38,9 +40,9 @@ import numpy as np
 
 from ugsos.errors import DegreeError, ParameterError
 from ugsos.instances import UgInstance, local_value
-from ugsos.sos import (COND_FLOOR, PseudoExpectation, canon_key,
-                       check_shift_symmetric, local_value_poly, pair_moments,
-                       poly_add, poly_mul, ug_objective_poly)
+from ugsos.sos import (COND_FLOOR, PseudoExpectation, check_shift_symmetric,
+                       edge_agreement, local_value_poly, pair_moments,
+                       poly_add, poly_mul)
 from ugsos.steppoly import StepPolynomial
 
 
@@ -72,11 +74,6 @@ def _p_of_poly(p: StepPolynomial, base: dict) -> dict:
         power = poly_mul(power, base)
         out = poly_add(out, power, float(c))
     return out
-
-
-def viol_poly(inst: UgInstance) -> dict:
-    """viol(X) = 1 - val(X) as a polynomial."""
-    return poly_add({(): 1.0}, ug_objective_poly(inst), -1.0)
 
 
 def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
@@ -132,7 +129,9 @@ def _shift_moments(pE: PseudoExpectation, p: StepPolynomial,
     m1 = np.einsum("ua,suuaa->su", G1, shifted)
     m2 = np.einsum("uwab,suwab->suw", G2, shifted)
     m3 = np.einsum("uwab,suwab->suw", G3, shifted) if cubes else None
-    return m1, m2, m3, pE.pe(viol_poly(inst))
+    agree = edge_agreement(pE, inst)
+    viol = 1.0 - float(inst._arrays[2] @ agree) / inst.total_weight
+    return m1, m2, m3, viol
 
 
 def _projector(spectral, lam: float) -> np.ndarray:
@@ -200,42 +199,35 @@ def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:
 # Psi
 # ---------------------------------------------------------------------------
 
-def shift_event_poly(v: int, u: int, s: int, k: int) -> dict:
-    """Indicator of X_v - X_u = s as a polynomial (collapses correctly when
-    u = v)."""
-    out: dict = {}
-    for t in range(k):
-        key = canon_key(((v, (s + t) % k, 0), (u, t, 0)))
-        if key is not None:
-            out[key] = out.get(key, 0.0) + 1.0
-    return out
-
-
 def psi(pE: PseudoExpectation, inst: UgInstance) -> float:
     """E_{u,v~pi} sum_s pPr[X_v - X_u = s]^2 * pE[val_v | X_v - X_u = s],
     with the convention that a conditional on pseudo-probability <= COND_FLOOR
-    contributes 0.  Note q^2 * pE[val*ev]/q = q * pE[val*ev]."""
+    contributes 0.  As q^2 pE[val ev]/q = q pE[val ev], it sums
+    pi_v pi_u q r over q > COND_FLOOR, with q[v, u, s] = pE[X_v - X_u = s]
+    and r[v, u, s] = pE[val_v(X) (X_v - X_u = s)]."""
     if pE.degree < 4:
         raise ParameterError("psi needs degree >= 4")
     check_shift_symmetric(pE)
-    pi = inst.stationary
     n, k = inst.num_vertices, inst.k
-    total = 0.0
-    for v in range(n):
-        if pi[v] == 0.0:
-            continue
-        vp = local_value_poly(inst, v)
-        for u in range(n):
-            if pi[u] == 0.0:
-                continue
-            w = float(pi[u] * pi[v])
-            for s in range(k):
-                ev = shift_event_poly(v, u, s, k)
-                q = pE.pe(ev)
-                if q <= COND_FLOOR:
-                    continue
-                total += w * q * pE.pe(poly_mul(ev, vp))
-    return total
+    t = np.arange(k)
+    st = (t[:, None] + t) % k                      # st[s, t] = s + t
+    q = pair_moments(pE)[:, :, st, t].sum(axis=-1)
+    # r[v, u, s] = sum over v's edges (v, w, h), of weight share c at v, of
+    # c sum_t pE[X_{v,s+t} X_{w,s+t-h} X_{u,t}]; a label clash reads 0
+    eu, ev, w, h = inst._arrays
+    tail, head = np.concatenate((eu, ev)), np.concatenate((ev, eu))
+    h, w = np.concatenate((h, -h)) % k, np.tile(w, 2)
+    share = w / np.bincount(tail, w, n)[tail]
+    index = pE.index
+    one = index.offset[1] + np.arange(n * k).reshape(n, k)   # X_{u,a}'s id
+    pairs = index.mul(one[tail], one[head[:, None], (t - h[:, None]) % k])
+    triples = index.mul(pairs[:, None, st], one[None, :, None, :])
+    moments = np.append(pE._array(), 0.0)[triples].sum(axis=-1)
+    r = np.zeros((n, n, k))
+    np.add.at(r, tail, share[:, None, None] * moments)
+    pi = inst.stationary
+    return float(np.einsum("v,u,vus,vus->", pi, pi,
+                           np.where(q > COND_FLOOR, q, 0.0), r))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +269,16 @@ def potential_report(pE: PseudoExpectation, inst: UgInstance,
     """Phi, Psi, per-vertex local values and per-shift masses for a solved,
     symmetrized single-copy pseudoexpectation."""
     st = _ShiftStats(pE, p, inst)
-    pi = inst.stationary
-    locals_ = tuple(pE.pe(local_value_poly(inst, u)) if pi[u] > 0 else 0.0
-                    for u in range(inst.num_vertices))
+    # val_u: the weighted mean edge agreement over u's edges
+    n = inst.num_vertices
+    eu, ev, w, _ = inst._arrays
+    ends, w = np.concatenate((eu, ev)), np.tile(w, 2)
+    agree = np.tile(edge_agreement(pE, inst), 2)
+    locals_ = np.divide(np.bincount(ends, w * agree, n),
+                        np.bincount(ends, w, n), out=np.zeros(n),
+                        where=inst.stationary > 0)
     return PotentialReport(st.phi, psi(pE, inst), p.alpha, p.eps, p.degree,
-                           locals_, tuple(st.masses.tolist()))
+                           tuple(locals_.tolist()), tuple(st.masses.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ the test suite lean on.
 The partial-to-full driver repeatedly asks a caller-supplied subroutine for a
 high-CR-value subgraph, rounds its still-unassigned vertices greedily, then
 rerandomizes the pseudodistribution on those vertices so later iterations see
-them as independent uniform noise.
+them as independent uniform noise.  Its input must be shift-symmetric (it
+checks); rerandomizing keeps it so, as every moment it writes is an input
+moment with those vertices' pairs removed, scaled by k^-t.
 """
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,7 @@ import numpy as np
 from ugsos.errors import ConstructionError, NullEventError, ParameterError
 from ugsos.instances import UgInstance, value
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, check_shift_symmetric,
-                       pair_moments, rerandomize, symmetrize,
-                       ug_objective_poly)
-
-RESYM_TOL = 1e-8
+                       edge_agreement, pair_moments, rerandomize)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +39,6 @@ class IterationRecord:
     subgraph_value: float
     val_before: float
     val_after: float
-    resymmetrized: bool = False
     subcube: object = None
 
     @property
@@ -86,7 +83,6 @@ class RoundingOutcome:
                  "val_before": r.val_before,
                  "val_after": r.val_after,
                  "drop": r.drop,
-                 "resymmetrized": r.resymmetrized,
                  "subcube": (list(r.subcube) if r.subcube is not None
                              else None)}
                 for r in self.trace],
@@ -335,15 +331,17 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
     rounding's hypothesis is the instance's, not that number.  Unassigned
     vertices are completed with label 0 (shift-symmetry makes any constant
     equivalent in expectation).  The outcome's `unconverged` repeats
-    `pE0`'s solver flag."""
+    `pE0`'s solver flag.  `pE0` must be shift-symmetric (ParameterError
+    otherwise); `rerandomize` keeps it so (module docstring)."""
+    check_shift_symmetric(pE0)
     n = inst.num_vertices
-    obj = ug_objective_poly(inst)
+    w = inst._arrays[2] / inst.total_weight
     mu = pE0
     assigned = np.full(n, -1, dtype=np.int64)
     trace = []
     stall = 0
     stop = "iteration-cap"
-    val_mu = mu.pe(obj)
+    val_mu = float(w @ edge_agreement(mu, inst))
     for _ in range(n + 2):
         sub = subroutine(mu)
         if sub is None:
@@ -363,14 +361,7 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
         for v in S:
             assigned[v] = out.assignment[v]
         mu_next = rerandomize(mu, S)
-        resym = False
-        dev = check_shift_symmetric(mu_next, strict=False)
-        if dev > RESYM_TOL:
-            warnings.warn(f"re-symmetrizing after rerandomize "
-                          f"(deviation {dev:.2e})", stacklevel=2)
-            mu_next = symmetrize(mu_next)
-            resym = True
-        val_after = mu_next.pe(obj)
+        val_after = float(w @ edge_agreement(mu_next, inst))
         trace.append(IterationRecord(
             subgraph=tuple(H),
             cr_val=info.get("cr_val"),
@@ -378,7 +369,6 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
             subgraph_value=out.achieved_value,
             val_before=val_mu,
             val_after=val_after,
-            resymmetrized=resym,
             subcube=info.get("subcube")))
         mu, val_mu = mu_next, val_after
         if val_mu < 1.0 - 2.0 * eps:

@@ -32,7 +32,8 @@ partition table are gathers from that array.  Scalar lookups (`moment`, `pe`)
 read the array through the index's shared key -> id map (a product copy
 multiplies two scalar reads of its base), and `pair_moments`
 reshapes its degree-1 and degree-2 blocks into the pairwise tensor that the
-rounding and the shift-symmetry check read.
+rounding, the potentials, the shift-symmetry check and `edge_agreement`
+(the value, edge by edge) read.
 
 Solver
 ------
@@ -966,6 +967,16 @@ def pair_moments(pE: PseudoExpectation) -> np.ndarray:
     w, a = np.arange(n)[:, None], np.arange(k)
     P[w, w, a, a] = values[offset[1]:offset[2]].reshape(n, k)
     return P
+
+
+def edge_agreement(pE: PseudoExpectation, inst: UgInstance) -> np.ndarray:
+    """Per-edge pseudo-probability of satisfaction, in `inst.edges` order:
+    pE[X_u - X_v = s] = sum_a P[u, v, a, a - s] at edge (u, v, w, s), with P
+    the `pair_moments` tensor."""
+    eu, ev, _, s = inst._arrays
+    a = np.arange(pE.k)
+    return pair_moments(pE)[eu[:, None], ev[:, None], a,
+                            (a - s[:, None]) % pE.k].sum(axis=1)
 
 
 def check_shift_symmetric(pE: PseudoExpectation,

@@ -1,18 +1,23 @@
 """Shift-partition potentials Phi and Psi, their report, and the numeric
 small-set-expansion claim chain, on both genuine mixtures and solver output."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugsos.errors import ParameterError
 from ugsos.graphs import WeightedGraph, spectral_decompose
-from ugsos.instances import local_value, plant_instance
+from ugsos.instances import UgInstance, local_value, plant_instance
 from ugsos.potentials import (_ShiftStats, check_shift_symmetric, claim_b1,
                               claim_b2, claim_partition_expansion,
                               claim_vertex_coverage, phi_apx,
                               phi_exact_sampled, potential_report, psi,
                               sp_pseudo_check, truncation_cap)
-from ugsos.sos import (PseudoExpectation, build_relaxation, mixture_pe,
-                       point_mass_pe, product_copy, solve_sdp, symmetrize)
+from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
+                       canon_key, evaluate, mixture_pe, point_mass_pe,
+                       poly_mul, product_copy, solve_sdp, symmetrize)
 from ugsos.steppoly import build_capped_step_poly, build_step_poly
 
 from conftest import make_triangle
@@ -53,6 +58,76 @@ def test_psi_requires_degree_4(triangle_sat):
     low = symmetrize(point_mass_pe(3, 3, [0, 2, 1], degree=2))
     with pytest.raises(ParameterError):
         psi(low, triangle_sat)
+
+
+@st.composite
+def small_tables(draw):
+    """An instance on at most 5 vertices with random weights (its last
+    vertex isolated, so of measure 0, when drawn so) and a table on it:
+    a loose solve, a symmetrized mixture of 1-3 assignments or a point
+    mass."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    live = n - 1 if n >= 3 and draw(st.booleans()) else n
+    pairs = list(itertools.combinations(range(live), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                           max_size=len(pairs), unique=True))
+    inst = UgInstance(n, k, tuple(
+        (u, v, draw(st.floats(0.1, 10.0)), draw(st.integers(0, k - 1)))
+        for (u, v) in chosen))
+    labels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["solver", "mixture", "point"]))
+    if kind == "solver":
+        pE = solve_sdp(build_relaxation(inst, 4), tol=1e-3, max_iters=500)
+    elif kind == "mixture":
+        xs = draw(st.lists(st.tuples(st.floats(0.1, 1.0), labels),
+                           min_size=1, max_size=3))
+        pE = symmetrize(mixture_pe(n, k, xs))
+    else:
+        pE = point_mass_pe(n, k, draw(labels))
+    return inst, pE, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tables())
+def test_psi_viol_and_local_values_match_their_per_key_definitions(table):
+    # every pair (v, u) enters Psi, so u = v, u a neighbour w of v and
+    # measure-0 vertices are all summed over
+    inst, pE, kind = table
+    n, k, pi = inst.num_vertices, inst.k, inst.stationary
+    val = {}        # val_u as a polynomial
+    for u in range(n):
+        wtot = sum(w for (_, w, _) in inst.incident[u])
+        val[u] = {}
+        for (v, w, s) in inst.incident[u]:
+            for a in range(k):
+                key = canon_key(((u, a), (v, (a - s) % k)))
+                val[u][key] = val[u].get(key, 0.0) + w / wtot
+    obj = {}
+    for (u, v, w, s) in inst.edges:
+        for a in range(k):
+            key = canon_key(((u, a), (v, (a - s) % k)))
+            obj[key] = obj.get(key, 0.0) + w / inst.total_weight
+    p = build_capped_step_poly(BETA, NU, 0)
+    assert _ShiftStats(pE, p, inst).viol == pytest.approx(
+        1.0 - evaluate(pE, obj), abs=1e-12)
+    if kind == "point":
+        with pytest.raises(ParameterError):
+            psi(pE, inst)
+        return
+    want = 0.0
+    for v, u, s in itertools.product(range(n), range(n), range(k)):
+        event = {}      # X_v - X_u = s
+        for t in range(k):
+            key = canon_key(((v, (s + t) % k), (u, t)))
+            if key is not None:
+                event[key] = event.get(key, 0.0) + 1.0
+        q = evaluate(pE, event)
+        if q > COND_FLOOR:
+            want += pi[u] * pi[v] * q * evaluate(pE, poly_mul(event, val[v]))
+    assert psi(pE, inst) == pytest.approx(want, abs=1e-12)
+    locals_ = [evaluate(pE, val[u]) if pi[u] > 0 else 0.0 for u in range(n)]
+    assert potential_report(pE, inst, p).local_values == pytest.approx(
+        locals_, abs=1e-12)
 
 
 def test_phi_exact_sampled_satisfying_pair(triangle_sat, p_full):

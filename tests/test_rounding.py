@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugsos import rounding
 from ugsos.errors import ConstructionError, NullEventError, ParameterError
@@ -9,8 +11,9 @@ from ugsos.rounding import (closed_form_cr, cond_marginals,
                             condition_and_round, cr_val, derandomized_round,
                             expected_cr_value, ind_val, monte_carlo_cr,
                             partial_to_full)
-from ugsos.sos import (build_relaxation, point_mass_pe, product_copy,
-                       solve_sdp, symmetrize)
+from ugsos.sos import (PseudoExpectation, build_relaxation,
+                       check_shift_symmetric, moment_index, point_mass_pe,
+                       product_copy, rerandomize, solve_sdp, symmetrize)
 from ugsos.steppoly import build_capped_step_poly
 
 from conftest import make_triangle
@@ -141,6 +144,27 @@ def test_partial_to_full_rounds_a_table_below_the_threshold_once(
     out = partial_to_full(triangle_unsat, pE, whole, eps=0.1)
     assert len(out.trace) == 1 and out.stop_reason == "value-threshold"
     assert out.achieved_value == pytest.approx(2.0 / 3.0)
+
+
+def test_partial_to_full_requires_a_shift_symmetric_table(triangle_sat):
+    pE = point_mass_pe(3, 3, [0, 2, 1])
+    with pytest.raises(ParameterError):
+        partial_to_full(triangle_sat, pE, lambda mu: (range(3), {}), eps=0.1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 4), st.sampled_from([2, 4]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_rerandomize_never_raises_the_shift_deviation(n, k, D, seed, data):
+    # every moment rerandomize writes is an input moment with its S-pairs
+    # removed, scaled by 1/k^t, so partial_to_full's symmetric input stays
+    # symmetric without re-symmetrizing
+    values = np.random.default_rng(seed).normal(
+        size=len(moment_index(n, k, D)))
+    pE = PseudoExpectation(D, k, n, values)
+    S = data.draw(st.sets(st.integers(0, n - 1)))
+    assert (check_shift_symmetric(rerandomize(pE, S), strict=False)
+            <= check_shift_symmetric(pE, strict=False))
 
 
 def test_partial_to_full_stall_aborts(cube_pe, cube_inst):

@@ -223,12 +223,15 @@ def test_anderson_safeguard_rejects_a_worse_point_and_clears_history():
 
 def test_anderson_history_resets_on_each_penalty_change(cube3_inst,
                                                         monkeypatch):
-    steps, resets, plain_after = [], [], []
+    # every iteration asks `accepts` once, so its calls count iterations,
+    # whether or not the safeguard then rejects the extrapolated point
+    iters, resets, plain_after = [], [], []
     inside = []
     accepts, step, reset = (sos._Anderson.accepts, sos._Anderson.step,
                             sos._Anderson.reset)
 
     def spy_accepts(self, g):
+        iters.append(True)
         inside.append(True)
         out = accepts(self, g)
         inside.pop()
@@ -236,27 +239,31 @@ def test_anderson_history_resets_on_each_penalty_change(cube3_inst,
 
     def spy_step(self, T):
         out = step(self, T)
-        if resets and resets[-1] == len(steps):
+        if resets and resets[-1] == len(iters) - 1:
             plain_after.append(out is T)
-        steps.append(out)
         return out
 
     def spy_reset(self):
-        if not inside and steps:      # not the safeguard, not construction
-            resets.append(len(steps))
+        if not inside and iters:      # not the safeguard, not construction
+            resets.append(len(iters))
         reset(self)
 
     monkeypatch.setattr(sos._Anderson, "accepts", spy_accepts)
     monkeypatch.setattr(sos._Anderson, "step", spy_step)
     monkeypatch.setattr(sos._Anderson, "reset", spy_reset)
-    # from rho0 = 1/64 this solve never rebalances; from 1/1024 it does
-    monkeypatch.setattr(sos, "ADMM_RHO0", 1.0 / 1024)
     _, inst, _ = cube3_inst
-    solve_sdp(build_relaxation(inst, 4), tol=1e-4)
-    # rho is rebalanced only after every 50th iteration; this solve does so
-    # at least once, and the step after each such reset is the plain one
-    assert resets and all(r % 50 == 0 for r in resets)
-    assert len(plain_after) == len(resets) and all(plain_after)
+    problem = build_relaxation(inst, 4)
+    # from rho0 = 1/64 this solve never rebalances; from these it does
+    for rho0 in (1.0, 1.0 / 1024):
+        for record in (iters, resets, plain_after):
+            record.clear()
+        monkeypatch.setattr(sos, "ADMM_RHO0", rho0)
+        solve_sdp(problem, tol=1e-4)
+        # rho is rebalanced only after every 50th iteration; this solve does
+        # so at least once, and the step after each such reset is the plain
+        # one
+        assert resets and all(r % 50 == 0 for r in resets), rho0
+        assert len(plain_after) == len(resets) and all(plain_after), rho0
 
 
 def _dense_map(layout):
@@ -280,21 +287,6 @@ def test_adjoint_matches_the_map_and_its_gram_is_diagonal(n, k, D, seed):
         assert np.abs(A.T @ A - np.diag(layout.counts)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("npos", [31, 9, 40, 0])
-def test_psd_split_matches_clipped_reconstruction(rng, npos):
-    dim = 40
-    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    lam = rng.uniform(0.1, 2.0, size=dim)
-    lam[npos:] *= -1.0
-    S = (Q * lam) @ Q.T
-    S = (S + S.T) / 2.0
-    mu, V = np.linalg.eigh(S)
-    ref = (V * np.clip(mu, 0.0, None)) @ V.T
-    pos, rest = sos._psd_split(S)
-    assert np.abs(pos - ref).max() <= 1e-12
-    assert np.abs(rest - (S - ref)).max() <= 1e-12
-
-
 def _rotated(rng, lam, complex_=False):
     X = rng.normal(size=(lam.size, lam.size))
     if complex_:
@@ -313,29 +305,28 @@ def _spectrum(rng, npos, nzero=0, dim=40):
 
 
 @pytest.mark.parametrize("npos, nzero, exact", [
+    (31, 0, False),         # many positives
+    (9, 0, False),          # many negatives
+    (40, 0, False),         # all positive
+    (0, 0, False),          # none positive
     (3, 0, False),          # few positives
     (37, 0, False),         # few negatives
-    (0, 0, False),          # none positive
     (3, 27, False),         # zero eigenvalues up to round-off
     (35, 3, False),
     (3, 27, True),          # exact zeros
     (35, 3, True),
-    (31, 0, False),         # many positives
-    (9, 0, False),          # many negatives
-], ids=["3-0-False-3", "37-0-False-37", "0-0-False-0", "3-27-False-3",
-        "35-3-False-37", "3-27-True-3", "35-3-True-37", "31-0-False-2",
-        "9-0-False-38"])
-def test_partial_psd_split_matches_clipped_reconstruction(
-        rng, npos, nzero, exact):
+], ids=["31", "9", "40", "0", "3", "37", "3-27", "35-3", "3-27-exact",
+        "35-3-exact"])
+def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
     """The split, rebuilt from the smaller side of the spectrum only,
-    equals the clipped full reconstruction.  Each case id ends in the
-    eigenpair-count hint that the earlier dsyevr-based split was given."""
+    equals the clipped full reconstruction: npos positive and nzero zero
+    eigenvalues of 40, on a real block and a Hermitian one, or with exact
+    zeros on a permuted diagonal."""
     lam = _spectrum(rng, npos, nzero)
     if exact:
         perm = rng.permutation(lam.size)
         cases = [np.diag(lam)[perm][:, perm]]
     else:
-        # a real block and a Hermitian one
         cases = [_rotated(rng, lam), _rotated(rng, lam, complex_=True)]
     for S in cases:
         mu, V = np.linalg.eigh(S)
