@@ -339,6 +339,23 @@ def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
         assert np.abs(np.tril(sos._psd_split(low)[0] - ref)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("npos", [31, 9, 0],
+                         ids=["31-0-False-2", "9-0-False-38", "0-0-False-0"])
+def test_partial_psd_split_matches_clipped_reconstruction(rng, npos):
+    """Negating S swaps which side of the spectrum the split rebuilds from
+    (the empty one when npos = 0), and the two splits agree: the split of
+    -S is (-(S - S_+), -S_+), with S_+ the clipped reconstruction of S."""
+    lam = _spectrum(rng, npos)
+    for S in (_rotated(rng, lam), _rotated(rng, lam, complex_=True)):
+        mu, V = np.linalg.eigh(S)
+        ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
+        pos, rest = sos._psd_split(S)
+        neg_pos, neg_rest = sos._psd_split(-S)
+        assert np.abs(pos - ref).max() <= 1e-12
+        assert np.abs(neg_pos + rest).max() <= 1e-12
+        assert np.abs(neg_rest + pos).max() <= 1e-12
+
+
 def _spy_eigh_threads(monkeypatch):
     """Record the BLAS thread count at each np.linalg.eigh call."""
     if _kernels.get_blas_threads() is None:
