@@ -11,8 +11,8 @@ vertices damped by the step approximant p; Phi of a pseudodistribution mu is
 its pseudoexpectation over an independent pair (X, X') of copies of mu.  Psi
 is the conditioned shift potential, a closed-form lower bound on Condition &
 Round, read from mu's pair and triple moments.  Every potential takes mu
-itself, a single-copy table; viol and the local values are weighted sums of
-its per-edge agreements (`sos.edge_agreement`).
+itself, a single-copy table; viol is a weighted sum of its per-edge
+agreements (`sos.edge_agreement`).
 
 Phi, the per-shift masses and the small-set-expansion claims are each
 written once over one table of shift moments, `_shift_moments`: the first and
@@ -25,9 +25,10 @@ g's under X contracted with mu's pair moments P[u, w, a+s, b+s] under X'
 two sources (`_factors`).  Genuine distributions (point masses and finite
 mixtures, recognized by their component tables) sum over their components
 with p evaluated numerically, at any step-polynomial degree.  Any other
-table takes `pe` of the g's monomial expansions, which caps deg(p) at
-(D/2 - 1)/2 per factor; callers use `truncation_cap` /
-`build_capped_step_poly` and report the achieved (beta, nu_effective).
+table reads them at products of monomial ids from one term table of
+X_{u,a} val_u (`_local_terms`, which Psi and the local values read too);
+this caps deg(p) at (D/2 - 1)/2 per factor, so callers use `truncation_cap`
+/ `build_capped_step_poly` and report the achieved (beta, nu_effective).
 Vertex averages use the instance's measure pi; the walk terms (Dirichlet
 form, b2) use the spectral data's measure, the one its walk matrix and
 projector are self-adjoint in.
@@ -41,8 +42,7 @@ import numpy as np
 from ugsos.errors import DegreeError, ParameterError
 from ugsos.instances import UgInstance, local_value
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, check_shift_symmetric,
-                       edge_agreement, local_value_poly, pair_moments,
-                       poly_add, poly_mul)
+                       edge_agreement, pair_moments)
 from ugsos.steppoly import StepPolynomial
 
 
@@ -66,14 +66,39 @@ def _check_p_degree(pE: PseudoExpectation, p: StepPolynomial):
             f"(cap {cap} per factor)")
 
 
-def _p_of_poly(p: StepPolynomial, base: dict) -> dict:
-    """p composed with a polynomial, expanded in the monomial basis."""
-    out = {(): float(p.coeffs[0])}
-    power = {(): 1.0}
-    for c in p.coeffs[1:]:
-        power = poly_mul(power, base)
-        out = poly_add(out, power, float(c))
-    return out
+def _local_terms(pE: PseudoExpectation, inst: UgInstance):
+    """(one, local): the polynomials X_{u,a} and X_{u,a} val_u(X) as
+    (ids, coefs) of shapes (n, k, 1) and (n, k, m), m the largest vertex
+    degree.  Term i of local[u, a] is X_{u,a} X_{v,a-h} for u's i-th edge
+    end (v, h), with that edge's share of u's weight; padding terms read
+    X_{u,a} with coefficient 0."""
+    n, k = inst.num_vertices, inst.k
+    x = pE.index.offset[1] + np.arange(n * k).reshape(n, k)    # X_{u,a}'s id
+    ends = np.array([(u, i, v, h, w) for u, inc in enumerate(inst.incident)
+                     for i, (v, w, h) in enumerate(inc)])
+    tail, slot, head, h = ends[:, :4].T.astype(np.intp)
+    w = ends[:, 4]
+    ids = np.repeat(x[:, :, None], slot.max() + 1, axis=-1)
+    coefs = np.zeros(ids.shape)
+    ids[tail, :, slot] = pE.index.mul(
+        x[tail], x[head[:, None], (np.arange(k) - h[:, None]) % k])
+    coefs[tail, :, slot] = (w / np.bincount(tail, w, n)[tail])[:, None]
+    return (x[:, :, None], np.ones((n, k, 1))), (ids, coefs)
+
+
+def _times(pE: PseudoExpectation, f, g):
+    """The product of the polynomials f and g, (ids, coefs) with their
+    leading axes broadcast: every term of f times every term of g, a label
+    clash read as id 0 with coefficient 0."""
+    ids = pE.index.mul(f[0][..., :, None], g[0][..., None, :])
+    coefs = np.where(ids < 0, 0.0, f[1][..., :, None] * g[1][..., None, :])
+    shape = ids.shape[:-2] + (-1,)
+    return np.maximum(ids, 0).reshape(shape), coefs.reshape(shape)
+
+
+def _pe(pE: PseudoExpectation, f) -> np.ndarray:
+    """pE of the polynomials f, (ids, coefs) with terms on the last axis."""
+    return (f[1] * pE._array()[f[0]]).sum(axis=-1)
 
 
 def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
@@ -81,14 +106,14 @@ def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
     """(G1, G2, G3) with g_u^a = X_{u,a} p(val_u(X)), 0 where pi_u = 0:
     G1[u, a] = E g_u^a, G2[u, w, a, b] = E g_u^a g_w^b and, with `cubes`,
     G3[u, w, a, b] = E g_u^a p(val_u)^2 g_w^b (else None).  Mixtures sum
-    over their components, other tables take `pe` of the monomial
-    expansions."""
+    over their components; other tables read the products of the g's
+    monomial ids from the moment array, for deg(p) up to the cap."""
     n, k = inst.num_vertices, inst.k
     live = np.flatnonzero(inst.stationary > 0)
-    G1, G2 = np.zeros((n, k)), np.zeros((n, n, k, k))
-    G3 = np.zeros((n, n, k, k)) if cubes else None
     comps = pE.flags.get("mixture")
     if comps is not None:
+        G1, G2 = np.zeros((n, k)), np.zeros((n, n, k, k))
+        G3 = np.zeros((n, n, k, k)) if cubes else None
         for w, x in comps:
             g = np.zeros((n, k))
             g[live, np.take(x, live)] = p(np.array(
@@ -98,19 +123,24 @@ def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
             if cubes:
                 G3 += w * np.einsum("ua,wb->uwab", g**3, g)
         return G1, G2, G3
+    # the only guard: a product above the degree would read as 0
     _check_p_degree(pE, p)
-    pv = {u: _p_of_poly(p, local_value_poly(inst, u)) for u in live}
-    g = {(u, a): poly_mul({((u, a, 0),): 1.0}, pv[u])
-         for u in live for a in range(k)}
-    for (u, a), gua in g.items():
-        G1[u, a] = pE.pe(gua)
-        cube = poly_mul(gua, poly_mul(pv[u], pv[u])) if cubes else None
-        for (w, b), gwb in g.items():
-            if (w, b) >= (u, a):
-                G2[u, w, a, b] = G2[w, u, b, a] = pE.pe(poly_mul(gua, gwb))
-            if cubes:
-                G3[u, w, a, b] = pE.pe(poly_mul(cube, gwb))
-    return G1, G2, G3
+    one, local = _local_terms(pE, inst)
+    # X_{u,a}^2 = X_{u,a}, so g_u^a = sum_j c_j (X_{u,a} val_u)^j
+    powers = [one]                  # the j = 0 term is c_0 X_{u,a}
+    for _ in p.coeffs[1:]:
+        powers.append(_times(pE, powers[-1], local))
+    scale = (inst.stationary > 0)[:, None, None]
+    g = (np.concatenate([ids for ids, _ in powers], axis=-1),
+         np.concatenate([scale * float(c) * coefs
+                         for c, (_, coefs) in zip(p.coeffs, powers)], axis=-1))
+
+    def times_g(f):     # pE[f_u^a g_w^b] over (u, w, a, b)
+        return _pe(pE, _times(pE, [y[:, None, :, None] for y in f],
+                              [y[None, :, None] for y in g]))
+    # g^3 = X p^3 = g p^2
+    cube = _times(pE, _times(pE, g, g), g) if cubes else None
+    return _pe(pE, g), times_g(g), times_g(cube) if cubes else None
 
 
 def _shift_moments(pE: PseudoExpectation, p: StepPolynomial,
@@ -208,23 +238,13 @@ def psi(pE: PseudoExpectation, inst: UgInstance) -> float:
     if pE.degree < 4:
         raise ParameterError("psi needs degree >= 4")
     check_shift_symmetric(pE)
-    n, k = inst.num_vertices, inst.k
-    t = np.arange(k)
-    st = (t[:, None] + t) % k                      # st[s, t] = s + t
+    t = np.arange(inst.k)
+    st = (t[:, None] + t) % inst.k                 # st[s, t] = s + t
     q = pair_moments(pE)[:, :, st, t].sum(axis=-1)
-    # r[v, u, s] = sum over v's edges (v, w, h), of weight share c at v, of
-    # c sum_t pE[X_{v,s+t} X_{w,s+t-h} X_{u,t}]; a label clash reads 0
-    eu, ev, w, h = inst._arrays
-    tail, head = np.concatenate((eu, ev)), np.concatenate((ev, eu))
-    h, w = np.concatenate((h, -h)) % k, np.tile(w, 2)
-    share = w / np.bincount(tail, w, n)[tail]
-    index = pE.index
-    one = index.offset[1] + np.arange(n * k).reshape(n, k)   # X_{u,a}'s id
-    pairs = index.mul(one[tail], one[head[:, None], (t - h[:, None]) % k])
-    triples = index.mul(pairs[:, None, st], one[None, :, None, :])
-    moments = np.append(pE._array(), 0.0)[triples].sum(axis=-1)
-    r = np.zeros((n, n, k))
-    np.add.at(r, tail, share[:, None, None] * moments)
+    # r[v, u, s] = sum_t pE[(X_{v,s+t} val_v) X_{u,t}]
+    one, (ids, coefs) = _local_terms(pE, inst)
+    r = _pe(pE, _times(pE, (ids[:, None, st], coefs[:, None, st]),
+                       [y[None, :, None] for y in one])).sum(axis=-1)
     pi = inst.stationary
     return float(np.einsum("v,u,vus,vus->", pi, pi,
                            np.where(q > COND_FLOOR, q, 0.0), r))
@@ -269,14 +289,8 @@ def potential_report(pE: PseudoExpectation, inst: UgInstance,
     """Phi, Psi, per-vertex local values and per-shift masses for a solved,
     symmetrized single-copy pseudoexpectation."""
     st = _ShiftStats(pE, p, inst)
-    # val_u: the weighted mean edge agreement over u's edges
-    n = inst.num_vertices
-    eu, ev, w, _ = inst._arrays
-    ends, w = np.concatenate((eu, ev)), np.tile(w, 2)
-    agree = np.tile(edge_agreement(pE, inst), 2)
-    locals_ = np.divide(np.bincount(ends, w * agree, n),
-                        np.bincount(ends, w, n), out=np.zeros(n),
-                        where=inst.stationary > 0)
+    # val_u = sum_a pE[X_{u,a} val_u], 0 at an isolated vertex
+    locals_ = _pe(pE, _local_terms(pE, inst)[1]).sum(axis=1)
     return PotentialReport(st.phi, psi(pE, inst), p.alpha, p.eps, p.degree,
                            tuple(locals_.tolist()), tuple(st.masses.tolist()))
 

@@ -317,20 +317,6 @@ def ug_objective_poly(inst: UgInstance) -> dict:
     return out
 
 
-def local_value_poly(inst: UgInstance, u: int) -> dict:
-    """val_u(X): weighted fraction of edges at u that are satisfied."""
-    inc = inst.incident[u]
-    if not inc:
-        raise ParameterError(f"vertex {u} is isolated")
-    wtot = sum(w for (_, w, _) in inc)
-    out: dict = {}
-    for (v, w, s) in inc:
-        for a in range(inst.k):
-            key = canon_key(((u, a, 0), (v, (a - s) % inst.k, 0)))
-            out[key] = out.get(key, 0.0) + w / wtot
-    return out
-
-
 def z_var_poly(u: int, s: int, k: int) -> dict:
     """Z_{u,s} = sum_a X_{u,a} X'_{u,a+s}: shift-s indicator at u."""
     out: dict = {}

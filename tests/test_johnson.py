@@ -214,6 +214,26 @@ def test_pipeline_outcome_carries_the_solver_status(planted_johnson):
         assert json.loads(out.to_json())["unconverged"] is stalled
 
 
+@pytest.mark.parametrize("n,l,D,r", [(6, 2, 4, 1), (8, 4, 2, None)],
+                         ids=["J62-D4-r1", "J84-D2"])
+def test_pipeline_in_the_restriction_regime(n, l, D, r):
+    # r = 1 (J(8,4)'s own budget, J(6,2)'s by override) lets the search pick
+    # proper subcubes, so subsets are rounded and rerandomized; the values
+    # reached (about 0.4-0.5 against a planted 0.95) carry no floor here
+    g = johnson_graph(n, l, 0.5)
+    inst, _ = plant_instance(g, 3, 0.05, seed=0)
+    with pytest.warns(UserWarning, match="clamped"):
+        out = johnson_pipeline(inst, 0.05, D, seed=0, graph=g,
+                               solver_tol=3e-3, r_override=r)
+    assert any(len(rec.subgraph) < inst.num_vertices for rec in out.trace)
+    for rec in out.trace:
+        assert rec.drop <= 2.0 * len(rec.subgraph) / inst.num_vertices + 1e-9
+    assigned = [v for rec in out.trace for v in rec.newly_assigned]
+    assert len(assigned) == len(set(assigned))
+    assert out.achieved_value == value(inst, out.assignment)
+    assert out.stop_reason is not None
+
+
 def test_pipeline_rejects_wrong_graph():
     g = johnson_cayley_graph(4, 2, 0.5)
     inst, _ = plant_instance(g, 2, 0.0, seed=0)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos.errors import ParameterError
+from ugsos.errors import DegreeError, ParameterError
 from ugsos.graphs import WeightedGraph, spectral_decompose
 from ugsos.instances import UgInstance, local_value, plant_instance
-from ugsos.potentials import (_ShiftStats, check_shift_symmetric, claim_b1,
-                              claim_b2, claim_partition_expansion,
+from ugsos.potentials import (_factors, _ShiftStats, check_shift_symmetric,
+                              claim_b1, claim_b2, claim_partition_expansion,
                               claim_vertex_coverage, phi_apx,
                               phi_exact_sampled, potential_report, psi,
                               sp_pseudo_check, truncation_cap)
+from ugsos.rounding import closed_form_cr
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
                        canon_key, evaluate, mixture_pe, point_mass_pe,
                        poly_mul, product_copy, solve_sdp, symmetrize)
@@ -62,28 +63,32 @@ def test_psi_requires_degree_4(triangle_sat):
 
 @st.composite
 def small_tables(draw):
-    """An instance on at most 5 vertices with random weights (its last
-    vertex isolated, so of measure 0, when drawn so) and a table on it:
-    a loose solve, a symmetrized mixture of 1-3 assignments or a point
-    mass."""
-    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    """An instance on at most 5 vertices with random weights, parallel edges
+    with their own shifts allowed (its last vertex isolated, so of measure
+    0, when drawn so) and a table on it: a loose degree-4 solve, or a
+    symmetrized mixture of 1-3 assignments or a point mass of degree 4 or
+    6 (at degree 6, at most 4 vertices and 3 labels)."""
+    D = draw(st.sampled_from([4, 6]))
+    n = draw(st.integers(2, 5 if D == 4 else 4))
+    k = draw(st.integers(2, 5 if D == 4 else 3))
     live = n - 1 if n >= 3 and draw(st.booleans()) else n
     pairs = list(itertools.combinations(range(live), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
-                           max_size=len(pairs), unique=True))
+                           max_size=len(pairs) + 2))
     inst = UgInstance(n, k, tuple(
         (u, v, draw(st.floats(0.1, 10.0)), draw(st.integers(0, k - 1)))
         for (u, v) in chosen))
     labels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
-    kind = draw(st.sampled_from(["solver", "mixture", "point"]))
+    kinds = ["solver", "mixture", "point"] if D == 4 else ["mixture", "point"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "solver":
         pE = solve_sdp(build_relaxation(inst, 4), tol=1e-3, max_iters=500)
     elif kind == "mixture":
         xs = draw(st.lists(st.tuples(st.floats(0.1, 1.0), labels),
                            min_size=1, max_size=3))
-        pE = symmetrize(mixture_pe(n, k, xs))
+        pE = symmetrize(mixture_pe(n, k, xs, degree=D))
     else:
-        pE = point_mass_pe(n, k, draw(labels))
+        pE = point_mass_pe(n, k, draw(labels), degree=D)
     return inst, pE, kind
 
 
@@ -91,7 +96,8 @@ def small_tables(draw):
 @given(small_tables())
 def test_psi_viol_and_local_values_match_their_per_key_definitions(table):
     # every pair (v, u) enters Psi, so u = v, u a neighbour w of v and
-    # measure-0 vertices are all summed over
+    # measure-0 vertices are all summed over; Phi's factors are checked on
+    # the table without its mixture components, with p at the degree cap
     inst, pE, kind = table
     n, k, pi = inst.num_vertices, inst.k, inst.stationary
     val = {}        # val_u as a polynomial
@@ -107,9 +113,30 @@ def test_psi_viol_and_local_values_match_their_per_key_definitions(table):
         for a in range(k):
             key = canon_key(((u, a), (v, (a - s) % k)))
             obj[key] = obj.get(key, 0.0) + w / inst.total_weight
-    p = build_capped_step_poly(BETA, NU, 0)
+    p = build_capped_step_poly(BETA, NU, truncation_cap(pE.degree))
     assert _ShiftStats(pE, p, inst).viol == pytest.approx(
         1.0 - evaluate(pE, obj), abs=1e-12)
+    # g_u^a = X_{u,a} p(val_u), expanded in monomials, for u of measure > 0
+    g, pv = {}, {}
+    for u in np.flatnonzero(pi > 0):
+        pv[u], power = {(): float(p.coeffs[0])}, {(): 1.0}
+        for c in p.coeffs[1:]:
+            power = poly_mul(power, val[u])
+            for key, x in power.items():
+                pv[u][key] = pv[u].get(key, 0.0) + float(c) * x
+        for a in range(k):
+            g[u, a] = poly_mul({canon_key(((u, a),)): 1.0}, pv[u])
+    G1, G2 = np.zeros((n, k)), np.zeros((n, n, k, k))
+    G3 = np.zeros((n, n, k, k))
+    for (u, a), gua in g.items():
+        G1[u, a] = evaluate(pE, gua)
+        cube = poly_mul(gua, poly_mul(pv[u], pv[u]))
+        for (w, b), gwb in g.items():
+            G2[u, w, a, b] = evaluate(pE, poly_mul(gua, gwb))
+            G3[u, w, a, b] = evaluate(pE, poly_mul(cube, gwb))
+    bare = PseudoExpectation(pE.degree, k, n, pE._array())
+    for got, want in zip(_factors(bare, p, inst, True), (G1, G2, G3)):
+        assert got == pytest.approx(want, abs=1e-12)
     if kind == "point":
         with pytest.raises(ParameterError):
             psi(pE, inst)
@@ -128,6 +155,40 @@ def test_psi_viol_and_local_values_match_their_per_key_definitions(table):
     locals_ = [evaluate(pE, val[u]) if pi[u] > 0 else 0.0 for u in range(n)]
     assert potential_report(pE, inst, p).local_values == pytest.approx(
         locals_, abs=1e-12)
+
+
+def test_gauge_relabeling_and_negation_keep_the_potentials(cube3_pe,
+                                                          cube3_inst):
+    # each map sends the instance and the table along: the new table's key
+    # with slot row L reads the moment of the source key given by the map
+    # of L; negation sends shift s to -s
+    _, inst, _ = cube3_inst
+    n, k = inst.num_vertices, inst.k
+    rng = np.random.default_rng(0)
+    gauge, perm = rng.integers(0, k, n), rng.permutation(n)
+    L = cube3_pe.index.slots.astype(np.int64)
+    maps = [   # (source slot rows, edges, sign of the shift)
+        # x_u -> x_u + g_u sends s_uv to s_uv + g_u - g_v
+        (np.where(L > 0, (L - 1 - gauge) % k + 1, 0),
+         [(u, v, w, (s + gauge[u] - gauge[v]) % k)
+          for u, v, w, s in inst.edges], 1),
+        (L[:, perm], [(perm[u], perm[v], w, s)
+                      for u, v, w, s in inst.edges], 1),
+        (np.where(L > 0, (1 - L) % k + 1, 0),
+         [(u, v, w, -s % k) for u, v, w, s in inst.edges], -1),
+    ]
+    p = build_capped_step_poly(BETA, NU, truncation_cap(cube3_pe.degree))
+
+    def potentials(pE, instance, sign):
+        rep = potential_report(pE, instance, p)
+        return [rep.phi, rep.psi, closed_form_cr(pE, instance)] + [
+            rep.shift_masses[sign * s % k] for s in range(k)]
+    want = potentials(cube3_pe, inst, 1)
+    for rows, edges, sign in maps:
+        pE = PseudoExpectation(cube3_pe.degree, k, n,
+                               cube3_pe._array()[cube3_pe.index.rank(rows)])
+        got = potentials(pE, UgInstance(n, k, tuple(edges)), sign)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_phi_exact_sampled_satisfying_pair(triangle_sat, p_full):
@@ -236,11 +297,14 @@ _LOOPY = [[3, 1, 1, 0], [1, 0.1, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0.5]]
 _ISOLATED = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]]
 
 
-@pytest.mark.parametrize("W", [None, _LOOPY, _ISOLATED],
-                         ids=["triangle", "self-loops", "isolated-vertex"])
-def test_mixture_and_component_free_tables_agree(W):
+@pytest.mark.parametrize("W,D", [(None, 4), (_LOOPY, 4), (_ISOLATED, 4),
+                                 (_ISOLATED, 6)],
+                         ids=["triangle", "self-loops", "isolated-vertex",
+                              "isolated-vertex-D6"])
+def test_mixture_and_component_free_tables_agree(W, D):
     # the same moment table, once with its mixture components and once
-    # without, is evaluated by both backends of the shift moments
+    # without, is evaluated by both backends of the shift moments, with p
+    # at the degree cap (degree 1 at D = 6)
     if W is None:
         inst = make_triangle(3, sat=True)
         sd = spectral_decompose_instance(inst)
@@ -250,11 +314,25 @@ def test_mixture_and_component_free_tables_agree(W):
         sd = spectral_decompose(g)
     n = inst.num_vertices
     xs = [(0.6, [0, 2, 1, 1][:n]), (0.4, [1, 1, 0, 2][:n])]
-    mix = symmetrize(mixture_pe(n, 3, xs))
+    mix = symmetrize(mixture_pe(n, 3, xs, degree=D))
     bare = PseudoExpectation(mix.degree, 3, n, mix._array())
-    p = build_capped_step_poly(BETA, NU, 0)
+    p = build_capped_step_poly(BETA, NU, truncation_cap(D))
     assert _potentials(mix, p, inst, sd) == pytest.approx(
         _potentials(bare, p, inst, sd), abs=1e-12)
+
+
+def test_an_over_degree_step_poly_needs_mixture_components(triangle_sat,
+                                                            sym_pm, p_full):
+    # without its components a table is read through monomial ids, which
+    # only reach deg(p) <= truncation_cap(D); a product above D would read 0
+    assert p_full.degree > truncation_cap(sym_pm.degree)
+    bare = PseudoExpectation(sym_pm.degree, 3, 3, sym_pm._array())
+    with pytest.raises(DegreeError):
+        phi_apx(bare, p_full, triangle_sat)
+    with pytest.raises(DegreeError):
+        claim_b1(bare, p_full, triangle_sat)
+    assert phi_apx(sym_pm, p_full, triangle_sat) > 0.0
+    assert claim_b1(sym_pm, p_full, triangle_sat).holds
 
 
 def test_phi_of_an_unsymmetrized_mixture_matches_the_definition():
