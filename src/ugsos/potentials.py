@@ -96,6 +96,26 @@ def _times(pE: PseudoExpectation, f, g):
     return np.maximum(ids, 0).reshape(shape), coefs.reshape(shape)
 
 
+def _merge(f):
+    """f with equal monomial ids merged and their coefficients summed: as
+    many terms as the most distinct ids of any one polynomial, the rest
+    read as id 0 with coefficient 0."""
+    ids, coefs = (y.reshape(-1, y.shape[-1]) for y in f)
+    order = np.argsort(ids, axis=-1)
+    ids = np.take_along_axis(ids, order, -1)
+    new = np.ones(ids.shape, dtype=bool)
+    new[:, 1:] = ids[:, 1:] != ids[:, :-1]
+    slot = np.cumsum(new, axis=-1) - 1
+    width = int(slot.max(initial=0)) + 1
+    flat = (np.arange(len(ids))[:, None] * width + slot).ravel()
+    out = np.zeros(len(ids) * width, dtype=ids.dtype)
+    out[flat] = ids.ravel()
+    sums = np.bincount(flat, np.take_along_axis(coefs, order, -1).ravel(),
+                       minlength=out.size)
+    shape = f[0].shape[:-1] + (width,)
+    return out.reshape(shape), sums.reshape(shape)
+
+
 def _pe(pE: PseudoExpectation, f) -> np.ndarray:
     """pE of the polynomials f, (ids, coefs) with terms on the last axis."""
     return (f[1] * pE._array()[f[0]]).sum(axis=-1)
@@ -138,8 +158,8 @@ def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,
     def times_g(f):     # pE[f_u^a g_w^b] over (u, w, a, b)
         return _pe(pE, _times(pE, [y[:, None, :, None] for y in f],
                               [y[None, :, None] for y in g]))
-    # g^3 = X p^3 = g p^2
-    cube = _times(pE, _times(pE, g, g), g) if cubes else None
+    # g^3 = X p^3 = g p^2, its equal monomials merged after each product
+    cube = _merge(_times(pE, _merge(_times(pE, g, g)), g)) if cubes else None
     return _pe(pE, g), times_g(g), times_g(cube) if cubes else None
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugsos import potentials
 from ugsos.errors import DegreeError, ParameterError
-from ugsos.graphs import WeightedGraph, spectral_decompose
+from ugsos.graphs import WeightedGraph, noisy_hypercube, spectral_decompose
 from ugsos.instances import UgInstance, local_value, plant_instance
 from ugsos.potentials import (_factors, _ShiftStats, check_shift_symmetric,
                               claim_b1, claim_b2, claim_partition_expansion,
@@ -242,22 +243,22 @@ def test_claim_chain_on_mixture(triangle_sat, sym_pm, p_full):
 
 
 def test_mixture_potentials_are_pinned(triangle_sat, sym_pm, p_full):
-    # the values the per-pair loops gave before one pair table served Phi,
-    # the report's shift masses and the claims, with p_full (degree 16,
-    # coefficients up to 1.1e9) evaluated exactly; float Horner's round-off
-    # moved Phi by 2.4e-7
+    # the values the per-pair loops give for Phi, the report's shift masses
+    # and the claims, with p_full (degree 16, its squeeze padded by the
+    # Clenshaw bound) evaluated by Clenshaw; float Horner on its monomial
+    # coefficients (up to 1.1e9) moved Phi by 2.4e-7
     sd = spectral_decompose_instance(triangle_sat)
     assert phi_apx(sym_pm, p_full, triangle_sat) == pytest.approx(
-        0.9613940968377822, abs=1e-12)
+        0.961394096836733, abs=1e-12)
     rep = potential_report(sym_pm, triangle_sat, p_full)
-    assert rep.shift_masses == pytest.approx((0.32683568702837384,) * 3,
+    assert rep.shift_masses == pytest.approx((0.32683568702819543,) * 3,
                                              abs=1e-12)
     claims = [claim_vertex_coverage(sym_pm, p_full, triangle_sat),
               claim_b1(sym_pm, p_full, triangle_sat),
               claim_partition_expansion(sym_pm, p_full, triangle_sat, sd),
               claim_b2(sym_pm, p_full, triangle_sat, sd, lam=0.5, eta=1.0)]
-    pinned = [(0.9805070610851213, 0.9), (0.019112964247339322, 0.1),
-              (0.0, 0.2), (0.037115487403247174, 0.6)]
+    pinned = [(0.9805070610845863, 0.9), (0.01911296424785347, 0.1),
+              (0.0, 0.2), (0.03711548740421565, 0.6)]
     for claim, (lhs, rhs) in zip(claims, pinned):
         assert (claim.lhs, claim.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
 
@@ -406,6 +407,29 @@ def test_solver_output_potentials_with_degree_one_step_poly(triangle_unsat):
     assert lhs == pytest.approx([0.6858135109931632, 0.16611676779206197,
                                  0.2536493903991712, 0.1161064279528922],
                                 abs=1e-12)
+
+
+def test_cube_factors_merge_equal_monomials(monkeypatch):
+    # claim_b2's cubes at D = 6 with deg p = 1 on the 3-cube (k = 2), read
+    # from the moment table of a flag-stripped point mass: g_u^a has 8 terms
+    # (m = 7 edge ends), and merging equal ids keeps E g p^2 g to 8 * 64
+    # terms per (u, w, a, b), not 8^4, with the mixture path's values
+    inst, x = plant_instance(noisy_hypercube(3, 0.3), 2, 0.05, seed=0)
+    mixture = point_mass_pe(inst.num_vertices, 2, x, degree=6)
+    table = PseudoExpectation(6, 2, inst.num_vertices, mixture._array())
+    p = build_capped_step_poly(BETA, NU, truncation_cap(6))
+    terms, times = [], potentials._times
+
+    def spy(*args):
+        out = times(*args)
+        terms.append(out[0].shape[-1])
+        return out
+    monkeypatch.setattr(potentials, "_times", spy)
+    got = _factors(table, p, inst, cubes=True)
+    monkeypatch.undo()
+    assert max(terms) == 8 * 64
+    for a, b in zip(got, _factors(mixture, p, inst, cubes=True)):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def spectral_decompose_instance(inst):

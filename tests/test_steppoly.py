@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from ugsos import steppoly
 from ugsos.errors import ParameterError
-from ugsos.steppoly import (GRID_POINTS, StepPolynomial, _float_safe,
-                            _horner_many, build_capped_step_poly,
-                            build_step_poly, check_invariants,
-                            check_markov_bounds, check_union_bound, square)
+from ugsos.steppoly import (GRID_POINTS, StepPolynomial,
+                            build_capped_step_poly, build_step_poly,
+                            check_invariants, check_markov_bounds,
+                            check_union_bound, clenshaw, square)
+
+TRIPLES = [(0.5, 0.1, 0.2), (0.3, 0.05, 0.1), (0.2, 0.01, 0.05)]
 
 
 @pytest.fixture(scope="module")
@@ -59,54 +61,63 @@ def _horner_fraction(coeffs, x):
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * Fraction(x) + c
-    return float(acc)
+    return acc
 
 
-def test_exact_horner_is_correctly_rounded():
-    p = build_step_poly(0.3, 0.05, 0.1)
+def _clenshaw_exact(series, x):
+    """sum_k c_k T_k(2x - 1) as an exact Fraction: Clenshaw in integers
+    scaled by 2^big, exact because every number involved is dyadic (x is
+    m / 2^f, so 4x - 2 is a / 2^f, and step j's b has denominator at most
+    2^(e + f (d - j)), e the coefficients' largest exponent)."""
+    f = Fraction(x).denominator.bit_length() - 1
+    a = int((4 * Fraction(x) - 2) * 2**f)
+    fc = [Fraction(c) for c in series]
+    big = max(c.denominator for c in fc).bit_length() + f * len(fc)
+    n = [int(c * 2**big) for c in fc]
+    b1 = b2 = 0
+    for nk in reversed(n[1:]):
+        b1, b2 = nk + (a * b1 >> f) - b2, b1
+    return Fraction(n[0] + (a * b1 >> f + 1) - b2, 2**big)
+
+
+def test_clenshaw_error_is_within_its_bound():
+    # criterion 6's fits (degrees 8, 32, 64) and their squares, against the
+    # exact value of the stored series, at tiny and subnormal points too
     rng = np.random.default_rng(11)
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    points = np.concatenate([rng.random(200), [0.0, 1.0, 1e-300, 5e-324]])
-    for q, xs in ((p, grid), (square(p), grid[::7]), (p, points),
-                  (square(p), points)):
-        assert q.degree >= 32 and not _float_safe(q.coeffs)
-        ref = np.array([_horner_fraction(q.coeffs, x) for x in xs])
-        assert np.array_equal(_horner_many(q.coeffs, xs), ref)
+    xs = np.concatenate([rng.random(40), [0.0, 1.0, 1e-300, 5e-324]])
+    for triple in TRIPLES:
+        p = build_step_poly(*triple)
+        for q in (p, square(p)):
+            vals, err = clenshaw(q.series, xs)
+            assert 0.0 < err < 1e-10
+            for v, x in zip(vals, xs):
+                assert abs(Fraction(v) - _clenshaw_exact(q.series, x)) <= err
 
 
-def test_large_coefficient_fit_takes_the_exact_path():
-    # a degree-20 squeezed fit whose largest coefficient is 6.3e11: float
-    # Horner misses it by about 1e-4 on [0, 1], far past GRID_SLACK
-    coeffs = steppoly._squeeze_into_unit(
-        steppoly._cheb_fit_exact(0.4, 0.15, 20))
-    assert len(coeffs) == 21 and max(abs(float(c)) for c in coeffs) > 1e11
-    assert not _float_safe(coeffs)
-    xs = np.linspace(0.0, 1.0, 501)
-    ref = np.array([_horner_fraction(coeffs, x) for x in xs])
-    assert np.array_equal(_horner_many(coeffs, xs), ref)
+def test_monomial_coeffs_are_the_series_exactly():
+    # a degree-20 squeezed fit whose largest monomial coefficient is 6.3e11:
+    # float Horner on those would miss p by about 1e-4 on [0, 1]; the exact
+    # coefficients derived from the series give exactly the series' values
+    p = StepPolynomial(0.4, 0.1, 0.15, steppoly._squeeze_into_unit(
+        steppoly._cheb_fit(0.4, 0.15, 20)))
+    assert p.degree == 20 and max(abs(float(c)) for c in p.coeffs) > 1e11
+    for x in np.linspace(0.0, 1.0, 41):
+        assert _horner_fraction(p.coeffs, x) == _clenshaw_exact(p.series, x)
+    with pytest.raises(ParameterError):
+        StepPolynomial.from_coeffs_json(0.4, 0.1, 0.15, '["1/3"]')
 
 
-def test_squeezed_grid_reuses_the_exact_horner(monkeypatch):
-    # one exact grid pass per candidate degree: the squeezed candidate's grid
-    # is an exact affine map of the unsqueezed one, not a second Horner pass.
-    # Degrees 4 and 8 are float-safe; 16 and 32 are not.
-    steppoly._grid_memo.cache_clear()
-    grid_passes = []
-    horner_exact = steppoly._horner_exact
-
-    def spy(coeffs, xs):
-        if xs.size == GRID_POINTS:
-            grid_passes.append(len(coeffs))
-        return horner_exact(coeffs, xs)
-
-    monkeypatch.setattr(steppoly, "_horner_exact", spy)
-    p = build_step_poly(0.3, 0.05, 0.1)
-    assert grid_passes == [17, p.degree + 1]
-    assert not _float_safe(p.coeffs)
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    monkeypatch.undo()
-    assert np.array_equal(steppoly._grid_values_cached(p.coeffs),
-                          _horner_many(p.coeffs, grid))
+def test_criterion_6_triples_keep_their_degrees():
+    # the Clenshaw bound pads every check; a looser bound must not silently
+    # raise the degree the doubling search settles on
+    x = np.linspace(0.0, 1.0, GRID_POINTS)
+    for triple, degree in zip(TRIPLES, (8, 32, 64)):
+        p = build_step_poly(*triple)
+        assert p.degree == degree
+        vals, err = clenshaw(p.series, x)
+        outside = (x <= p.alpha - p.delta) | (x >= p.alpha + p.delta)
+        raw = np.max(np.abs(vals - (x >= p.alpha))[outside])
+        assert check_invariants(p).max_violation == raw + err
 
 
 def test_json_round_trip(p_easy):
