@@ -173,8 +173,7 @@ def cmd_solve_round(args) -> int:
         "sdp_iterations": pE.flags["iterations"],
     }
     if args.family == "johnson":
-        out = johnson_pipeline(inst, eps, args.degree, args.seed, graph,
-                               pE=pE)
+        out = johnson_pipeline(inst, pE, graph, eps)
         report["rounded_value"] = out.achieved_value
         report["trace"] = json.loads(out.to_json())["trace"]
     else:

@@ -16,7 +16,9 @@ import numpy as np
 from ugsos import _kernels
 from ugsos.errors import ParameterError, SizeCapError
 
-SPECTRAL_CAP = 10**4
+# the most vertices a generator builds or spectral_decompose takes: each
+# holds a dense N x N float64 weight matrix (800 MB at the cap)
+VERTEX_CAP = 10**4
 SSE_EXHAUSTIVE_CAP = 10**7
 SSE_SAMPLE_COUNT = 10**6
 
@@ -87,8 +89,8 @@ def noisy_hypercube(d: int, eps: float) -> WeightedGraph:
     matrix.  Contains self-loops; rows already sum to 1."""
     if d < 1:
         raise ParameterError("d must be >= 1")
-    if d > 16:
-        raise SizeCapError("noisy_hypercube caps at d <= 16")
+    if 2**d > VERTEX_CAP:
+        raise SizeCapError(f"noisy_hypercube caps at 2^d <= {VERTEX_CAP}")
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must lie in [0, 1)")
     base = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
@@ -182,8 +184,8 @@ def johnson_graph(n: int, l: int, alpha: float) -> WeightedGraph:
     _check_alpha(l, alpha)
     if not l < n:
         raise ParameterError("need l < n")
-    if comb(n, l) > 10**5:
-        raise SizeCapError("johnson_graph caps at C(n,l) <= 1e5")
+    if comb(n, l) > VERTEX_CAP:
+        raise SizeCapError(f"johnson_graph caps at C(n,l) <= {VERTEX_CAP}")
     target = round((1.0 - alpha) * l)
     verts = list(itertools.combinations(range(n), l))
     sets = [frozenset(v) for v in verts]
@@ -203,8 +205,8 @@ def johnson_cayley_graph(n: int, l: int, alpha: float) -> WeightedGraph:
     the transition probabilities (the walk is doubly stochastic); self-loops
     arise because a resampled coordinate may repeat its old value."""
     _check_alpha(l, alpha)
-    if n**l > 10**5:
-        raise SizeCapError("johnson_cayley_graph caps at n^l <= 1e5")
+    if n**l > VERTEX_CAP:
+        raise SizeCapError(f"johnson_cayley_graph caps at n^l <= {VERTEX_CAP}")
     m = round(alpha * l)
     verts = list(itertools.product(range(n), repeat=l))
     N = len(verts)
@@ -233,8 +235,8 @@ def _check_alpha(l: int, alpha: float):
 def spectral_decompose(g: WeightedGraph) -> SpectralData:
     """Eigendecomposition of the walk matrix via the symmetrized form
     D^(1/2) T D^(-1/2); eigenvalues within 1e-9 of [-1,1] are clamped."""
-    if g.num_vertices > SPECTRAL_CAP:
-        raise SizeCapError("spectral_decompose caps at 1e4 vertices")
+    if g.num_vertices > VERTEX_CAP:
+        raise SizeCapError(f"spectral_decompose caps at {VERTEX_CAP} vertices")
     deg = g.degrees
     total = deg.sum()
     if total <= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -23,10 +23,11 @@ from ugsos.errors import ParameterError, SizeCapError
 from ugsos.graphs import WeightedGraph, johnson_cayley_graph
 from ugsos.instances import UgInstance
 from ugsos.rounding import RoundingOutcome, cr_val, partial_to_full
-from ugsos.sos import build_relaxation, solve_sdp
+from ugsos.sos import PseudoExpectation
 
 LEVEL_CAP = 10**5
 SUBCUBE_CAP = 10**5
+LEVEL_BOUND_SLACK = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +62,9 @@ def eigenvalue_multiset(n: int, l: int, alpha: float) -> np.ndarray:
     return np.sort(np.array(vals))[::-1]
 
 
-def subcube_expansion(n: int, l: int, alpha: float, r: int) -> float:
+def subcube_expansion(l: int, alpha: float, r: int) -> float:
     """Edge expansion of an r-restricted subcube of the Johnson graph:
-    phi = 1 - C(l-r, alpha*l)/C(l, alpha*l).  (n is accepted for signature
-    symmetry with the generators; the closed form does not involve it.)"""
+    phi = 1 - C(l-r, alpha*l)/C(l, alpha*l), whatever the ground-set size."""
     m = _check_alpha_l(l, alpha)
     if not 0 <= r <= l - 1:
         raise ParameterError(f"restriction size r = {r} outside [0, {l - 1}]")
@@ -79,7 +79,7 @@ def expansion_bound_check(l: int, alpha: float, eps: float):
     r = math.floor(32.0 * eps / alpha)
     if r > l / 4 or r > l - 1:
         return r, None, None
-    phi = subcube_expansion(l + 1, l, alpha, r)
+    phi = subcube_expansion(l, alpha, r)
     return r, phi, phi <= 200.0 * eps
 
 
@@ -89,19 +89,16 @@ def expansion_bound_check(l: int, alpha: float, eps: float):
 
 @dataclass(frozen=True)
 class SubcubeId:
-    """A restriction defining a subcube: for tag "J" a set of elements that
-    every vertex (an l-set) must contain; for tag "C" the values of the first
-    |elements| coordinates."""
+    """The restricted subcube J|_A of a Johnson graph: A = `elements`, a set
+    of distinct nonnegative ground-set elements that every vertex (an l-set)
+    must contain.  The empty A is the whole graph."""
 
-    tag: str
     elements: tuple
 
     def __post_init__(self):
-        if self.tag not in ("J", "C"):
-            raise ParameterError(f"unknown subcube tag {self.tag!r}")
         elems = tuple(int(e) for e in self.elements)
-        if self.tag == "J" and len(set(elems)) != len(elems):
-            raise ParameterError("J-restriction elements must be distinct")
+        if len(set(elems)) != len(elems):
+            raise ParameterError("restriction elements must be distinct")
         if any(e < 0 for e in elems):
             raise ParameterError("restriction elements must be nonnegative")
         object.__setattr__(self, "elements", elems)
@@ -109,12 +106,8 @@ class SubcubeId:
 
 def subcube_vertices(graph: WeightedGraph, sub: SubcubeId) -> list:
     """Vertex indices of the subcube in the graph's labeling."""
-    if sub.tag == "J":
-        a = set(sub.elements)
-        return [i for i, lab in enumerate(graph.labels) if a <= set(lab)]
-    r = len(sub.elements)
-    return [i for i, lab in enumerate(graph.labels)
-            if tuple(lab[:r]) == sub.elements]
+    a = set(sub.elements)
+    return [i for i, lab in enumerate(graph.labels) if a <= set(lab)]
 
 
 def restriction_density(F: np.ndarray, A, n: int | None = None,
@@ -237,9 +230,9 @@ def _mean_sq_density(F: np.ndarray, j: int) -> float:
     return total / cnt
 
 
-def level_weight_bound_check(F: np.ndarray, r: int,
-                             slack: float = 1e-8) -> LevelBoundReport:
-    """eta_i <= 2^i C(l,i) sum_{j<=i} C(i,j) E_Y[delta_Y(F)^2] for i <= r."""
+def level_weight_bound_check(F: np.ndarray, r: int) -> LevelBoundReport:
+    """eta_i <= 2^i C(l,i) sum_{j<=i} C(i,j) E_Y[delta_Y(F)^2] for i <= r,
+    each within LEVEL_BOUND_SLACK."""
     F = np.asarray(F, dtype=float)
     dec = level_decompose(F)
     l = F.ndim
@@ -249,7 +242,7 @@ def level_weight_bound_check(F: np.ndarray, r: int,
         bound = 2**i * comb(l, i) * sum(comb(i, j) * msq[j]
                                         for j in range(i + 1))
         rows.append((i, dec.level_weights[i], bound,
-                     dec.level_weights[i] <= bound + slack))
+                     dec.level_weights[i] <= bound + LEVEL_BOUND_SLACK))
     return LevelBoundReport(tuple(rows))
 
 
@@ -343,7 +336,7 @@ def find_best_subcube(pE, inst: UgInstance, graph: WeightedGraph,
     best = None
     for r in range(r_max + 1):
         for A in itertools.combinations(range(n), r):
-            sub = SubcubeId("J", A)
+            sub = SubcubeId(A)
             verts = subcube_vertices(graph, sub)
             if len(verts) < 2:
                 continue
@@ -358,39 +351,30 @@ def find_best_subcube(pE, inst: UgInstance, graph: WeightedGraph,
     return best
 
 
-def johnson_pipeline(inst: UgInstance, eps: float, degree: int, seed,
-                     graph: WeightedGraph, solver_tol: float = 3e-4,
-                     r_override: int | None = None,
-                     pE=None) -> RoundingOutcome:
-    """Solve the degree-D relaxation (its output is shift-symmetric), then
-    repeatedly round the best restricted subcube and rerandomize until the
-    running value drops below 1 - 2*eps.
+def johnson_pipeline(inst: UgInstance, pE: PseudoExpectation,
+                     graph: WeightedGraph, eps: float,
+                     r_override: int | None = None) -> RoundingOutcome:
+    """Round a solved degree-D table (D in {2, 4}, shift-symmetric, as
+    `solve_sdp` returns it) on the Johnson graph `graph`: repeatedly round
+    the restricted subcube of best CR value and rerandomize it, until the
+    running value drops below 1 - 2*eps (`partial_to_full`).
 
-    The restriction budget is r = min(floor(32 eps/alpha), floor(l/4));
-    beta = 201 eps is clamped to 0.9 with a warning when infeasible (it only
-    enters reporting -- subcube choice is driven by measured CR values).
-    `solver_tol` trades SDP polish for speed; the pipeline needs marginal
-    accuracy, not certificate accuracy."""
-    if degree not in (2, 4):
+    Subcubes J|_A range over |A| <= r, with the restriction budget
+    r = min(floor(32 eps/alpha), floor(l/4)) unless `r_override` sets it.
+    The choice is driven by measured CR values, so the paper's beta = 201 eps
+    plays no part."""
+    if pE.degree not in (2, 4):
         raise ParameterError("johnson_pipeline supports D in {2, 4}")
     meta = graph.meta
     if meta.get("family") != "johnson":
         raise ParameterError("johnson_pipeline needs a Johnson graph")
     l, alpha = meta["l"], meta["alpha"]
-    beta = 201.0 * eps
-    if beta > 0.9:
-        warnings.warn(f"beta = 201*eps = {beta:.3f} infeasible; clamped to 0.9",
-                      stacklevel=2)
-        beta = 0.9
     r = (min(math.floor(32.0 * eps / alpha), math.floor(l / 4))
          if r_override is None else r_override)
-    if pE is None:
-        pE = solve_sdp(build_relaxation(inst, degree), tol=solver_tol)
 
     def subroutine(mu):
         sub, cv = find_best_subcube(mu, inst, graph, r)
         verts = subcube_vertices(graph, sub)
         return verts, {"cr_val": cv, "subcube": sub.elements}
 
-    outcome = partial_to_full(inst, pE, subroutine, eps)
-    return replace(outcome, seed=seed)
+    return partial_to_full(inst, pE, subroutine, eps)

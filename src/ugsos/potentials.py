@@ -45,6 +45,10 @@ from ugsos.sos import (COND_FLOOR, PseudoExpectation, check_shift_symmetric,
                        edge_agreement, pair_moments)
 from ugsos.steppoly import StepPolynomial
 
+# the slack each claim's ClaimCheck.holds allows between lhs and rhs
+CLAIM_SLACK = 1e-5
+SP_PSEUDO_SLACK = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -335,39 +339,37 @@ class ClaimCheck:
         return self.lhs <= self.rhs + self.slack
 
 
-def claim_vertex_coverage(pE, p, inst, slack: float = 1e-5) -> ClaimCheck:
+def claim_vertex_coverage(pE, p, inst) -> ClaimCheck:
     """sum_s E_pi[f_s] >= 1 - viol/(1-beta-nu) - nu."""
     st = _ShiftStats(pE, p, inst)
-    return ClaimCheck("vertex-coverage", st.coverage, 1.0 - st.ratio, slack)
+    return ClaimCheck("vertex-coverage", st.coverage, 1.0 - st.ratio,
+                      CLAIM_SLACK)
 
 
-def claim_partition_expansion(pE, p, inst, spectral,
-                              slack: float = 1e-5) -> ClaimCheck:
+def claim_partition_expansion(pE, p, inst, spectral) -> ClaimCheck:
     """sum_s <f_s, L f_s>_sigma <= viol(X) + viol(X')
     + 2 viol(X)/(1-beta-nu) + 2 nu."""
     st = _ShiftStats(pE, p, inst, spectral)
     rhs = 2.0 * st.viol + 2.0 * st.ratio
-    return ClaimCheck("partition-expansion", st.dirichlet, rhs, slack)
+    return ClaimCheck("partition-expansion", st.dirichlet, rhs, CLAIM_SLACK)
 
 
-def claim_b1(pE, p, inst, slack: float = 1e-5) -> ClaimCheck:
+def claim_b1(pE, p, inst) -> ClaimCheck:
     """sum_s E_pi[f_s - f_s^2] <= viol/(1-beta-nu) + nu."""
     st = _ShiftStats(pE, p, inst)
-    return ClaimCheck("b1", st.b1, st.ratio, slack)
+    return ClaimCheck("b1", st.b1, st.ratio, CLAIM_SLACK)
 
 
-def claim_b2(pE, p, inst, spectral, lam: float, eta: float,
-             slack: float = 1e-5) -> ClaimCheck:
+def claim_b2(pE, p, inst, spectral, lam: float, eta: float) -> ClaimCheck:
     """sum_s <f_s - f_s^3, P f_s>_sigma <= 1/(2 eta)
     + eta (viol/(1-beta-nu) + nu), with P the projector onto walk
     eigenvalues >= 1 - lam."""
     st = _ShiftStats(pE, p, inst, spectral, lam)
     rhs = 1.0 / (2.0 * eta) + eta * st.ratio
-    return ClaimCheck("b2", st.b2, rhs, slack)
+    return ClaimCheck("b2", st.b2, rhs, CLAIM_SLACK)
 
 
-def sp_pseudo_check(pE, p, inst, lam: float, C: float, eta: float,
-                    slack: float = 1e-4):
+def sp_pseudo_check(pE, p, inst, lam: float, C: float, eta: float):
     """Numeric conclusion of the expander lower bound on Phi:
     Phi >= gamma (1 - viol/(1-beta-nu) - nu) + K, with
     gamma = lam^4/(16 C) and the unpinned constant c' taken as 1 (flagged).
@@ -378,4 +380,4 @@ def sp_pseudo_check(pE, p, inst, lam: float, C: float, eta: float,
     K = (alpha - (4.0 + alpha + eta) * st.ratio - 1.0 / (2.0 * eta)
          - 2.0 * st.viol)  # c' = 1 convention; viol(X') = viol(X)
     rhs = gamma * (1.0 - st.ratio) + K
-    return ClaimCheck("sp-pseudo", st.phi, rhs, slack), K
+    return ClaimCheck("sp-pseudo", st.phi, rhs, SP_PSEUDO_SLACK), K

@@ -99,19 +99,22 @@ def cond_marginals(pE: PseudoExpectation, inst: UgInstance,
     pE[X_{u,0}]; row u is the delta at 0.
 
     Tiny negative entries from an approximately-PSD table are clipped and the
-    rows renormalized."""
-    k = inst.k
+    rows renormalized (`_clip_renormalize`)."""
     joint = pair_moments(pE)[u, :, 0]
     mass = joint[u, 0]
     if mass <= COND_FLOOR:
         raise NullEventError(
             f"pE[X_{u},0] = {mass:.3e} below floor {COND_FLOOR}")
-    q = np.clip(joint / mass, 0.0, None)
+    return _clip_renormalize(joint / mass)
+
+
+def _clip_renormalize(q: np.ndarray) -> np.ndarray:
+    """The rows of q clipped at 0 and scaled to sum to 1; a row with no
+    positive mass becomes uniform."""
+    q = np.clip(q, 0.0, None)
     rows = q.sum(axis=1, keepdims=True)
-    bad = rows[:, 0] <= 0.0
-    q[bad] = 1.0 / k
-    rows[bad] = 1.0
-    return q / rows
+    good = rows > 0.0
+    return np.where(good, q / np.where(good, rows, 1.0), 1.0 / q.shape[1])
 
 
 def _edge_arrays(inst: UgInstance, H=None):
@@ -148,20 +151,18 @@ def _ind_val_from_marginals(marg: np.ndarray, inst: UgInstance,
     return float(w @ probs)
 
 
-def ind_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
-    """Independent-rounding value from unconditioned marginals, over the
-    H-internal (default: all) edges."""
-    marg = np.clip(_marginals(pE), 0.0, None)
-    rows = marg.sum(axis=1, keepdims=True)
-    marg = np.where(rows > 0, marg / np.maximum(rows, 1e-300), 1.0 / inst.k)
-    return _ind_val_from_marginals(marg, inst, _edge_arrays(inst, H))
+def ind_val(pE: PseudoExpectation, inst: UgInstance) -> float:
+    """Independent-rounding value from the unconditioned marginals, clipped
+    and renormalized like the conditioned ones."""
+    return _ind_val_from_marginals(_clip_renormalize(_marginals(pE)), inst,
+                                   _edge_arrays(inst))
 
 
-def expected_cr_value(pE: PseudoExpectation, inst: UgInstance, u: int,
-                      H=None) -> float:
+def expected_cr_value(pE: PseudoExpectation, inst: UgInstance,
+                      u: int) -> float:
     """Closed-form independent-rounding value after conditioning on X_u = 0."""
     return _ind_val_from_marginals(cond_marginals(pE, inst, u), inst,
-                                   _edge_arrays(inst, H))
+                                   _edge_arrays(inst))
 
 
 def closed_form_cr(pE: PseudoExpectation, inst: UgInstance) -> float:

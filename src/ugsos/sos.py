@@ -164,10 +164,10 @@ def poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def poly_add(p: dict, q: dict, scale: float = 1.0) -> dict:
+def poly_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for k, c in q.items():
-        out[k] = out.get(k, 0.0) + scale * c
+        out[k] = out.get(k, 0.0) + c
     return out
 
 

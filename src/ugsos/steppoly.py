@@ -30,6 +30,7 @@ from ugsos import _kernels
 from ugsos.errors import ConstructionError, ParameterError
 
 GRID_POINTS = 10**4
+UNION_GRID_POINTS = 300
 DEGREE_CAP = 200
 GRID_SLACK = 1e-9
 
@@ -214,8 +215,7 @@ def _squeeze_into_unit(series) -> tuple:
     return tuple((out / scale).tolist())
 
 
-def build_step_poly(alpha: float, eps: float, delta: float,
-                    degree_cap: int = DEGREE_CAP) -> StepPolynomial:
+def build_step_poly(alpha: float, eps: float, delta: float) -> StepPolynomial:
     """Construct p_alpha^{eps,delta}: Chebyshev least squares on the smoothed
     ramp, degree doubled until the grid invariants pass with margin eps/2,
     then renormalized affinely into [0,1]."""
@@ -226,7 +226,7 @@ def build_step_poly(alpha: float, eps: float, delta: float,
     best_dev = np.inf
     deg = 4
     tried = []
-    while deg <= degree_cap:
+    while deg <= DEGREE_CAP:
         tried.append(deg)
         series = _squeeze_into_unit(_cheb_fit(alpha, delta, deg))
         ok, dev = _grid_check(series, alpha, eps / 2.0, delta)
@@ -234,14 +234,14 @@ def build_step_poly(alpha: float, eps: float, delta: float,
         if ok:
             return StepPolynomial(alpha, eps, delta, series)
         deg *= 2
-    if degree_cap not in tried:
-        series = _squeeze_into_unit(_cheb_fit(alpha, delta, degree_cap))
+    if DEGREE_CAP not in tried:
+        series = _squeeze_into_unit(_cheb_fit(alpha, delta, DEGREE_CAP))
         ok, dev = _grid_check(series, alpha, eps, delta)
         best_dev = min(best_dev, dev)
         if ok:
             return StepPolynomial(alpha, eps, delta, series)
     raise ConstructionError(
-        f"step polynomial unachievable within degree {degree_cap}: "
+        f"step polynomial unachievable within degree {DEGREE_CAP}: "
         f"best deviation {best_dev:.3e} vs requested {eps}")
 
 
@@ -279,9 +279,10 @@ def check_markov_bounds(p: StepPolynomial) -> BoundReport:
                        f"lower violation {v1:.3e}, upper violation {v2:.3e}")
 
 
-def check_union_bound(p: StepPolynomial, grid: int = 300) -> BoundReport:
-    """p(x)p(y) >= p(x) + p(y) - 1 on a grid x grid sweep of [0,1]^2."""
-    x = np.linspace(0.0, 1.0, grid)
+def check_union_bound(p: StepPolynomial) -> BoundReport:
+    """p(x)p(y) >= p(x) + p(y) - 1 on a UNION_GRID_POINTS^2 sweep of
+    [0,1]^2."""
+    x = np.linspace(0.0, 1.0, UNION_GRID_POINTS)
     v, err = clenshaw(p.series, x)
     prod = np.outer(v, v)
     rhs = v[:, None] + v[None, :] - 1.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ugsos.errors import ParameterError
+from ugsos import graphs
+from ugsos.errors import ParameterError, SizeCapError
 from ugsos.graphs import (expansion, johnson_cayley_graph, johnson_graph,
                           noisy_hypercube, shortcode_graph,
                           spectral_decompose, sse_profile)
@@ -80,3 +81,33 @@ def test_sse_profile_exhaustive_small():
     assert all(phi >= -1e-12 for phi in prof.min_phi_by_size.values())
     # singleton expansion of a regular graph equals 1 - W[v,v]-loop mass
     assert 1 in prof.min_phi_by_size
+
+
+def test_sse_profile_sampled_branch(monkeypatch):
+    g = johnson_graph(5, 2, 0.5)
+    delta = 0.3
+    exact = sse_profile(g, delta, seed=1)
+    monkeypatch.setattr(graphs, "SSE_EXHAUSTIVE_CAP", 0)
+    monkeypatch.setattr(graphs, "SSE_SAMPLE_COUNT", 20_000)
+    prof = sse_profile(g, delta, seed=5)
+    assert not prof.exhaustive
+    pi = g.degrees / g.degrees.sum()
+    for c, phi in prof.min_phi_by_size.items():
+        assert phi >= exact.min_phi_by_size[c] - 1e-12
+        members = prof.argmin_by_size[c]
+        assert len(set(members)) == c
+        assert pi[list(members)].sum() <= delta + 1e-15
+    again = sse_profile(g, delta, seed=5)
+    assert again.min_phi_by_size == prof.min_phi_by_size
+    assert again.argmin_by_size == prof.argmin_by_size
+
+
+@pytest.mark.parametrize("make", [
+    lambda: noisy_hypercube(14, 0.1),
+    lambda: johnson_graph(20, 5, 0.4),         # 15,504 vertices
+    lambda: johnson_cayley_graph(11, 4, 0.5),  # 14,641 vertices
+], ids=["hypercube-d14", "johnson-20-5", "cayley-11-4"])
+def test_generators_refuse_more_vertices_than_the_cap(make):
+    # each would otherwise allocate a dense N x N weight matrix (GBs)
+    with pytest.raises(SizeCapError):
+        make()

@@ -18,6 +18,8 @@ from ugsos.johnson import (SubcubeId, eigenvalue_multiset,
                            restriction_density, structure_inequality_check,
                            structure_report_csv, subcube_expansion,
                            subcube_vertices)
+from ugsos.sos import (build_relaxation, point_mass_pe, solve_sdp,
+                       symmetrize)
 
 
 def random_invariant(rng, n, l):
@@ -49,11 +51,11 @@ def test_eigenvalue_vanishes_past_support():
 def test_subcube_expansion_matches_numeric_johnson():
     g = johnson_graph(6, 3, 1.0 / 3.0)
     sd = spectral_decompose(g)
-    sub = SubcubeId("J", (0,))
+    sub = SubcubeId((0,))
     f = np.zeros(g.num_vertices)
     f[subcube_vertices(g, sub)] = 1.0
     rep = expansion(g, sd, f)
-    assert rep.phi == pytest.approx(subcube_expansion(6, 3, 1.0 / 3.0, 1),
+    assert rep.phi == pytest.approx(subcube_expansion(3, 1.0 / 3.0, 1),
                                     abs=1e-9)
 
 
@@ -94,7 +96,7 @@ def test_restriction_recursion():
 def test_density_tensor_vs_flat():
     g = johnson_graph(5, 2, 0.5)
     f = np.zeros(g.num_vertices)
-    sub = SubcubeId("J", (0, 1))
+    sub = SubcubeId((0, 1))
     f[subcube_vertices(g, sub)] = 1.0
     # delta_{1}(indicator of sets containing {0,1}) over C(5,2)
     d = restriction_density(f, (0,), n=5, l=2)
@@ -138,7 +140,7 @@ def test_structure_subcube_indicators():
 def test_structure_j_variant_reports_slack():
     g = johnson_graph(6, 2, 0.5)
     F = np.zeros(g.num_vertices)
-    F[subcube_vertices(g, SubcubeId("J", (0,)))] = 1.0
+    F[subcube_vertices(g, SubcubeId((0,)))] = 1.0
     rep = structure_inequality_check(F, r=1, n=6, l=2, alpha=0.5,
                                      variant="J", graph=g)
     assert rep.order_n_slack is not None
@@ -169,19 +171,18 @@ def planted_johnson():
 
 def test_find_best_subcube_prefers_whole_graph_when_satisfiable(
         planted_johnson):
-    from ugsos.sos import build_relaxation, solve_sdp, symmetrize
     g, inst, _ = planted_johnson
     pE = symmetrize(solve_sdp(build_relaxation(inst, 2), tol=1e-6))
     sub, cv = find_best_subcube(pE, inst, g, r_max=1)
     assert cv >= 1.0 - 1e-4
-    assert sub.tag == "J"
 
 
 def test_pipeline_degree2_recovers_planted(planted_johnson):
     g, inst, xstar = planted_johnson
     # eps=0.05 keeps the stopping threshold 1 - 2*eps strictly below the
     # (numerically just-under-1) solved value of the satisfiable instance
-    out = johnson_pipeline(inst, 0.05, 2, seed=0, graph=g, solver_tol=1e-6)
+    pE = solve_sdp(build_relaxation(inst, 2), tol=1e-6)
+    out = johnson_pipeline(inst, pE, g, 0.05)
     assert out.achieved_value == pytest.approx(1.0)
     assert np.all(out.assignment >= 0)
     for rec in out.trace:
@@ -190,26 +191,24 @@ def test_pipeline_degree2_recovers_planted(planted_johnson):
 
 def test_pipeline_keeps_the_stall_reason(planted_johnson, monkeypatch):
     # a search that keeps offering the same subcube stalls the loop after one
-    # rounding; the pipeline's outcome says so next to the caller's seed
+    # rounding; the pipeline's outcome says so
     from ugsos import johnson
     g, inst, _ = planted_johnson
     monkeypatch.setattr(johnson, "find_best_subcube",
-                        lambda *args: (SubcubeId("J", (0,)), 1.0))
-    with pytest.warns(UserWarning, match="clamped"):
-        out = johnson_pipeline(inst, 0.45, 2, seed=7, graph=g)
-    assert out.seed == 7 and len(out.trace) == 1
+                        lambda *args: (SubcubeId((0,)), 1.0))
+    pE = solve_sdp(build_relaxation(inst, 2), tol=3e-4)
+    out = johnson_pipeline(inst, pE, g, 0.45)
+    assert len(out.trace) == 1
     assert out.stop_reason == "stalled"
     assert json.loads(out.to_json())["stop_reason"] == "stalled"
 
 
 def test_pipeline_outcome_carries_the_solver_status(planted_johnson):
-    from ugsos.sos import build_relaxation, solve_sdp, symmetrize
     g, inst, _ = planted_johnson
     problem = build_relaxation(inst, 2)
     for max_iters, stalled in ((5, True), (100_000, False)):
         pE = symmetrize(solve_sdp(problem, tol=1e-6, max_iters=max_iters))
-        with pytest.warns(UserWarning, match="clamped"):
-            out = johnson_pipeline(inst, 0.05, 2, seed=0, graph=g, pE=pE)
+        out = johnson_pipeline(inst, pE, g, 0.05)
         assert out.unconverged is stalled
         assert json.loads(out.to_json())["unconverged"] is stalled
 
@@ -222,9 +221,8 @@ def test_pipeline_in_the_restriction_regime(n, l, D, r):
     # reached (about 0.4-0.5 against a planted 0.95) carry no floor here
     g = johnson_graph(n, l, 0.5)
     inst, _ = plant_instance(g, 3, 0.05, seed=0)
-    with pytest.warns(UserWarning, match="clamped"):
-        out = johnson_pipeline(inst, 0.05, D, seed=0, graph=g,
-                               solver_tol=3e-3, r_override=r)
+    pE = solve_sdp(build_relaxation(inst, D), tol=3e-3)
+    out = johnson_pipeline(inst, pE, g, 0.05, r_override=r)
     assert any(len(rec.subgraph) < inst.num_vertices for rec in out.trace)
     for rec in out.trace:
         assert rec.drop <= 2.0 * len(rec.subgraph) / inst.num_vertices + 1e-9
@@ -237,5 +235,13 @@ def test_pipeline_in_the_restriction_regime(n, l, D, r):
 def test_pipeline_rejects_wrong_graph():
     g = johnson_cayley_graph(4, 2, 0.5)
     inst, _ = plant_instance(g, 2, 0.0, seed=0)
-    with pytest.raises(ParameterError):
-        johnson_pipeline(inst, 0.0, 2, seed=0, graph=g)
+    pE = point_mass_pe(16, 2, [0] * 16, degree=2)
+    with pytest.raises(ParameterError, match="needs a Johnson graph"):
+        johnson_pipeline(inst, pE, g, 0.0)
+
+
+def test_pipeline_reads_the_degree_from_the_table(planted_johnson):
+    g, inst, xstar = planted_johnson
+    pE = point_mass_pe(10, 3, xstar, degree=0)
+    with pytest.raises(ParameterError, match="D in"):
+        johnson_pipeline(inst, pE, g, 0.05)

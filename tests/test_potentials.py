@@ -261,6 +261,7 @@ def test_mixture_potentials_are_pinned(triangle_sat, sym_pm, p_full):
               (0.0, 0.2), (0.03711548740421565, 0.6)]
     for claim, (lhs, rhs) in zip(claims, pinned):
         assert (claim.lhs, claim.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
+        assert claim.slack == 1e-5
 
 
 def test_claim_chain_on_sdp(cube_pe, cube_inst):
@@ -277,7 +278,7 @@ def test_sp_pseudo_on_satisfiable_sdp(cube_pe, cube_inst):
     _, inst, _ = cube_inst
     p = build_capped_step_poly(BETA, 0.1, truncation_cap(cube_pe.degree))
     check, K = sp_pseudo_check(cube_pe, p, inst, lam=0.6, C=36.0, eta=1.0)
-    assert check.holds
+    assert check.holds and check.slack == 1e-4
     assert np.isfinite(K)
 
 

@@ -109,6 +109,36 @@ def test_derandomized_on_subgraph(cube_pe, cube_inst):
     assert np.all(out.assignment[outside] == -1)
 
 
+def test_rounding_without_conditionable_mass_raises():
+    # the point mass on [1, 2, 1] gives every pE[X_{u,0}] = 0, so there is
+    # no vertex to condition on
+    pE = point_mass_pe(3, 3, [1, 2, 1])
+    tri = make_triangle(3)
+    for rnd in (condition_and_round, derandomized_round):
+        with pytest.raises(NullEventError,
+                           match="no vertex with conditionable label mass"):
+            rnd(pE, tri)
+    for cr in (closed_form_cr, lambda t, i: monte_carlo_cr(t, i, 10, seed=0)):
+        with pytest.raises(NullEventError, match=r"pE\[X_0,0\]"):
+            cr(pE, tri)
+
+
+def test_derandomized_without_internal_edges_takes_marginal_argmax(
+        triangle_sat, sym_pm):
+    # H = [1] has no internal edge: its vertex takes the argmax of its
+    # (uniform) marginal, the smallest label, and both values are 0
+    out = derandomized_round(sym_pm, triangle_sat, [1])
+    assert out.assignment.tolist() == [-1, 0, -1]
+    assert out.achieved_value == 0.0 and out.expected_value == 0.0
+
+
+def test_clip_renormalize_rows():
+    q = np.array([[0.2, -1e-9, 0.6], [-0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    out = rounding._clip_renormalize(q)
+    assert np.array_equal(out[0], np.array([0.2, 0.0, 0.6]) / 0.8)
+    assert np.array_equal(out[1:], np.full((2, 3), 1.0 / 3.0))
+
+
 def test_degree_guard():
     pE = symmetrize(point_mass_pe(3, 3, [0, 2, 1], degree=0))
     with pytest.raises(ParameterError):
