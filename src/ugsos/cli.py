@@ -317,6 +317,7 @@ def cmd_verify(args) -> int:
         rep = validate(pE, 1e-6)
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} pe-file min_eig={rep.min_eigenvalue:.2e} "
+              f"off_charge={rep.off_charge_bound:.2e} "
               f"partition={rep.max_partition_residual:.2e}")
         failures += 0 if rep.passed else 1
     if ran == 0:

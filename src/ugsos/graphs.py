@@ -188,13 +188,12 @@ def johnson_graph(n: int, l: int, alpha: float) -> WeightedGraph:
         raise SizeCapError(f"johnson_graph caps at C(n,l) <= {VERTEX_CAP}")
     target = round((1.0 - alpha) * l)
     verts = list(itertools.combinations(range(n), l))
-    sets = [frozenset(v) for v in verts]
     N = len(verts)
-    W = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            if len(sets[i] & sets[j]) == target:
-                W[i, j] = W[j, i] = 1.0
+    # incidence rows: B B^T counts the common elements of two subsets
+    B = np.zeros((N, n))
+    B[np.arange(N)[:, None], verts] = 1.0
+    W = (B @ B.T == target).astype(float)
+    np.fill_diagonal(W, 0.0)
     return WeightedGraph(N, W, tuple(verts),
                          {"family": "johnson", "n": n, "l": l, "alpha": alpha})
 
@@ -210,13 +209,15 @@ def johnson_cayley_graph(n: int, l: int, alpha: float) -> WeightedGraph:
     m = round(alpha * l)
     verts = list(itertools.product(range(n), repeat=l))
     N = len(verts)
-    W = np.zeros((N, N))
     denom = comb(l, m)
-    for i, x in enumerate(verts):
-        for j, z in enumerate(verts):
-            diff = sum(1 for a, b in zip(x, z) if a != b)
-            if diff <= m:
-                W[i, j] = comb(l - diff, m - diff) / denom * n**(-m)
+    # the weight of a pair that differs in `diff` coordinates, 0 above m
+    weight = np.array([comb(l - diff, m - diff) / denom * n**(-m)
+                       if diff <= m else 0.0 for diff in range(l + 1)])
+    X = np.array(verts, dtype=np.int64).reshape(N, l)
+    diff = np.zeros((N, N), dtype=np.int8)
+    for c in range(l):
+        diff += X[:, c, None] != X[:, c]
+    W = weight[diff]
     return WeightedGraph(N, W, tuple(verts),
                          {"family": "cayley", "n": n, "l": l, "alpha": alpha})
 

@@ -68,6 +68,20 @@ coordinates bounds the SDP value, and OPT, from above.  The full-label table
 is one FFT per degree (`_full_moments_from_reduced`).  When every block is
 below `ONE_THREAD_MAX_DIM` the loop runs on one BLAS thread, as fast as two
 at those sizes for half the CPU; the thread count is restored afterwards.
+
+Validation
+----------
+`validate` reads the smallest moment-matrix eigenvalue from charge blocks.
+The unitary label DFT on each vertex subset S, X_{S,a} -> k^(-|S|/2) sum_a
+omega^(g.a) X_{S,a}, splits a shift-symmetric table's moment matrix into
+blocks of equal charge sum g mod k, block -c the conjugate of block c, so
+one block per pair is solved (`_ChargeFrame`).  A product copy's block
+(c_0, c_1) has entries Mt_b[g_0, h_0] Mt_b[g_1, h_1], gathered from the
+base's transformed matrix Mt_b.  Round-off leaves an off-charge part E, and
+by Weyl's inequality lambda_min(M) >= min over the blocks of lambda_min -
+||E||_F; for a product copy E = E_b (x) Mt_b + B_b (x) E_b restricted to
+the product basis (B_b, E_b the base's blocks and off-charge part), so
+||E||_F <= sqrt(2) ||E_b||_F ||M_b||_F.
 """
 from __future__ import annotations
 
@@ -120,6 +134,10 @@ ADMM_RHO0 = 1.0 / 64
 # Two threads cost about twice the CPU at every size and save wall time only
 # from about 300 on.
 ONE_THREAD_MAX_DIM = 300
+# `validate` splits a moment matrix by charge when its off-charge part is at
+# most this fraction of its Frobenius norm: round-off leaves 1-4 u on a
+# shift-symmetric table, u = 2^-53, a table that is not one leaves O(1).
+CHARGE_SPLIT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +1028,9 @@ def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
     The 2-copy table, which `moments` and `to_json` use, is gathered from
     the base's on first use; until then a scalar read (`moment`, `pe`)
     multiplies the base's moments at the two copies' parts.  The result is
-    a valid degree-D pseudoexpectation.  `moment_matrix` and `validate`
-    never gather it: the product moment matrix is gathered from the base
-    one, and the partition residuals come from the base's residual table."""
+    a valid degree-D pseudoexpectation.  `validate` never gathers it: the
+    charge blocks are products of the base's transformed moment matrix,
+    and the partition residuals come from the base's residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
     return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
@@ -1047,10 +1065,14 @@ def _solver_status(pE: PseudoExpectation) -> dict:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """`min_eigenvalue` bounds the moment matrix's smallest eigenvalue from
+    below; `off_charge_bound` is the Weyl term subtracted from the charge
+    blocks' smallest one, 0.0 on the dense path (see `validate`)."""
     min_eigenvalue: float
     max_partition_residual: float
     scaling_deviation: float
     tol: float
+    off_charge_bound: float
 
     @property
     def passed(self) -> bool:
@@ -1061,7 +1083,8 @@ class ValidationReport:
 
 def moment_matrix(pE: PseudoExpectation) -> np.ndarray:
     """Moment matrix over canonical monomials of degree <= D/2 (both copies
-    for product pseudoexpectations).
+    for product pseudoexpectations): the dense matrix, which `validate`
+    splits by charge or, off charge, hands to `eigvalsh`.
 
     A product-copy entry (a, b) is pE[a_0 b_0] pE[a_1 b_1], with a_c the
     copy-c part of a, so that matrix is the entrywise product of two gathers
@@ -1069,13 +1092,76 @@ def moment_matrix(pE: PseudoExpectation) -> np.ndarray:
     give (a structural zero may come out as -0.0)."""
     n, k, half = pE.num_vertices, pE.k, pE.degree // 2
     if pE._base is not None:
-        base = moment_index(n, k, half)
-        L = moment_index(n, k, half, copies=2).slots
-        left, right = base.rank(L[:, :n]), base.rank(L[:, n:])
+        frame = _charge_frame(n, k, half)
         Mb = moment_matrix(pE._base)
-        return Mb[np.ix_(left, left)] * Mb[np.ix_(right, right)]
+        return (Mb[np.ix_(frame.left, frame.left)]
+                * Mb[np.ix_(frame.right, frame.right)])
     E = _product_ids(pE.index, len(moment_index(n, k, half, pE.copy_count)))
     return np.append(pE._array(), 0.0)[E]
+
+
+class _ChargeFrame:
+    """The charge blocks of the moment-matrix basis of (n, k, D/2) (module
+    docstring): `dft[d]`, the label DFT on each d-subset; `charge` per basis
+    function; `blocks`, the ids of one charge per conjugate pair; `left` and
+    `right`, the base ids of each product-basis monomial's two copies'
+    parts, and `product_blocks` theirs per conjugate pair of (c_0, c_1)."""
+
+    def __init__(self, n: int, k: int, half: int):
+        index = moment_index(n, k, half)
+        self.offset, self.dft, charge = index.offset, [], []
+        for d in range(half + 1):
+            g = np.array(list(itertools.product(range(k), repeat=d)),
+                         dtype=np.int64).reshape(k**d, d)
+            self.dft.append(np.exp(2j * np.pi / k * (g @ g.T)) / k**(d / 2))
+            charge.append(np.tile(g.sum(axis=1) % k, math.comb(n, d)))
+        self.charge = np.concatenate(charge)
+        self.blocks = [np.flatnonzero(self.charge == c)
+                       for c in range(k) if c <= -c % k]
+        L = moment_index(n, k, half, copies=2).slots
+        self.left, self.right = index.rank(L[:, :n]), index.rank(L[:, n:])
+        pair = self.charge[self.left] * k + self.charge[self.right]
+        self.product_blocks = [
+            (self.left[rows], self.right[rows])
+            for a, b in itertools.product(range(k), repeat=2)
+            if (a, b) <= (-a % k, -b % k)
+            and (rows := np.flatnonzero(pair == a * k + b)).size]
+
+    def transform(self, M: np.ndarray) -> np.ndarray:
+        """F M F^H = F (F M)^H for a symmetric M, F the DFT on every subset:
+        one matmul per degree on the (C(n, d), k^d) layout of the rows."""
+        out = M
+        for _ in range(2):
+            out = out.conj().T.astype(complex, order="C")
+            for d, F in enumerate(self.dft[1:], start=1):
+                part = slice(self.offset[d], self.offset[d + 1])
+                out[part] = (F @ out[part].reshape(-1, len(F), len(out))
+                             ).reshape(-1, len(out))
+        return out
+
+
+_charge_frame = functools.lru_cache(maxsize=16)(_ChargeFrame)
+
+
+def _charge_split(pE: PseudoExpectation, Mb: np.ndarray):
+    """(smallest eigenvalue over the charge blocks, Weyl term) of pE's
+    moment matrix, from Mb, the moment matrix of pE or of its base; None
+    when Mb's off-charge part exceeds CHARGE_SPLIT_TOL ||Mb||_F."""
+    frame = _charge_frame(pE.num_vertices, pE.k, pE.degree // 2)
+    with _kernels.blas_threads(1):
+        Mt = frame.transform(Mb)
+        weyl = float(np.linalg.norm(Mt[frame.charge[:, None] != frame.charge]))
+        norm = float(np.linalg.norm(Mb))
+        if weyl > CHARGE_SPLIT_TOL * norm:
+            return None
+        if pE._base is None:
+            blocks = [Mt[np.ix_(ids, ids)] for ids in frame.blocks]
+        else:
+            blocks = [Mt[np.ix_(l, l)] * Mt[np.ix_(r, r)]
+                      for l, r in frame.product_blocks]
+            weyl *= math.sqrt(2.0) * norm
+        lam = min(float(np.linalg.eigvalsh(B)[0]) for B in blocks)
+    return lam, weyl
 
 
 def _partition_table(pE: PseudoExpectation):
@@ -1114,19 +1200,30 @@ def validate(pE: PseudoExpectation, tol: float = 1e-6) -> ValidationReport:
     the same product read the same number.  The scaling pE[1] is the moment
     matrix's entry at the empty monomial (row and column 0).
 
-    A product copy is checked through its factors.  Its moment matrix is
-    gathered from the base one (see `moment_matrix`), and at a monomial
+    The smallest eigenvalue is that of the charge blocks (module docstring)
+    less `off_charge_bound`, the Weyl term: a lower bound on the dense one.
+    A table whose (a product copy: whose base's) off-charge part exceeds
+    CHARGE_SPLIT_TOL ||M||_F -- it is not shift-symmetric, as a point mass
+    or a conditioned table -- and a 2-copy JSON table take the dense
+    `eigvalsh` of `moment_matrix` instead, with `off_charge_bound` 0.0.
+
+    A product copy is checked through its factors.  At a monomial
     m = (m_0, m_1) its partition residual on copy 0 is
     |pE[m_1]| r(m_0, u), with r the base's own residual; so the largest one
     is the largest res[d_0] amp[d_1] over d_0 + d_1 < D from the base's
     `_partition_table`."""
-    M = moment_matrix(pE)
-    scaling = abs(float(M[0, 0]) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(M)[0])
+    base = pE if pE._base is None else pE._base
+    Mb = moment_matrix(base)
+    m00 = float(Mb[0, 0] if base is pE else Mb[0, 0] * Mb[0, 0])
+    split = _charge_split(pE, Mb) if base.copy_count == 1 else None
+    if split is None:
+        M = Mb if base is pE else moment_matrix(pE)
+        split = float(np.linalg.eigvalsh(M)[0]), 0.0
+    lam, weyl = split
     if pE._base is not None:
         amp, res = _partition_table(pE._base)
         max_part = max((res[d] * amp[e] for d in range(pE.degree)
                         for e in range(pE.degree - d)), default=0.0)
     else:
         max_part = max(_partition_table(pE)[1], default=0.0)
-    return ValidationReport(min_eig, max_part, scaling, tol)
+    return ValidationReport(lam - weyl, max_part, abs(m00 - 1.0), tol, weyl)

@@ -101,6 +101,10 @@ def test_verify_pe_file(tmp_path, capsys):
                        str(pe_path))
     assert code == 0
     assert "PASS pe-file" in out
+    # a shift-symmetric table is checked by charge blocks, and the Weyl
+    # term for their off-charge part is printed beside min_eig
+    bound = float(out.split("off_charge=")[1].split()[0])
+    assert 0.0 < bound < 1e-12
 
 
 def test_verify_pe_file_of_product_copy(tmp_path, capsys):

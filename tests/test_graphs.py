@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,42 @@ def test_johnson_graph_meta_and_labels():
 def test_johnson_alpha_validation():
     with pytest.raises(ParameterError):
         johnson_graph(6, 2, 0.3)  # alpha*l not integral
+
+
+def _johnson_pair_loop(n, l, alpha):
+    """J_{n,l,alpha}'s weights by the definition, pair by pair."""
+    sets = [frozenset(v) for v in itertools.combinations(range(n), l)]
+    target = round((1.0 - alpha) * l)
+    W = np.zeros((len(sets), len(sets)))
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if len(sets[i] & sets[j]) == target:
+                W[i, j] = W[j, i] = 1.0
+    return W
+
+
+def _cayley_pair_loop(n, l, alpha):
+    """C_{n,l,alpha}'s transition probabilities by the definition."""
+    m = round(alpha * l)
+    verts = list(itertools.product(range(n), repeat=l))
+    W = np.zeros((len(verts), len(verts)))
+    for i, x in enumerate(verts):
+        for j, z in enumerate(verts):
+            diff = sum(1 for a, b in zip(x, z) if a != b)
+            if diff <= m:
+                W[i, j] = comb(l - diff, m - diff) / comb(l, m) * n**(-m)
+    return W
+
+
+@pytest.mark.parametrize("n,l,alpha", [
+    (3, 1, 1.0), (4, 2, 0.5), (4, 2, 1.0), (5, 2, 0.5), (5, 3, 1 / 3),
+    (6, 3, 2 / 3), (6, 4, 0.5), (7, 3, 1.0)])
+def test_johnson_and_cayley_weights_match_their_pair_definitions(n, l, alpha):
+    assert np.array_equal(johnson_graph(n, l, alpha).W,
+                          _johnson_pair_loop(n, l, alpha))
+    if n**l <= 400:
+        assert np.array_equal(johnson_cayley_graph(n, l, alpha).W,
+                              _cayley_pair_loop(n, l, alpha))
 
 
 def test_cayley_labels_are_tuples():

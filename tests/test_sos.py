@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ugsos import _kernels, sos
 from ugsos.errors import NullEventError, ParameterError, SizeCapError
-from ugsos.graphs import johnson_graph
+from ugsos.graphs import johnson_graph, noisy_hypercube
 from ugsos.instances import UgInstance, brute_force_opt, plant_instance, value
 from ugsos.sos import (PseudoExpectation, all_canonical_keys,
                        build_relaxation, canon_key, condition, evaluate,
@@ -606,6 +606,100 @@ def test_rerandomize_empty_is_identity(cube_pe):
     out = rerandomize(cube_pe, [])
     assert out.moment(((0, 0, 0), (1, 1, 0))) == pytest.approx(
         cube_pe.moment(((0, 0, 0), (1, 1, 0))), abs=1e-15)
+
+
+# -- validity by charge blocks ---------------------------------------------
+
+def _dense_min(pE):
+    return float(np.linalg.eigvalsh(moment_matrix(pE))[0])
+
+
+def _takes_charge_blocks(pE):
+    base = pE if pE._base is None else pE._base
+    return sos._charge_split(pE, moment_matrix(base)) is not None
+
+
+@pytest.fixture(scope="module")
+def charge_tables():
+    """Per (k, D): a solve on a planted 2-cube, its symmetrization and the
+    product copies of both."""
+    out = {}
+    for k in (2, 3, 4, 5):
+        inst, _ = plant_instance(noisy_hypercube(2, 0.3), k, 0.05, seed=k)
+        for D in (2, 4):
+            raw = solve_sdp(build_relaxation(inst, D), tol=1e-6)
+            sym = symmetrize(raw)
+            out[k, D] = (raw, sym, product_copy(raw), product_copy(sym))
+    return out
+
+
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_charge_blocks_bound_the_dense_min_eigenvalue(charge_tables, k, D):
+    tol = 1e-5
+    for pE in charge_tables[k, D]:
+        rep = validate(pE, tol)
+        dense = _dense_min(pE)
+        assert _takes_charge_blocks(pE)
+        assert rep.min_eigenvalue <= dense + 1e-15
+        assert abs(rep.min_eigenvalue - dense) <= rep.off_charge_bound + 1e-13
+        assert rep.passed == (dense >= -tol
+                              and rep.max_partition_residual <= tol
+                              and rep.scaling_deviation <= tol)
+
+
+def _charge_pair_table(k, c, beta=1.2):
+    """Two vertices, D = 2, uniform marginals and pE[X_{0,a} X_{1,b}] =
+    f(b - a), f(t) = (1 + 2 beta cos(2 pi c t / k)) / k^2: shift-symmetric.
+    In the label-DFT basis block j != 0 is [[1, b_j], [b_j, 1]] / k with
+    b_j = beta at j = c, -c and 0 elsewhere, and block 0 has rank one, so
+    for beta > 1 the only negative eigenvalue, (1 - beta) / k, lies in the
+    blocks c and -c."""
+    moments = {(): 1.0}
+    for u, a in itertools.product(range(2), range(k)):
+        moments[((u, a, 0),)] = 1.0 / k
+    for a, b in itertools.product(range(k), repeat=2):
+        moments[((0, a, 0), (1, b, 0))] = (
+            1.0 + 2.0 * beta * np.cos(2.0 * np.pi * c * (b - a) / k)) / k**2
+    return PseudoExpectation(2, k, 2, moments)
+
+
+@pytest.mark.parametrize("k,c", [(4, 1), (5, 2)])
+def test_a_negative_eigenvalue_in_one_charge_pair_fails_validate(k, c):
+    pE = _charge_pair_table(k, c)
+    for table in (pE, product_copy(pE)):
+        rep = validate(table, 1e-6)
+        dense = _dense_min(table)
+        assert _takes_charge_blocks(table) and not rep.passed
+        assert dense == pytest.approx((1.0 - 1.2) / k, abs=1e-12)
+        assert rep.min_eigenvalue <= dense + 1e-15
+        assert abs(rep.min_eigenvalue - dense) <= rep.off_charge_bound + 1e-13
+
+
+def test_validate_subtracts_the_off_charge_bound():
+    # a point mass minus its symmetrization is all off-charge; at 1e-13 it
+    # splits the equal smallest eigenvalues of blocks 1 and 3 (they
+    # conjugate) at first order, and the blocks alone do not see it
+    pE = _charge_pair_table(4, 1)
+    pm = point_mass_pe(2, 4, [0, 1], degree=2)
+    off = pm._array() - symmetrize(pm)._array()
+    near = PseudoExpectation(2, 4, 2, pE._array() + 1e-13 * off)
+    rep = validate(near, 1e-6)
+    dense = _dense_min(near)
+    assert _takes_charge_blocks(near)
+    assert dense < _dense_min(pE) - 1e-14
+    assert rep.min_eigenvalue <= dense + 1e-15
+    assert abs(rep.min_eigenvalue - dense) <= rep.off_charge_bound + 1e-13
+
+
+def test_tables_that_are_not_shift_symmetric_get_the_dense_value(unsat_pe):
+    mix = mixture_pe(3, 3, [(0.3, [0, 1, 2]), (0.7, [1, 1, 0])])
+    two_copy = PseudoExpectation.from_json(product_copy(unsat_pe).to_json())
+    for pE in (point_mass_pe(3, 3, [0, 1, 2]), mix, product_copy(mix),
+               two_copy):
+        rep = validate(pE, 1e-6)
+        assert rep.off_charge_bound == 0.0
+        assert rep.min_eigenvalue == _dense_min(pE)
 
 
 # -- pseudo-Cauchy-Schwarz --------------------------------------------------
