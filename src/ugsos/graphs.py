@@ -7,7 +7,9 @@ forms and exhaustive small-set expansion profiles.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -103,25 +105,8 @@ def noisy_hypercube(d: int, eps: float) -> WeightedGraph:
 
 def _affine_products(d: int, n: int):
     """All products of d affine forms over F_2^n with linearly independent
-    linear parts, as multilinear monomial-sets (frozensets of variable sets)."""
-
-    def rank(masks):
-        rows = list(masks)
-        r = 0
-        for bit in range(n):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i] >> bit & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i] >> bit & 1:
-                    rows[i] ^= rows[r]
-            r += 1
-        return r
+    linear parts (no nonempty subset of them XORs to 0), as multilinear
+    monomial-sets (frozensets of variable sets)."""
 
     def multiply(poly: frozenset, a: int, b: int) -> frozenset:
         # poly * (sum_{i in a} x_i + b) in the multilinear quotient (x^2 = x)
@@ -138,7 +123,9 @@ def _affine_products(d: int, n: int):
     forms = [(a, b) for a in range(1, 1 << n) for b in (0, 1)]
     products = set()
     for combo in itertools.combinations(forms, d):
-        if rank([a for (a, _) in combo]) < d:
+        linear = [a for (a, _) in combo]
+        if not all(functools.reduce(operator.xor, sub) for r in range(1, d + 1)
+                   for sub in itertools.combinations(linear, r)):
             continue
         poly = frozenset({frozenset()})
         for (a, b) in combo:
@@ -251,9 +238,9 @@ def spectral_decompose(g: WeightedGraph) -> SpectralData:
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     phi = phi[:, order]
-    lam = np.where(np.abs(lam) > 1.0, np.clip(lam, -1.0, 1.0), lam)
     if np.any(np.abs(lam) > 1.0 + 1e-9):
         raise ParameterError("walk eigenvalue outside [-1,1] beyond tolerance")
+    lam = np.clip(lam, -1.0, 1.0)
     V = (phi / s[:, None]) * np.sqrt(total)
     return SpectralData(pi=pi, eigenvalues=lam, eigenvectors=V,
                         transition=g.W / deg[:, None])
@@ -306,38 +293,29 @@ def sse_profile(g: WeightedGraph, delta: float, seed=None) -> SseProfile:
         else:
             break
     count = sum(comb(n, c) for c in range(1, cmax + 1))
-    W = g.W
-    by_size, arg_by_size = {}, {}
-    if count <= SSE_EXHAUSTIVE_CAP:
-        for c in range(1, cmax + 1):
-            combos = np.array(list(itertools.combinations(range(n), c)),
-                              dtype=np.int64)
-            mass = pi[combos].sum(axis=1)
-            combos = combos[mass <= delta + 1e-15]
-            if combos.size == 0:
-                continue
-            phis = _kernels.subset_cut_scan(combos, W, deg)
-            i = int(np.argmin(phis))
-            by_size[c] = float(phis[i])
-            arg_by_size[c] = tuple(int(v) for v in combos[i])
-        return SseProfile(by_size, True, arg_by_size)
-    rng = np.random.default_rng(seed)
-    best: dict[int, float] = {}
-    arg: dict[int, tuple] = {}
-    for _ in range(SSE_SAMPLE_COUNT // 1000):
-        c = int(rng.integers(1, cmax + 1))
-        batch = np.array([rng.choice(n, size=c, replace=False)
-                          for _ in range(1000)], dtype=np.int64)
-        mass = pi[batch].sum(axis=1)
-        batch = batch[mass <= delta + 1e-15]
+    exhaustive = count <= SSE_EXHAUSTIVE_CAP
+    if exhaustive:
+        batches = ((c, np.array(list(itertools.combinations(range(n), c)),
+                                dtype=np.int64)) for c in range(1, cmax + 1))
+    else:
+        # lazy, so each size is drawn just before its 1000 sets
+        rng = np.random.default_rng(seed)
+        sizes = (int(rng.integers(1, cmax + 1))
+                 for _ in range(SSE_SAMPLE_COUNT // 1000))
+        batches = ((c, np.array([rng.choice(n, size=c, replace=False)
+                                 for _ in range(1000)], dtype=np.int64))
+                   for c in sizes)
+    best, arg = {}, {}
+    for c, batch in batches:
+        batch = batch[pi[batch].sum(axis=1) <= delta + 1e-15]
         if batch.size == 0:
             continue
-        phis = _kernels.subset_cut_scan(batch, W, deg)
+        phis = _kernels.subset_cut_scan(batch, g.W, deg)
         i = int(np.argmin(phis))
         if c not in best or phis[i] < best[c]:
             best[c] = float(phis[i])
             arg[c] = tuple(int(v) for v in batch[i])
-    return SseProfile(best, False, arg)
+    return SseProfile(best, exhaustive, arg)
 
 
 def graph_to_instance_json(g: WeightedGraph, k: int = 1) -> str:

@@ -28,12 +28,13 @@ conditioning products, dropped vertices -- is one ranking of such rows.
 A pseudoexpectation is its index plus one float64 array of moments in id
 order, whether it comes from the solver, a point mass, a mixture, a JSON file
 or the calculus; symmetrize, rerandomize, condition, the moment matrix and the
-partition table are gathers from that array.  Scalar lookups (`moment`, `pe`)
-read the array through the index's shared key -> id map (a product copy
-multiplies two scalar reads of its base), and `pair_moments`
-reshapes its degree-1 and degree-2 blocks into the pairwise tensor that the
-rounding, the potentials, the shift-symmetry check and `edge_agreement`
-(the value, edge by edge) read.
+partition table are gathers from that array.  A scalar read (`moment`, and
+through it `evaluate` and `pe`) canonicalizes the monomial and reads the
+array through the index's shared key -> id map (a product copy multiplies
+two scalar reads of its base), and `pair_moments` reshapes its degree-1 and
+degree-2 blocks into the pairwise tensor that the rounding, the potentials,
+the shift-symmetry check and `edge_agreement` (the value, edge by edge)
+read.
 
 Solver
 ------
@@ -356,8 +357,8 @@ class _Moments(Mapping):
         self._pE = pE
 
     def __getitem__(self, key):
-        ids, values = self._pE._scalars()
-        return values[ids[key]]
+        pE = self._pE
+        return pE._array().item(pE.index.id_of[key])
 
     def __iter__(self):
         return iter(self._pE.index.keys)
@@ -391,7 +392,6 @@ class PseudoExpectation:
             values[[ids[key] for key in moments]] = list(moments.values())
             moments = values
         self._values = moments
-        self._ids = self._list = None  # see `_scalars`
 
     @property
     def moments(self) -> Mapping:
@@ -408,13 +408,13 @@ class PseudoExpectation:
             self._values = _gather(self, self.index.slots)
         return self._values
 
-    def _scalars(self):
-        """(key -> id map, moments as Python floats) for scalar reads."""
-        if self._list is None:
-            self._ids, self._list = self.index.id_of, self._array().tolist()
-        return self._ids, self._list
-
     def moment(self, key) -> float:
+        """pE[key] for a monomial spelled as (vertex, label) pairs or
+        (vertex, label, copy) triples in any order; 0.0 for the zero
+        monomial (None, or two labels at one vertex and copy).  Raises
+        DegreeError above the degree and ParameterError for a vertex, label
+        or copy outside the table."""
+        key = None if key is None else canon_key(key)
         if key is None:
             return 0.0
         if len(key) > self.degree:
@@ -422,19 +422,19 @@ class PseudoExpectation:
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
         if self._base is not None and self._values is None:
             # the two base moments `_gather` multiplies, without gathering
-            # the 2-copy table
-            m0 = tuple((v, a, 0) for (v, a, c) in key if c == 0)
-            m1 = tuple((v, a, 0) for (v, a, c) in key if c == 1)
-            return self._base.moment(m0) * self._base.moment(m1)
-        values = self._list
-        if values is None:
-            values = self._scalars()[1]
-        i = self._ids.get(key)
-        return 0.0 if i is None else values[i]
+            # the 2-copy table; the base checks vertices and labels
+            if any(c not in (0, 1) for (_, _, c) in key):
+                raise ParameterError(f"monomial {key} is outside the table")
+            parts = [tuple(p[:2] for p in key if p[2] == c) for c in (0, 1)]
+            return self._base.moment(parts[0]) * self._base.moment(parts[1])
+        i = self.index.id_of.get(key)
+        if i is None:
+            raise ParameterError(f"monomial {key} is outside the table")
+        return self._array().item(i)
 
     def pe(self, poly: dict) -> float:
-        """Linear extension of the moment mapping to a polynomial."""
-        return sum(c * self.moment(k) for k, c in poly.items())
+        """Linear extension of the moment mapping: `evaluate(self, poly)`."""
+        return evaluate(self, poly)
 
     # -- serialization ------------------------------------------------------
 
@@ -479,34 +479,36 @@ class PseudoExpectation:
 
 
 def evaluate(pE: PseudoExpectation, poly) -> float:
-    """Linear extension of the moment mapping; canonicalizes raw monomials.
-
-    `poly` is a mapping from monomials (canonical keys or raw pair tuples)
-    to coefficients.  Degree overflow raises DegreeError."""
-    total = 0.0
-    for mono, coef in poly.items():
-        key = canon_key(mono)
-        if key is None:
-            continue
-        total += coef * pE.moment(key)
-    return total
+    """Linear extension of the moment mapping: sum of coef * pE.moment(mono)
+    over `poly`, a mapping from monomials (any spelling `moment` reads) to
+    coefficients, added in order."""
+    return sum((coef * pE.moment(mono) for mono, coef in poly.items()), 0.0)
 
 
 def point_mass_pe(num_vertices: int, k: int, x, degree: int = 4) -> PseudoExpectation:
     """Moment table of the point mass on the integral assignment x: a moment
-    is 1 where every pair of its key agrees with x, and 0 elsewhere."""
-    x = [int(v) for v in x]
+    is 1 where every pair of its key agrees with x, and 0 elsewhere.
+    Raises ParameterError unless x has one label in [0, k) per vertex."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape != (num_vertices,):
+        raise ParameterError(
+            f"assignment has length {x.shape}, expected {num_vertices}")
+    if np.any((x < 0) | (x >= k)):
+        raise ParameterError("assignment entries must lie in [0, k)")
     L = moment_index(num_vertices, k, degree).slots
-    values = ((L == 0) | (L == np.array(x) + 1)).all(axis=1).astype(float)
+    values = ((L == 0) | (L == x + 1)).all(axis=1).astype(float)
     return PseudoExpectation(degree, k, num_vertices, values,
-                             flags={"mixture": ((1.0, tuple(x)),)})
+                             flags={"mixture": ((1.0, tuple(x.tolist())),)})
 
 
 def mixture_pe(num_vertices: int, k: int, weighted_assignments,
                degree: int = 4) -> PseudoExpectation:
     """Moment table of a finite mixture of point masses: their weighted sum,
-    added in the given order."""
+    added in the given order.  Raises ParameterError on a negative weight
+    or a total weight that is not positive."""
     total = sum(w for (w, _) in weighted_assignments)
+    if any(w < 0 for (w, _) in weighted_assignments) or not total > 0:
+        raise ParameterError("mixture weights must be >= 0, with sum > 0")
     acc = np.zeros(len(moment_index(num_vertices, k, degree)))
     for (w, x) in weighted_assignments:
         acc += (w / total) * point_mass_pe(num_vertices, k, x, degree)._array()
@@ -703,12 +705,16 @@ class SdpProblem:
     objective_vec: np.ndarray     # over the real coordinates (maximize c.y)
 
 
-def _product_ids(index: MomentIndex, dim: int) -> np.ndarray:
-    """dim x dim matrix of the ids of the products of the first `dim` keys
-    of `index` (-1 = zero monomial)."""
+@functools.lru_cache(maxsize=16)
+def _product_ids(index: MomentIndex) -> np.ndarray:
+    """The ids of the products of two keys of degree <= D/2 of `index`
+    (-1 = zero monomial), the moment matrix's entries: read-only and cached
+    per index, so `moment_matrix` is a gather after its first call."""
+    dim = int(index.offset[index.degree // 2 + 1])
     rows, cols = np.tril_indices(dim)
     E = np.empty((dim, dim), dtype=np.int64)
     E[rows, cols] = E[cols, rows] = index.mul(rows, cols)
+    E.flags.writeable = False
     return E
 
 
@@ -1090,14 +1096,12 @@ def moment_matrix(pE: PseudoExpectation) -> np.ndarray:
     copy-c part of a, so that matrix is the entrywise product of two gathers
     from the base moment matrix: the same floats the entry-by-entry products
     give (a structural zero may come out as -0.0)."""
-    n, k, half = pE.num_vertices, pE.k, pE.degree // 2
     if pE._base is not None:
-        frame = _charge_frame(n, k, half)
+        frame = _charge_frame(pE.num_vertices, pE.k, pE.degree // 2)
         Mb = moment_matrix(pE._base)
         return (Mb[np.ix_(frame.left, frame.left)]
                 * Mb[np.ix_(frame.right, frame.right)])
-    E = _product_ids(pE.index, len(moment_index(n, k, half, pE.copy_count)))
-    return np.append(pE._array(), 0.0)[E]
+    return np.append(pE._array(), 0.0)[_product_ids(pE.index)]
 
 
 class _ChargeFrame:

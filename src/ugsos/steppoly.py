@@ -217,26 +217,19 @@ def _squeeze_into_unit(series) -> tuple:
 
 def build_step_poly(alpha: float, eps: float, delta: float) -> StepPolynomial:
     """Construct p_alpha^{eps,delta}: Chebyshev least squares on the smoothed
-    ramp, degree doubled until the grid invariants pass with margin eps/2,
-    then renormalized affinely into [0,1]."""
+    ramp, renormalized affinely into [0,1], at the degrees 4, 8, 16, ...
+    below DEGREE_CAP and then at DEGREE_CAP, until the grid invariants pass
+    with margin eps/2 (below the cap) or eps (at it)."""
     if not (0.0 < delta < min(alpha, 1.0 - alpha)):
         raise ParameterError("need 0 < delta < min(alpha, 1-alpha)")
     if not (0.0 < eps < 0.5):
         raise ParameterError("need 0 < eps < 1/2")
     best_dev = np.inf
-    deg = 4
-    tried = []
-    while deg <= DEGREE_CAP:
-        tried.append(deg)
+    for deg in [4 << i for i in range(DEGREE_CAP.bit_length())
+                if 4 << i < DEGREE_CAP] + [DEGREE_CAP]:
         series = _squeeze_into_unit(_cheb_fit(alpha, delta, deg))
-        ok, dev = _grid_check(series, alpha, eps / 2.0, delta)
-        best_dev = min(best_dev, dev)
-        if ok:
-            return StepPolynomial(alpha, eps, delta, series)
-        deg *= 2
-    if DEGREE_CAP not in tried:
-        series = _squeeze_into_unit(_cheb_fit(alpha, delta, DEGREE_CAP))
-        ok, dev = _grid_check(series, alpha, eps, delta)
+        margin = eps if deg == DEGREE_CAP else eps / 2.0
+        ok, dev = _grid_check(series, alpha, margin, delta)
         best_dev = min(best_dev, dev)
         if ok:
             return StepPolynomial(alpha, eps, delta, series)

@@ -6,8 +6,8 @@ import pytest
 
 from ugsos import graphs
 from ugsos.errors import ParameterError, SizeCapError
-from ugsos.graphs import (expansion, johnson_cayley_graph, johnson_graph,
-                          noisy_hypercube, shortcode_graph,
+from ugsos.graphs import (WeightedGraph, expansion, johnson_cayley_graph,
+                          johnson_graph, noisy_hypercube, shortcode_graph,
                           spectral_decompose, sse_profile)
 
 
@@ -104,6 +104,68 @@ def test_shortcode_graph_basic():
     assert np.allclose(g.W, g.W.T)
 
 
+def test_spectral_decompose_rejects_a_walk_eigenvalue_above_one():
+    # a lower triangle 5e-6 above the upper one passes WeightedGraph's
+    # symmetry check (rtol 1e-5); `eigh` reads that triangle, so the walk
+    # eigenvalue is 1.0000025, which must raise rather than read as 1
+    W = np.ones((3, 3)) - np.eye(3)
+    W[np.tril_indices(3, -1)] += 5e-6
+    with pytest.raises(ParameterError):
+        spectral_decompose(WeightedGraph(3, W))
+
+
+def _gf2_rank(masks):
+    """Rank over GF(2) of integers read as bit vectors, by elimination."""
+    rows, rank = list(masks), 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def _shortcode_reference(d, n):
+    """The short-code walk from truth tables on F_2^n: p ~ q when p - q
+    equals a product of d affine forms whose linear parts have rank d."""
+    points = list(itertools.product((0, 1), repeat=n))
+    monos = [m for r in range(d + 1)
+             for m in itertools.combinations(range(n), r)]
+
+    def table(mask):
+        return tuple(sum(all(x[i] for i in m) for j, m in enumerate(monos)
+                         if mask >> j & 1) % 2 for x in points)
+
+    def affine(a, b):
+        return [(sum(x[i] for i in range(n) if a >> i & 1) + b) % 2
+                for x in points]
+
+    forms = [(a, b) for a in range(1, 1 << n) for b in (0, 1)]
+    products = {tuple(map(min, zip(*(affine(a, b) for a, b in combo))))
+                for combo in itertools.combinations(forms, d)
+                if _gf2_rank(a for a, _ in combo) == d}
+    N = 1 << len(monos)
+    vertex = {table(p): p for p in range(N)}
+    A = np.zeros((N, N))
+    for p in range(N):
+        tp = table(p)
+        for t in products:
+            A[p, vertex[tuple(u ^ v for u, v in zip(tp, t))]] = 1.0
+    return A / A.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+                                 (3, 4)])
+def test_shortcode_graph_matches_a_truth_table_reference(d, n):
+    if d == 3:
+        # 15 monomials of degree <= 3 over F_2^4: more than the 12 allowed
+        with pytest.raises(SizeCapError):
+            shortcode_graph(d, n)
+        return
+    assert np.array_equal(shortcode_graph(d, n).W, _shortcode_reference(d, n))
+
+
 def test_expansion_of_dictator_cut():
     g = noisy_hypercube(3, 0.1)
     sd = spectral_decompose(g)
@@ -120,6 +182,10 @@ def test_sse_profile_exhaustive_small():
     assert all(phi >= -1e-12 for phi in prof.min_phi_by_size.values())
     # singleton expansion of a regular graph equals 1 - W[v,v]-loop mass
     assert 1 in prof.min_phi_by_size
+    # pinned: one batch per size, ascending
+    assert list(prof.min_phi_by_size.items()) == [
+        (1, 1.0), (2, 0.8333333333333334), (3, 0.6666666666666667)]
+    assert prof.argmin_by_size == {1: (0,), 2: (0, 1), 3: (0, 1, 2)}
 
 
 def test_sse_profile_sampled_branch(monkeypatch):
@@ -139,6 +205,11 @@ def test_sse_profile_sampled_branch(monkeypatch):
     again = sse_profile(g, delta, seed=5)
     assert again.min_phi_by_size == prof.min_phi_by_size
     assert again.argmin_by_size == prof.argmin_by_size
+    # pinned: each batch's size is drawn just before its sets
+    assert list(prof.min_phi_by_size.items()) == [
+        (3, 0.6666666666666667), (2, 0.8333333333333334), (1, 1.0)]
+    assert list(prof.argmin_by_size.items()) == [
+        (3, (2, 9, 5)), (2, (8, 1)), (1, (8,))]
 
 
 @pytest.mark.parametrize("make", [

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugsos import _kernels, sos
-from ugsos.errors import NullEventError, ParameterError, SizeCapError
+from ugsos.errors import (DegreeError, NullEventError, ParameterError,
+                          SizeCapError)
 from ugsos.graphs import johnson_graph, noisy_hypercube
 from ugsos.instances import UgInstance, brute_force_opt, plant_instance, value
 from ugsos.sos import (PseudoExpectation, all_canonical_keys,
@@ -78,7 +79,65 @@ def test_mixture_is_valid_pe(x1, x2, w):
     assert rep.passed
 
 
+@pytest.mark.parametrize("x", [[0], [0, 1], [5, 0, 0], [0, -1, 0]],
+                         ids=["short", "two", "label-5", "label-minus-1"])
+def test_point_mass_rejects_a_bad_assignment(x):
+    # one entry per vertex, each a label in [0, k), as `instances.value`
+    with pytest.raises(ParameterError):
+        point_mass_pe(3, 3, x)
+    with pytest.raises(ParameterError):
+        mixture_pe(3, 3, [(0.5, [0, 1, 2]), (0.5, x)])
+
+
+@pytest.mark.parametrize("weights", [(-0.5, 1.5), (0.0, 0.0), (0.5, -0.5)])
+def test_mixture_rejects_negative_weights_and_a_non_positive_total(weights):
+    with pytest.raises(ParameterError):
+        mixture_pe(3, 3, list(zip(weights, ([0, 1, 2], [1, 1, 0]))))
+
+
 # -- polynomial arithmetic vs genuine distributions -------------------------
+
+def test_scalar_reads_canonicalize_any_spelling():
+    # pE[X_{0,0} X_{1,2}] = 1/3 on the symmetrized point mass on [0, 2, 1],
+    # however the monomial is spelled
+    pE = symmetrize(point_mass_pe(3, 3, [0, 2, 1]))
+    pE2 = product_copy(pE)
+    third = pE.moment(((0, 0, 0), (1, 2, 0)))
+    assert third == pytest.approx(1.0 / 3.0)
+    for mono in (((1, 2, 0), (0, 0, 0)), ((1, 2), (0, 0)),
+                 ((0, 0), (1, 2, 0), (0, 0, 0))):
+        for table in (pE, pE2):
+            assert (table.moment(mono) == table.pe({mono: 1.0})
+                    == evaluate(table, {mono: 1.0}) == third)
+    # copy 1 of the product copy, spelled out of order
+    mono = ((1, 2, 1), (0, 0, 0))
+    assert (pE2.moment(mono) == pE2.pe({mono: 1.0})
+            == evaluate(pE2, {mono: 1.0}) == third * third)
+    # the zero monomial reads 0; above the degree raises
+    for table in (pE, pE2):
+        assert table.moment(None) == table.moment(((0, 0), (0, 1))) == 0.0
+        assert evaluate(table, {((0, 0), (0, 1)): 2.0}) == 0.0
+    with pytest.raises(DegreeError):
+        pE2.moment(((0, 0), (1, 2), (2, 1), (0, 1, 1), (1, 0, 1)))
+
+
+@pytest.mark.parametrize("mono", [((3, 0, 0),), ((0, 3),), ((-1, 0),),
+                                  ((0, -1, 0),), ((0, 0, 1),),
+                                  ((0, 0, -1), (1, 2))],
+                         ids=["vertex-3", "label-3", "vertex-minus-1",
+                              "label-minus-1", "copy-1", "copy-minus-1"])
+def test_scalar_read_outside_the_table_raises(mono):
+    pE = symmetrize(point_mass_pe(3, 3, [0, 2, 1]))
+    with pytest.raises(ParameterError):
+        pE.moment(mono)
+    with pytest.raises(ParameterError):
+        evaluate(pE, {mono: 1.0})
+    pE2 = product_copy(pE)
+    bad = ((0, 0, 2),) if mono == ((0, 0, 1),) else mono
+    with pytest.raises(ParameterError):
+        pE2.pe({bad: 1.0})
+    assert pE2._values is None
+
 
 def test_evaluate_linear_in_poly():
     pE = point_mass_pe(2, 2, [0, 1])

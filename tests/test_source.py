@@ -1,5 +1,6 @@
 """Properties of the package source itself."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ugsos
@@ -15,3 +16,30 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in ugsos: {found}"
+
+
+def _names(tree):
+    """The names an AST refers to: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_public_definition_is_referenced():
+    # a public top-level def or class that nothing in src/ or tests/ names,
+    # other than its own body, is dead code
+    trees = [ast.parse(path.read_text())
+             for root in (SRC.parent, Path(__file__).parent)
+             for path in sorted(root.rglob("*.py"))]
+    counts = Counter(name for tree in trees for name in _names(tree))
+    unused = [f"{path.name}:{node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and counts[node.name] == list(_names(node)).count(node.name)]
+    assert not unused, f"public definitions nothing refers to: {unused}"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugsos import steppoly
-from ugsos.errors import ParameterError
+from ugsos.errors import ConstructionError, ParameterError
 from ugsos.steppoly import (GRID_POINTS, StepPolynomial,
                             build_capped_step_poly, build_step_poly,
                             check_invariants, check_markov_bounds,
@@ -118,6 +119,33 @@ def test_criterion_6_triples_keep_their_degrees():
         outside = (x <= p.alpha - p.delta) | (x >= p.alpha + p.delta)
         raw = np.max(np.abs(vals - (x >= p.alpha))[outside])
         assert check_invariants(p).max_violation == raw + err
+
+
+def test_degree_ladder_pinned_series():
+    # below DEGREE_CAP a fit must pass with margin eps/2; (0.5, 0.02, 0.01)
+    # misses that at every degree (0.0553 at 128, 0.0122 at 200) and passes
+    # at the cap, where the margin is eps itself
+    pins = {(0.5, 0.1, 0.2): (8, 0.49999999999951605, 0.6026758347198052,
+                              5.7778628338867e-16),
+            (0.3, 0.05, 0.1): (32, 0.6303502169605494, 0.5768203257255065,
+                               -0.0005754299001664262),
+            (0.2, 0.01, 0.05): (64, 0.7037009556366406, 0.5053295675839464,
+                                -0.00023864008585735208),
+            (0.5, 0.02, 0.01): (200, 0.49999999999950795, 0.6266591425051184,
+                                6.837105869721369e-17)}
+    for triple, (degree, c0, c1, last) in pins.items():
+        p = build_step_poly(*triple)
+        assert p.degree == degree and p.eps == triple[1]
+        assert p.series[0] == pytest.approx(c0, rel=1e-12)
+        assert p.series[1] == pytest.approx(c1, rel=1e-12)
+        assert p.series[-1] == pytest.approx(last, rel=1e-9)
+
+
+def test_cap_failure_names_the_best_deviation():
+    with pytest.raises(ConstructionError, match=re.escape(
+            "step polynomial unachievable within degree 200: best deviation "
+            "1.219e-02 vs requested 0.001")):
+        build_step_poly(0.5, 0.001, 0.01)
 
 
 def test_json_round_trip(p_easy):
