@@ -1,5 +1,6 @@
-"""Hot numeric kernels in numpy, and a handle on the thread count of the
-OpenBLAS that numpy loaded.
+"""Hot numeric kernels in numpy, and two handles on the OpenBLAS that numpy
+loaded: its thread count, and its LAPACKE ?syevr/?heevr, which the SDP
+solver's PSD projection uses to compute one side of a block's spectrum.
 
 The brute-force scan splits the vertices into two halves and scores all
 assignments of one block of high-half labels against all low-half labels
@@ -9,6 +10,17 @@ memory for the low half's tables (about j*k^(j+1) floats) plus one block of
 
 ``perfbench/run.py`` times the brute-force oracle as
 ``instances.brute_force_opt`` in its ``certify`` workload.
+
+`PartialEig` computes the eigenpairs of one real symmetric or complex
+Hermitian matrix whose eigenvalues lie in a value range, by LAPACK's
+dsyevr / zheevr with RANGE='V' (Dhillon & Parlett, Linear Algebra Appl.
+387, 2004): the cost falls with the number of pairs wanted, so a block of
+rank 1 costs a fraction of a full `np.linalg.eigh`.  The routine is bound
+through ctypes on first use, not at import.  Its buffers are allocated once
+per `PartialEig`, sized by one workspace query, and their pointers kept,
+because at the solver's block sizes (dim 8 to 300) the per-call overhead of
+fetching them is a visible part of the call.  The solver uses it only on
+blocks of dimension 8 and more (`sos.PARTIAL_EIG_DIVISOR`).
 """
 import contextlib
 import ctypes
@@ -131,7 +143,8 @@ def subset_cut_scan(combos, W, deg):
 #
 # numpy's OpenBLAS is found among the shared objects mapped into this process
 # and driven through ctypes.  Without an OpenBLAS (another BLAS, or no
-# /proc/self/maps) the thread calls below are no-ops.
+# /proc/self/maps) the thread calls below are no-ops and `PartialEig` is
+# unavailable.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1)
@@ -193,3 +206,97 @@ def blas_threads(n: int):
     finally:
         if prev is not None:
             set_blas_threads(prev)
+
+
+# ---------------------------------------------------------------------------
+# Partial eigensolver (module docstring).
+# ---------------------------------------------------------------------------
+
+_COL_MAJOR = 102
+
+
+@functools.lru_cache(maxsize=2)
+def _lapacke_evr(real: bool):
+    """(LAPACKE_dsyevr_work if `real` else LAPACKE_zheevr_work, its integer
+    type) from the loaded OpenBLAS, or None when no OpenBLAS exports it."""
+    kind = "dsy" if real else "zhe"
+    for handle in _openblas_libs():
+        for name, cint in ((f"scipy_LAPACKE_{kind}evr_work64_", ctypes.c_int64),
+                           (f"LAPACKE_{kind}evr_work64_", ctypes.c_int64),
+                           (f"LAPACKE_{kind}evr_work", ctypes.c_int32)):
+            fn = getattr(handle, name, None)
+            if fn is None:
+                continue
+            ptr, char, dbl = ctypes.c_void_p, ctypes.c_char, ctypes.c_double
+            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+            # m, w, z, ldz, isuppz, work, lwork, [rwork, lrwork,] iwork,
+            # liwork
+            rwork = [] if real else [ptr, cint]
+            fn.argtypes = ([ctypes.c_int, char, char, char, cint, ptr, cint,
+                            dbl, dbl, cint, cint, dbl, ptr, ptr, ptr, cint,
+                            ptr, ptr, cint] + rwork + [ptr, cint])
+            fn.restype = cint
+            return fn, cint
+    return None
+
+
+class PartialEig:
+    """The eigenpairs with eigenvalues in (vl, vu] of n x n real symmetric
+    (`real`) or complex Hermitian matrices.  The caller writes the matrix's
+    lower triangle into `a` (column-major; the triangle `np.linalg.eigh`
+    reads) before each call, which overwrites it.  Runs on numpy's OpenBLAS,
+    so `blas_threads` governs it.
+
+    `available(real)` says whether the loaded OpenBLAS exports the routine;
+    the first such check binds it."""
+
+    @staticmethod
+    def available(real: bool) -> bool:
+        return _lapacke_evr(real) is not None
+
+    def __init__(self, n: int, real: bool):
+        self.fn, cint = _lapacke_evr(real)
+        self.n, self.real = n, real
+        itype = np.int64 if cint is ctypes.c_int64 else np.int32
+        dtype = float if real else complex
+        self.a = np.empty((n, n), dtype=dtype, order="F")
+        self.z = np.empty((n, n), dtype=dtype, order="F")
+        self.w = np.empty(n)
+        self.m = np.zeros(1, dtype=itype)
+        self.isuppz = np.empty(2 * n, dtype=itype)
+        work, rwork, iwork = (np.empty(1, dtype), np.empty(1),
+                              np.empty(1, dtype=itype))
+        self._run(self._arguments(work, -1, rwork, -1, iwork, -1))  # query
+        self.work = np.empty(int(work[0].real), dtype)
+        self.rwork = np.empty(int(rwork[0]))
+        self.iwork = np.empty(int(iwork[0]), dtype=itype)
+        self._args = self._arguments(self.work, self.work.size, self.rwork,
+                                     self.rwork.size, self.iwork,
+                                     self.iwork.size)
+
+    def _arguments(self, work, lwork, rwork, lrwork, iwork, liwork) -> list:
+        """The routine's arguments, with vl = 0 and vu = 1 at entries 7 and
+        8."""
+        n = self.n
+        rwork = [] if self.real else [rwork.ctypes.data, lrwork]
+        return ([_COL_MAJOR, b"V", b"V", b"L", n, self.a.ctypes.data, n,
+                 0.0, 1.0, 0, 0, 0.0, self.m.ctypes.data, self.w.ctypes.data,
+                 self.z.ctypes.data, n, self.isuppz.ctypes.data,
+                 work.ctypes.data, lwork] + rwork
+                + [iwork.ctypes.data, liwork])
+
+    def __call__(self, vl: float, vu: float):
+        """(w, Z): the m eigenvalues of `a` in (vl, vu], ascending, and the
+        n x m matrix Z whose columns are their unit eigenvectors; both are
+        views into buffers that the next call overwrites.  A nonzero LAPACK
+        info raises LinAlgError."""
+        self._args[7], self._args[8] = vl, vu
+        self._run(self._args)
+        m = int(self.m[0])
+        return self.w[:m], self.z[:, :m]
+
+    def _run(self, args):
+        info = self.fn(*args)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"{'dsyevr' if self.real else 'zheevr'} failed: info = {info}")

@@ -23,6 +23,19 @@ from ugsos.errors import ParameterError, SizeCapError
 VERTEX_CAP = 10**4
 SSE_EXHAUSTIVE_CAP = 10**7
 SSE_SAMPLE_COUNT = 10**6
+# WeightedGraph compares W with W^T in row blocks of about this many entries,
+# so that its check allocates no N x N temporary
+SYMMETRY_BLOCK = 1 << 20
+
+
+def _is_symmetric(W: np.ndarray, atol: float) -> bool:
+    """Whether max |W - W^T| <= atol, absolutely (False when W holds a NaN
+    or an infinity), read in row blocks of about SYMMETRY_BLOCK entries."""
+    n = len(W)
+    step = max(1, SYMMETRY_BLOCK // max(n, 1))
+    with np.errstate(invalid="ignore"):             # inf - inf
+        return all(np.abs(W[i:i + step] - W[:, i:i + step].T).max(initial=0.0)
+                   <= atol for i in range(0, n, step))
 
 
 @dataclass(frozen=True)
@@ -42,9 +55,9 @@ class WeightedGraph:
         W = np.asarray(self.W, dtype=float)
         if W.shape != (self.num_vertices, self.num_vertices):
             raise ParameterError("weight matrix shape mismatch")
-        if not np.allclose(W, W.T, atol=1e-12):
-            raise ParameterError("weight matrix must be symmetric")
-        if np.any(W < -1e-15):
+        if not _is_symmetric(W, 1e-12):
+            raise ParameterError("weight matrix must be symmetric and finite")
+        if W.min(initial=0.0) < -1e-15:
             raise ParameterError("negative edge weight")
         if W.sum() <= 0:
             raise ParameterError("graph has zero total weight")

@@ -70,6 +70,21 @@ is one FFT per degree (`_full_moments_from_reduced`).  When every block is
 below `ONE_THREAD_MAX_DIM` the loop runs on one BLAS thread, as fast as two
 at those sizes for half the CPU; the thread count is restored afterwards.
 
+Every block is rank 1 at the optimum, so after the first step the smaller
+side of a block's spectrum usually holds one eigenpair.  Each block's
+`_BlockSplit` remembers which side the last projection rebuilt from and how
+many pairs m it held; when PARTIAL_EIG_DIVISOR * (m + 1) <= dim, the next
+projection computes that whole side, and only it, by LAPACK's dsyevr /
+zheevr with a value range (`_kernels.PartialEig`): the pairs in (0, B] or
+(-B, 0], B = 1 + 2 ||S||_F above the spectral radius.  The projection is
+exact whatever the prediction; a wrong one costs only time.  The first step,
+larger sides and an OpenBLAS without the LAPACKE symbols run `eigh`.  The
+rule keeps every block below dimension 8 on `eigh`, which matters beyond
+speed: `verify --tier quick`'s k = 2 triangle (blocks 4 and 3) is chaotic
+under round-off, and a nudge of 1e-16 to its projection moves its 65
+iterations to 76-116.  `flags["partial_projections"]` counts the partial
+projections of a solve.
+
 Validation
 ----------
 `validate` reads the smallest moment-matrix eigenvalue from charge blocks.
@@ -135,6 +150,29 @@ ADMM_RHO0 = 1.0 / 64
 # Two threads cost about twice the CPU at every size and save wall time only
 # from about 300 on.
 ONE_THREAD_MAX_DIM = 300
+# The PSD projection of a block computes only the side of its spectrum that
+# held m eigenpairs at the previous step when PARTIAL_EIG_DIVISOR * (m + 1)
+# <= dim (`_BlockSplit`).  Sweep of one `_psd_split` of a packed block with
+# m positive eigenvalues, eigh vs partial, us wall per call (best of three
+# passes, one BLAS thread, 2-core x86-64, numpy 2.4 with OpenBLAS), real
+# blocks / Hermitian ones:
+#   dim 8:    m=1 33 vs 32 / 45 vs 30       m=4 35 vs 39 / 47 vs 48
+#   dim 16:   m=1 66 vs 35 / 83 vs 43       m=8 71 vs 83 / 106 vs 78
+#   dim 57:   m=1 392 vs 191 / 559 vs 269   m=7 435 vs 299 / 568 vs 421
+#             m=14 432 vs 518 / 852 vs 891  m=28 468 vs 863 / 1006 vs 1359
+#   dim 129:  m=1 2091 vs 839 / 5140 vs 2431
+#             m=16 2211 vs 1838 / 5076 vs 3613
+#             m=32 2130 vs 3018 / 5161 vs 4980
+#   dim 201:  m=1 5650 vs 2036 / 15681 vs 7496
+#             m=25 5086 vs 4827 / 15596 vs 10504
+#             m=50 5159 vs 7499 / 15137 vs 13766
+# The partial call wins 2-3x at m = 1 and breaks even near m = dim/8 on real
+# blocks (later on Hermitian ones); at dim 8 the two tie.  The rule keeps
+# every block below dimension 8 on eigh, and that matters beyond speed:
+# `verify --tier quick` solves a 3-vertex k=2 triangle (blocks 4 and 3)
+# whose ADMM trajectory is chaotic under round-off (a 1e-16 relative nudge
+# to the projection moves it from 65 iterations to 76-116).
+PARTIAL_EIG_DIVISOR = 8
 # `validate` splits a moment matrix by charge when its off-charge part is at
 # most this fraction of its Frobenius norm: round-off leaves 1-4 u on a
 # shift-symmetric table, u = 2^-53, a table that is not one leaves O(1).
@@ -528,21 +566,26 @@ class _Block:
     the diagonal and sqrt(weight) throughout: Frobenius inner products."""
 
     def __init__(self, dim: int, real: bool, weight: float, start: int):
-        self.dim, self.real = dim, real
+        self.dim, self.real, self.weight = dim, real, weight
         self.rows, self.cols = np.tril_indices(dim)
         self.off = self.rows != self.cols
         self.f = math.sqrt(weight) * np.where(self.off, math.sqrt(2.0), 1.0)
         size = self.rows.size + (0 if real else int(self.off.sum()))
         self.part = slice(start, start + size)
 
-    def unpack(self, v: np.ndarray) -> np.ndarray:
-        """The lower triangle of the block packed in v (all `eigh` reads)."""
-        M = np.zeros((self.dim, self.dim), dtype=float if self.real else complex)
+    def lower(self, v: np.ndarray) -> np.ndarray:
+        """The lower triangle of the block packed in v, in (rows, cols)
+        order."""
         lower = v[:self.rows.size] / self.f
         if not self.real:
             lower = lower.astype(complex)
             lower[self.off] += 1j * v[self.rows.size:] / self.f[self.off]
-        M[self.rows, self.cols] = lower
+        return lower
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        """The lower triangle of the block packed in v (all `eigh` reads)."""
+        M = np.zeros((self.dim, self.dim), dtype=float if self.real else complex)
+        M[self.rows, self.cols] = self.lower(v)
         return M
 
     def pack(self, M: np.ndarray) -> np.ndarray:
@@ -553,16 +596,73 @@ class _Block:
                                lower.imag[self.off] * self.f[self.off]))
 
 
-def _psd_split(S: np.ndarray):
+class _BlockSplit:
+    """One block's PSD splits within one solve: the side of the spectrum
+    the last split rebuilt from (`positive`) and its number of eigenpairs
+    (`m`, None before the first split), the block's `_kernels.PartialEig`
+    once a split needs it, and the number of splits that used it."""
+
+    def __init__(self, block: _Block):
+        self.block, self.positive, self.m = block, True, None
+        self.eig = None
+        self.partial_calls = 0
+
+    def predicts(self) -> bool:
+        """Whether the next split computes only the remembered side: when
+        PARTIAL_EIG_DIVISOR * (m + 1) <= dim and the kernel is there."""
+        return (self.m is not None
+                and PARTIAL_EIG_DIVISOR * (self.m + 1) <= self.block.dim
+                and _kernels.PartialEig.available(self.block.real))
+
+    def side_pairs(self, s: np.ndarray):
+        """(eigenvalues, eigenvector columns) of the packed block s on the
+        remembered side: all those in (0, B] or in (-B, 0], with
+        B = 1 + 2 ||S||_F above the spectral radius."""
+        b = self.block
+        if self.eig is None:
+            self.eig = _kernels.PartialEig(b.dim, b.real)
+            # where the packed lower triangle goes in the column-major input
+            self.flat = self.eig.a.ravel(order="F")
+            self.at = b.cols * b.dim + b.rows
+        self.flat[self.at] = b.lower(s)
+        bound = 1.0 + 2.0 * float(np.linalg.norm(s)) / math.sqrt(b.weight)
+        self.partial_calls += 1
+        return self.eig(*((0.0, bound) if self.positive else (-bound, 0.0)))
+
+
+def _psd_split(S: np.ndarray, split: _BlockSplit | None = None):
     """(S_+, S - S_+), S_+ the PSD projection of the symmetric or Hermitian
     S, rebuilt from its smaller eigenspace.  `eigh` reads only the lower
-    triangle, so only the results' lower triangles need a full S."""
-    lam, V = np.linalg.eigh(S)
-    nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
-    negative = 2 * nneg < len(lam)
-    side = slice(0, nneg) if negative else slice(nneg, None)
-    part = (V[:, side] * lam[side]) @ V[:, side].conj().T
-    return (S - part, part) if negative else (part, S - part)
+    triangle, so only the results' lower triangles need a full S.
+
+    With `split`, S and the results are its block packed, and the split
+    remembers its side.  When that side is predicted small
+    (`_BlockSplit.predicts`), only it is computed, but all of it, so the
+    split is exact and a wrong prediction costs only time; otherwise `eigh`
+    runs on the unpacked block, as on the first step."""
+    partial = split is not None and split.predicts()
+    if partial:
+        lam, V = split.side_pairs(S)
+        positive = split.positive
+    else:
+        M = S if split is None else split.block.unpack(S)
+        lam, V = np.linalg.eigh(M)
+        nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
+        positive = 2 * nneg >= len(lam)
+        side = slice(nneg, None) if positive else slice(0, nneg)
+        lam, V = lam[side], V[:, side]
+    part = (V * lam) @ V.conj().T
+    if split is None:
+        return (part, S - part) if positive else (S - part, part)
+    split.positive, split.m = positive, lam.size
+    if positive:
+        plus = split.block.pack(part)
+    elif partial:
+        plus = S - split.block.pack(part)
+    else:
+        # as the dense split rounds it: blocks below dim 8 keep their iterates
+        plus = split.block.pack(M - part)
+    return plus, S - plus
 
 
 class _ChargeLayout:
@@ -666,11 +766,13 @@ class _ChargeLayout:
         return np.bincount(self.t_col, weights=self.t_coef * r[self.t_row],
                            minlength=self.size)
 
-    def psd_split(self, s: np.ndarray):
-        """(S_+, S - S_+) of the packed blocks s, block by block."""
+    def psd_split(self, s: np.ndarray, splits: list):
+        """(S_+, S - S_+) of the packed blocks s, block by block, with one
+        `_BlockSplit` per block of this solve."""
         plus = np.empty_like(s)
-        for b in self.blocks:
-            plus[b.part] = b.pack(_psd_split(b.unpack(s[b.part]))[0])
+        for split in splits:
+            part = split.block.part
+            plus[part] = _psd_split(s[part], split)[0]
         return plus, s - plus
 
     def moments(self, y: np.ndarray) -> np.ndarray:
@@ -853,8 +955,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     c.y in flags["sdp_value"], the certified bound >= OPT in
     flags["sdp_upper_bound"] (it bounds the SDP optimum, so it may lie below
     c.y of a tol-feasible y), c.y - r_empty in flags["duality_gap"], the
-    iteration count, both residuals, the final rho in flags["rho"], and
-    "unconverged": True if the iteration cap was hit."""
+    iteration count, both residuals, the final rho in flags["rho"], the
+    number of block projections that took the partial eigensolver in
+    flags["partial_projections"], and "unconverged": True if the iteration
+    cap was hit."""
     lay = problem.layout
     c = problem.objective_vec
     rho = ADMM_RHO0
@@ -867,6 +971,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     pri = dua = np.inf
     converged = False
     accel = _Anderson(lay.packed_size)
+    splits = [_BlockSplit(b) for b in lay.blocks]
     threads = (_kernels.blas_threads(1)
                if max(b.dim for b in lay.blocks) < ONE_THREAD_MAX_DIM
                else contextlib.nullcontext())
@@ -888,7 +993,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                 y_new, X, S = plain
                 Ay = lay.A(y_new)
             # X-update: PSD projection; U takes the negative part
-            X_new, U = lay.psd_split(S)
+            X_new, U = lay.psd_split(S, splits)
             pri = float(np.linalg.norm(Ay - X_new))
             dua = rho * float(np.linalg.norm(lay.adjoint(X_new - X)))
             X = X_new
@@ -913,7 +1018,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     r = c - rho * lay.adjoint(U)
     flags = {"sdp_value": float(c @ y), "sdp_upper_bound": lay.upper_bound(r),
              "duality_gap": float(c @ y - r[0]), "iterations": it + 1,
-             "primal_residual": pri, "dual_residual": dua, "rho": rho}
+             "primal_residual": pri, "dual_residual": dua, "rho": rho,
+             "partial_projections": sum(s.partial_calls for s in splits)}
     if not converged:
         flags["unconverged"] = True
     return PseudoExpectation(problem.degree, inst.k, inst.num_vertices,

@@ -105,13 +105,41 @@ def test_shortcode_graph_basic():
 
 
 def test_spectral_decompose_rejects_a_walk_eigenvalue_above_one():
-    # a lower triangle 5e-6 above the upper one passes WeightedGraph's
-    # symmetry check (rtol 1e-5); `eigh` reads that triangle, so the walk
-    # eigenvalue is 1.0000025, which must raise rather than read as 1
+    # a lower triangle 5e-6 above the upper one, whose walk eigenvalue read
+    # from that triangle (as `eigh` reads it) is 1.0000025; WeightedGraph's
+    # absolute symmetry check now rejects it before spectral_decompose
+    # sees it, and either way it must raise rather than read as 1
     W = np.ones((3, 3)) - np.eye(3)
     W[np.tril_indices(3, -1)] += 5e-6
     with pytest.raises(ParameterError):
         spectral_decompose(WeightedGraph(3, W))
+
+
+@pytest.mark.parametrize("block", [graphs.SYMMETRY_BLOCK, 20])
+def test_weighted_graph_symmetry_is_absolute(monkeypatch, block):
+    # max |W - W^T| <= 1e-12, with no relative slack, also when the check
+    # reads W in several row blocks (20 entries: two rows of ten)
+    monkeypatch.setattr(graphs, "SYMMETRY_BLOCK", block)
+    W = np.ones((10, 10)) - np.eye(10)
+    lifted = W.copy()
+    lifted[np.tril_indices(10, -1)] += 5e-6
+    with pytest.raises(ParameterError, match="must be symmetric"):
+        WeightedGraph(10, lifted)
+    corner = W.copy()
+    corner[9, 3] += 5e-6
+    with pytest.raises(ParameterError, match="must be symmetric"):
+        WeightedGraph(10, corner)
+    nudged = W.copy()
+    nudged[9, 3] += 1e-13
+    assert WeightedGraph(10, nudged).W[9, 3] == nudged[9, 3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weighted_graph_rejects_non_finite_weights(bad):
+    W = np.ones((3, 3)) - np.eye(3)
+    W[0, 1] = W[1, 0] = bad
+    with pytest.raises(ParameterError, match="must be symmetric and finite"):
+        WeightedGraph(3, W)
 
 
 def _gf2_rank(masks):

@@ -398,21 +398,152 @@ def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
         assert np.abs(np.tril(sos._psd_split(low)[0] - ref)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("npos", [31, 9, 0],
-                         ids=["31-0-False-2", "9-0-False-38", "0-0-False-0"])
-def test_partial_psd_split_matches_clipped_reconstruction(rng, npos):
-    """Negating S swaps which side of the spectrum the split rebuilds from
-    (the empty one when npos = 0), and the two splits agree: the split of
-    -S is (-(S - S_+), -S_+), with S_+ the clipped reconstruction of S."""
-    lam = _spectrum(rng, npos)
-    for S in (_rotated(rng, lam), _rotated(rng, lam, complex_=True)):
+needs_partial_eig = pytest.mark.skipif(
+    not (_kernels.PartialEig.available(True)
+         and _kernels.PartialEig.available(False)),
+    reason="no LAPACKE dsyevr/zheevr in the BLAS")
+
+
+def _spy_partial(monkeypatch):
+    """Record the BLAS thread count at each partial eigensolver call."""
+    seen = []
+    call = _kernels.PartialEig.__call__
+
+    def spy(self, vl, vu):
+        seen.append(_kernels.get_blas_threads())
+        return call(self, vl, vu)
+
+    monkeypatch.setattr(_kernels.PartialEig, "__call__", spy)
+    return seen
+
+
+def _hinted_split(block, npos):
+    """A split of `block` that predicts npos nonnegative eigenvalues, as
+    one that has split a block with that spectrum before."""
+    split = sos._BlockSplit(block)
+    split.positive = 2 * npos <= block.dim
+    split.m = npos if split.positive else block.dim - npos
+    return split
+
+
+@needs_partial_eig
+@pytest.mark.parametrize("npos, nzero, exact, hint", [
+    (3, 0, False, 3),       # few positives
+    (37, 0, False, 37),     # few negatives
+    (0, 0, False, 0),       # none positive
+    (3, 27, False, 3),      # zero eigenvalues up to round-off
+    (35, 3, False, 37),
+    (3, 27, True, 3),       # exact zeros
+    (35, 3, True, 37),
+    (31, 0, False, 2),      # wrong hint: many positives
+    (9, 0, False, 38),      # wrong hint: many negatives
+])
+def test_partial_psd_split_matches_clipped_reconstruction(
+        rng, monkeypatch, npos, nzero, exact, hint):
+    """With a side hint, the split of a packed block computes that side
+    only, by the partial kernel, and equals the clipped full
+    reconstruction, also when the hint is wrong: npos positive and nzero
+    zero eigenvalues of 40, on a real block and a Hermitian one, or with
+    exact zeros on a permuted diagonal.  Negating S and the hint swaps the
+    side, and the split of -S is (-(S - S_+), -S_+)."""
+    lam = _spectrum(rng, npos, nzero)
+    if exact:
+        perm = rng.permutation(lam.size)
+        cases = [np.diag(lam)[perm][:, perm]]
+    else:
+        cases = [_rotated(rng, lam), _rotated(rng, lam, complex_=True)]
+    seen = _spy_partial(monkeypatch)
+    for S in cases:
+        real = not np.iscomplexobj(S)
+        block = sos._Block(lam.size, real, 1.0 if real else 2.0, 0)
         mu, V = np.linalg.eigh(S)
         ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
-        pos, rest = sos._psd_split(S)
-        neg_pos, neg_rest = sos._psd_split(-S)
-        assert np.abs(pos - ref).max() <= 1e-12
+        pos, rest = sos._psd_split(block.pack(S), _hinted_split(block, hint))
+        assert np.abs(block.unpack(pos) - np.tril(ref)).max() <= 1e-12
+        assert np.abs(block.unpack(rest) - np.tril(S - ref)).max() <= 1e-12
+        neg_pos, neg_rest = sos._psd_split(
+            block.pack(-S), _hinted_split(block, lam.size - hint))
         assert np.abs(neg_pos + rest).max() <= 1e-12
         assert np.abs(neg_rest + pos).max() <= 1e-12
+    assert len(seen) == 2 * len(cases)
+
+
+@needs_partial_eig
+@pytest.mark.parametrize("real", [True, False])
+def test_partial_eigensolver_reports_lapack_errors(real):
+    eig = _kernels.PartialEig(4, real)
+    eig.a[...] = np.eye(4)
+    with pytest.raises(np.linalg.LinAlgError):
+        eig(1.0, 0.0)                                   # empty range vl >= vu
+
+
+def test_partial_path_needs_dimension_eight():
+    # PARTIAL_EIG_DIVISOR * (m + 1) <= dim: a dim-7 block stays on eigh
+    # even with an empty side
+    assert sos.PARTIAL_EIG_DIVISOR == 8
+    for dim, m, partial in ((7, 0, False), (8, 0, True), (15, 1, False),
+                            (16, 1, True)):
+        split = _hinted_split(sos._Block(dim, True, 1.0, 0), m)
+        assert split.predicts() == (partial and _kernels.PartialEig
+                                    .available(True))
+
+
+@needs_partial_eig
+def test_partial_eigensolver_runs_on_one_blas_thread(cube3_inst,
+                                                     monkeypatch):
+    if _kernels.get_blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    problem = build_relaxation(cube3_inst[1], 4)
+    assert max(b.dim for b in problem.layout.blocks) < sos.ONE_THREAD_MAX_DIM
+    seen = _spy_partial(monkeypatch)
+    with _kernels.blas_threads(2):
+        pE = solve_sdp(problem)
+        assert _kernels.get_blas_threads() == 2
+    assert len(seen) == pE.flags["partial_projections"] > 0
+    assert set(seen) == {1}
+
+
+@needs_partial_eig
+def test_missing_lapacke_falls_back_to_the_same_iterates(cube3_inst,
+                                                         monkeypatch):
+    # criterion 5's seed-0 cube: most projections after the first step take
+    # the partial path; without the LAPACKE symbols all run eigh
+    problem = build_relaxation(cube3_inst[1], 4)
+    seen = _spy_partial(monkeypatch)
+    partial = solve_sdp(problem)
+    assert len(seen) == partial.flags["partial_projections"] > 0
+    monkeypatch.setattr(_kernels, "_lapacke_evr", lambda real: None)
+    full = solve_sdp(problem)
+    assert full.flags["partial_projections"] == 0
+    assert len(seen) == partial.flags["partial_projections"]
+    assert full.flags["iterations"] == partial.flags["iterations"] == 62
+    assert np.abs(full._array() - partial._array()).max() <= 1e-12
+
+
+def test_verify_quick_solves_keep_small_blocks_on_eigh(monkeypatch, capsys):
+    # `verify --tier quick`'s three solves have blocks below dimension 8
+    # only; its k=2 triangle is chaotic under round-off, so its iterates
+    # hold only while those blocks keep eigh's projection
+    from ugsos import cli
+    solve, side_pairs = sos.solve_sdp, sos._BlockSplit.side_pairs
+    dims, iterations, partial_dims = [], [], []
+
+    def spy_solve(problem, *args, **kwargs):
+        dims.extend(b.dim for b in problem.layout.blocks)
+        pE = solve(problem, *args, **kwargs)
+        iterations.append(pE.flags["iterations"])
+        return pE
+
+    def spy_side_pairs(self, s):
+        partial_dims.append(self.block.dim)
+        return side_pairs(self, s)
+
+    monkeypatch.setattr(sos, "solve_sdp", spy_solve)
+    monkeypatch.setattr(sos._BlockSplit, "side_pairs", spy_side_pairs)
+    assert cli.main(["verify", "--tier", "quick"]) == 0
+    assert iterations == [38, 65, 28]
+    assert min(dims) < 8
+    assert [d for d in partial_dims if d < 8] == []
 
 
 def _spy_eigh_threads(monkeypatch):
