@@ -2,6 +2,11 @@
 loaded: its thread count, and its LAPACKE ?syevr/?heevr, which the SDP
 solver's PSD projection uses to compute one side of a block's spectrum.
 
+The one BLAS-thread rule is `blas_threads_for(dim)`: one OpenBLAS thread
+when `dim`, the largest matrix the body factors or multiplies, is below
+`ONE_THREAD_MAX_DIM`, else the current count.  The SDP solve, `validate`'s
+charge blocks, the Chebyshev fit and the brute-force scan run under it.
+
 The brute-force scan splits the vertices into two halves and scores all
 assignments of one block of high-half labels against all low-half labels
 with one GEMM: about k^(n-1) * j*k flops with j = floor((n-1)/2), and
@@ -70,7 +75,8 @@ def _side_labels(vertices, start, count, n, k):
 def brute_force_scan(eu, ev, ew, eshift, n, k):
     """First best code of the x_0 = 0 assignments and its satisfied weight,
     for edges (eu, ev) in either orientation and shifts in [0, k), scanned
-    in blocks of about 2^16 (hi, lo) pairs (see above)."""
+    in blocks of about 2^16 (hi, lo) pairs (see above), under the thread
+    rule for its GEMM's inner dimension j*k."""
     eu, ev = np.asarray(eu), np.asarray(ev)
     ew, eshift = np.asarray(ew, dtype=float), np.asarray(eshift)
     j = (n - 1) // 2
@@ -84,37 +90,38 @@ def brute_force_scan(eu, ev, ew, eshift, n, k):
         sat = (xs[eu[e]] - xs[ev[e]]) % k == eshift[e][:, None]
         return ew[e] @ sat
 
-    nlo, nhi = k ** j, k ** len(high)
-    xl = _side_labels(low, 0, nlo, n, k)
-    vl = inside(xl, in_low)
-    if j == 1:
-        plt = None  # P_L^T is the k x k identity: a block is G itself
-    else:
-        plt = np.zeros((j * k, nlo))  # P_L^T
-        plt[np.arange(j)[:, None] * k + xl[low], np.arange(nlo)] = 1.0
-    # C[h, b] is the row (h, b) of C; a crossing edge holds when
-    # x_l - x_h = t, so at (x_h, x_l) = (b, b + t)
-    flip = ~low_u[cross]
-    l_end = np.where(flip, ev[cross], eu[cross])
-    h_end = np.where(flip, eu[cross], ev[cross])
-    t = np.where(flip, -eshift[cross], eshift[cross])[:, None]
-    b = np.arange(k)
-    C = np.zeros((len(high), k, j * k))
-    np.add.at(C, (h_end[:, None] - j - 1, b, (l_end[:, None] - 1) * k
-                  + (b + t) % k), ew[cross][:, None])
-    step = max(1, _BLOCK_FLOATS // nlo)
-    best_code, best_wsat = 0, -1.0
-    for h0 in range(0, nhi, step):
-        xh = _side_labels(high, h0, min(step, nhi - h0), n, k)
-        # rows of G = P_H C, one gathered row of C per high vertex
-        G = C[np.arange(len(high))[:, None], xh[high]].sum(axis=0)
-        block = G if plt is None else G @ plt
-        block += inside(xh, in_high)[:, None]
-        block += vl
-        i = int(np.argmax(block))
-        if block.flat[i] > best_wsat:
-            best_wsat = float(block.flat[i])
-            best_code = h0 * nlo + i
+    with blas_threads_for(j * k):                # the GEMM's inner dimension
+        nlo, nhi = k ** j, k ** len(high)
+        xl = _side_labels(low, 0, nlo, n, k)
+        vl = inside(xl, in_low)
+        if j == 1:
+            plt = None  # P_L^T is the k x k identity: a block is G itself
+        else:
+            plt = np.zeros((j * k, nlo))  # P_L^T
+            plt[np.arange(j)[:, None] * k + xl[low], np.arange(nlo)] = 1.0
+        # C[h, b] is the row (h, b) of C; a crossing edge holds when
+        # x_l - x_h = t, so at (x_h, x_l) = (b, b + t)
+        flip = ~low_u[cross]
+        l_end = np.where(flip, ev[cross], eu[cross])
+        h_end = np.where(flip, eu[cross], ev[cross])
+        t = np.where(flip, -eshift[cross], eshift[cross])[:, None]
+        b = np.arange(k)
+        C = np.zeros((len(high), k, j * k))
+        np.add.at(C, (h_end[:, None] - j - 1, b, (l_end[:, None] - 1) * k
+                      + (b + t) % k), ew[cross][:, None])
+        step = max(1, _BLOCK_FLOATS // nlo)
+        best_code, best_wsat = 0, -1.0
+        for h0 in range(0, nhi, step):
+            xh = _side_labels(high, h0, min(step, nhi - h0), n, k)
+            # rows of G = P_H C, one gathered row of C per high vertex
+            G = C[np.arange(len(high))[:, None], xh[high]].sum(axis=0)
+            block = G if plt is None else G @ plt
+            block += inside(xh, in_high)[:, None]
+            block += vl
+            i = int(np.argmax(block))
+            if block.flat[i] > best_wsat:
+                best_wsat = float(block.flat[i])
+                best_code = h0 * nlo + i
     # the winner's weight, correctly rounded whatever order the blocks summed
     hi, lo = divmod(best_code, nlo)
     x = (_side_labels(high, hi, 1, n, k) + _side_labels(low, lo, 1, n, k))[:, 0]
@@ -206,6 +213,27 @@ def blas_threads(n: int):
     finally:
         if prev is not None:
             set_blas_threads(prev)
+
+
+# Bodies whose largest matrix is below this dimension run on one BLAS
+# thread.  Sweep of np.linalg.eigh on random symmetric matrices (2-core
+# x86-64, numpy 2.4 with OpenBLAS), ms wall per call, 1 thread vs 2 threads:
+#   dim 129: 1.9-2.0 vs 1.8-2.5    dim 201: 5.3-5.7 vs 5.2-5.8
+#   dim 301: 12.9-15.0 vs 11.3-14.2  dim 376: 21.3-24.8 vs 19.6-20.8
+#   dim 451: 35.5-38.4 vs 27.6-31.3
+# Two threads cost about twice the CPU at every size and save wall time only
+# from about 300 on; the idle second thread spins after each two-thread call,
+# and that CPU is billed to whatever runs next.
+ONE_THREAD_MAX_DIM = 300
+
+
+def blas_threads_for(dim: int):
+    """Context for a body whose largest factored or multiplied matrix has
+    dimension `dim`: one OpenBLAS thread below ONE_THREAD_MAX_DIM, the
+    current count otherwise; the count is restored on exit and on raise."""
+    if dim < ONE_THREAD_MAX_DIM:
+        return blas_threads(1)
+    return contextlib.nullcontext()
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,10 @@ def _shift_moments(pE: PseudoExpectation, p: StepPolynomial,
 
 
 def _projector(spectral, lam: float) -> np.ndarray:
-    """Pi-self-adjoint projector onto walk eigenvalues >= 1 - lam."""
-    keep = spectral.eigenvalues >= 1.0 - lam
+    """Pi-self-adjoint projector onto walk eigenvalues >= 1 - lam, within
+    the 1e-9 that `spectral_decompose` clamps by, so that a threshold at an
+    eigenvalue keeps all of its eigenspace, not a round-off share of it."""
+    keep = spectral.eigenvalues >= 1.0 - lam - 1e-9
     V = spectral.eigenvectors[:, keep]
     return V @ (V.T * spectral.pi)
 

@@ -66,9 +66,10 @@ r = c + A^T(-rho U) with -rho U PSD, as SCS does (O'Donoghue et al., JOTA
 169, 2016); small residuals alone can stop short of the optimum.  Since
 |yhat(g)| <= 1 (pseudo-Cauchy-Schwarz), r_empty + sum |r_g| over the other
 coordinates bounds the SDP value, and OPT, from above.  The full-label table
-is one FFT per degree (`_full_moments_from_reduced`).  When every block is
-below `ONE_THREAD_MAX_DIM` the loop runs on one BLAS thread, as fast as two
-at those sizes for half the CPU; the thread count is restored afterwards.
+is one FFT per degree (`_full_moments_from_reduced`).  The loop runs under
+the BLAS-thread rule (`_kernels.blas_threads_for`) for its largest block: on
+one thread when every block is below `_kernels.ONE_THREAD_MAX_DIM`, as fast
+as two at those sizes for half the CPU; the count is restored afterwards.
 
 Every block is rank 1 at the optimum, so after the first step the smaller
 side of a block's spectrum usually holds one eigenpair.  Each block's
@@ -101,7 +102,6 @@ the product basis (B_b, E_b the base's blocks and off-charge part), so
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -141,15 +141,6 @@ ANDERSON_REG = 1e-10
 #   the acceptance suite's 21 solves    1632  1022   746   703   542
 # |sdp - reference| on cube3 is 6.5e-9, 1.2e-9, 1.9e-11, 2.3e-10, 7.8e-9.
 ADMM_RHO0 = 1.0 / 64
-# Blocks below this dimension run the ADMM loop on one BLAS thread.  Sweep
-# of np.linalg.eigh on random symmetric matrices (2-core x86-64, numpy 2.4
-# with OpenBLAS), ms wall per call, 1 thread vs 2 threads:
-#   dim 129: 1.9-2.0 vs 1.8-2.5    dim 201: 5.3-5.7 vs 5.2-5.8
-#   dim 301: 12.9-15.0 vs 11.3-14.2  dim 376: 21.3-24.8 vs 19.6-20.8
-#   dim 451: 35.5-38.4 vs 27.6-31.3
-# Two threads cost about twice the CPU at every size and save wall time only
-# from about 300 on.
-ONE_THREAD_MAX_DIM = 300
 # The PSD projection of a block computes only the side of its spectrum that
 # held m eigenpairs at the previous step when PARTIAL_EIG_DIVISOR * (m + 1)
 # <= dim (`_BlockSplit`).  Sweep of one `_psd_split` of a packed block with
@@ -630,37 +621,33 @@ class _BlockSplit:
         return self.eig(*((0.0, bound) if self.positive else (-bound, 0.0)))
 
 
-def _psd_split(S: np.ndarray, split: _BlockSplit | None = None):
-    """(S_+, S - S_+), S_+ the PSD projection of the symmetric or Hermitian
-    S, rebuilt from its smaller eigenspace.  `eigh` reads only the lower
-    triangle, so only the results' lower triangles need a full S.
-
-    With `split`, S and the results are its block packed, and the split
-    remembers its side.  When that side is predicted small
-    (`_BlockSplit.predicts`), only it is computed, but all of it, so the
-    split is exact and a wrong prediction costs only time; otherwise `eigh`
-    runs on the unpacked block, as on the first step."""
-    partial = split is not None and split.predicts()
+def _psd_split(S: np.ndarray, split: _BlockSplit):
+    """(S_+, S - S_+) for the block of `split` packed in S, S_+ the PSD
+    projection of the symmetric or Hermitian block, rebuilt from its smaller
+    eigenspace; the split remembers that side.  When the side is predicted
+    small (`_BlockSplit.predicts`), only it is computed, but all of it, so
+    the split is exact and a wrong prediction costs only time; otherwise
+    `eigh` runs on the unpacked lower triangle, as on the first step."""
+    partial = split.predicts()
     if partial:
         lam, V = split.side_pairs(S)
         positive = split.positive
     else:
-        M = S if split is None else split.block.unpack(S)
+        M = split.block.unpack(S)
         lam, V = np.linalg.eigh(M)
         nneg = int(np.searchsorted(lam, 0.0))      # eigenvalues ascend
         positive = 2 * nneg >= len(lam)
         side = slice(nneg, None) if positive else slice(0, nneg)
         lam, V = lam[side], V[:, side]
     part = (V * lam) @ V.conj().T
-    if split is None:
-        return (part, S - part) if positive else (S - part, part)
     split.positive, split.m = positive, lam.size
     if positive:
         plus = split.block.pack(part)
     elif partial:
         plus = S - split.block.pack(part)
     else:
-        # as the dense split rounds it: blocks below dim 8 keep their iterates
+        # rounded as M - part, not S - pack(part): the iterates of the
+        # blocks below dim 8, which always take this branch, stay the same
         plus = split.block.pack(M - part)
     return plus, S - plus
 
@@ -972,10 +959,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     converged = False
     accel = _Anderson(lay.packed_size)
     splits = [_BlockSplit(b) for b in lay.blocks]
-    threads = (_kernels.blas_threads(1)
-               if max(b.dim for b in lay.blocks) < ONE_THREAD_MAX_DIM
-               else contextlib.nullcontext())
-    with threads:
+    with _kernels.blas_threads_for(max(b.dim for b in lay.blocks)):
         for it in range(max_iters):
             # y-update: diagonal normal equations
             y_new = (c / rho + lay.adjoint(X - U)) / lay.counts
@@ -1258,7 +1242,9 @@ def _charge_split(pE: PseudoExpectation, Mb: np.ndarray):
     moment matrix, from Mb, the moment matrix of pE or of its base; None
     when Mb's off-charge part exceeds CHARGE_SPLIT_TOL ||Mb||_F."""
     frame = _charge_frame(pE.num_vertices, pE.k, pE.degree // 2)
-    with _kernels.blas_threads(1):
+    sizes = ([len(ids) for ids in frame.blocks] if pE._base is None
+             else [len(l) for l, _ in frame.product_blocks])
+    with _kernels.blas_threads_for(max(sizes)):
         Mt = frame.transform(Mb)
         weyl = float(np.linalg.norm(Mt[frame.charge[:, None] != frame.charge]))
         norm = float(np.linalg.norm(Mb))

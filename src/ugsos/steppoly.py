@@ -179,11 +179,12 @@ def _smooth_ramp(alpha, delta):
 
 def _cheb_fit(alpha, delta, deg) -> tuple:
     """Chebyshev least-squares fit of the smoothed ramp: its series in
-    2x - 1.  The small least-squares solve runs on one BLAS thread, which
-    is many times faster than OpenBLAS's thread pool at these sizes."""
+    2x - 1.  The least-squares solve runs under the thread rule for its
+    deg + 1 columns: one BLAS thread at every degree up to DEGREE_CAP, many
+    times faster than OpenBLAS's thread pool at these sizes."""
     xs = np.linspace(0.0, 1.0, 4001)
     ys = _smooth_ramp(alpha, delta)(xs)
-    with _kernels.blas_threads(1):
+    with _kernels.blas_threads_for(deg + 1):
         cheb = chebyshev.Chebyshev.fit(xs, ys, deg, domain=[0.0, 1.0])
     return tuple(cheb.coef.tolist())
 

@@ -237,7 +237,7 @@ def test_sse_profile_sampled_branch(monkeypatch):
     assert list(prof.min_phi_by_size.items()) == [
         (3, 0.6666666666666667), (2, 0.8333333333333334), (1, 1.0)]
     assert list(prof.argmin_by_size.items()) == [
-        (3, (2, 9, 5)), (2, (8, 1)), (1, (8,))]
+        (3, (3, 8, 1)), (2, (1, 7)), (1, (3,))]
 
 
 @pytest.mark.parametrize("make", [

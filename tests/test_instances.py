@@ -175,6 +175,51 @@ def test_brute_force_scan_j62_regression():
     assert _kernels.brute_force_scan(eu, ev, w, s, 15, 3) == (1459826, 57.0)
 
 
+def _spy_side_labels(monkeypatch, fail_at=None):
+    """Record the BLAS thread count at each `_side_labels` call of the scan;
+    the call numbered `fail_at` raises."""
+    if _kernels.get_blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    seen = []
+    side_labels = _kernels._side_labels
+
+    def spy(*args):
+        seen.append(_kernels.get_blas_threads())
+        if len(seen) == fail_at:
+            raise RuntimeError("scan failed")
+        return side_labels(*args)
+
+    monkeypatch.setattr(_kernels, "_side_labels", spy)
+    return seen
+
+
+def test_brute_force_scan_runs_on_one_blas_thread(monkeypatch):
+    # J(6,2)-k3: the GEMM's inner dimension is j*k = 7 * 3 = 21; the last
+    # two calls decode the winner after the count is restored
+    inst = _j62_seed0()
+    seen = _spy_side_labels(monkeypatch)
+    with _kernels.blas_threads(2):
+        assert brute_force_opt(inst)[1] == 57.0 / inst.total_weight
+        assert _kernels.get_blas_threads() == 2
+    assert len(seen) > 3
+    assert set(seen[:-2]) == {1} and seen[-2:] == [2, 2]
+    # with j*k not below ONE_THREAD_MAX_DIM the scan keeps the count
+    monkeypatch.setattr(_kernels, "ONE_THREAD_MAX_DIM", 21)
+    seen.clear()
+    with _kernels.blas_threads(2):
+        brute_force_opt(inst)
+    assert set(seen) == {2}
+
+
+def test_brute_force_scan_restores_blas_threads_on_raise(monkeypatch):
+    seen = _spy_side_labels(monkeypatch, fail_at=3)     # in the block loop
+    with _kernels.blas_threads(2):
+        with pytest.raises(RuntimeError):
+            brute_force_opt(_j62_seed0())
+        assert _kernels.get_blas_threads() == 2
+    assert seen == [1, 1, 1]
+
+
 @pytest.mark.parametrize("inst", [
     _j62_seed0(),  # 3^14 states
     # a large alphabet on two vertices: a one-hot table of the high side

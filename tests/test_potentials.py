@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ugsos import potentials
 from ugsos.errors import DegreeError, ParameterError
-from ugsos.graphs import WeightedGraph, noisy_hypercube, spectral_decompose
+from ugsos.graphs import (WeightedGraph, johnson_graph, noisy_hypercube,
+                          shortcode_graph, spectral_decompose)
 from ugsos.instances import UgInstance, local_value, plant_instance
 from ugsos.potentials import (_factors, _ShiftStats, check_shift_symmetric,
                               claim_b1, claim_b2, claim_partition_expansion,
@@ -431,6 +432,24 @@ def test_cube_factors_merge_equal_monomials(monkeypatch):
     assert max(terms) == 8 * 64
     for a, b in zip(got, _factors(mixture, p, inst, cubes=True)):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, lam, rank", [
+    (lambda: shortcode_graph(2, 3), 0.5, 9),        # 1 + the 8 of eigenvalue 1/2
+    (lambda: johnson_graph(6, 2, 0.5), 0.75, 6),    # 1 + the 5 of 1/4
+    (lambda: noisy_hypercube(3, 0.3), 0.6, 4),      # 1 + the 3 of 0.4
+    (lambda: noisy_hypercube(3, 0.3), 0.5, 1),      # the constants
+], ids=["sc23-half", "j62-0.75", "cube3-0.6", "cube3-half"])
+def test_projector_keeps_a_whole_eigenspace_at_the_threshold(make, lam, rank):
+    # 1 - lam is an eigenvalue of the walk on the first three: without a
+    # tolerance, round-off kept 5 of 8, 3 of 5 and 1 of 3 of its eigenvectors
+    g = make()
+    sd = spectral_decompose(g)
+    P = potentials._projector(sd, lam)
+    assert np.linalg.matrix_rank(P) == rank
+    assert np.abs(P @ P - P).max() <= 1e-9
+    # pi-self-adjoint: diag(pi) P is symmetric
+    assert np.abs(sd.pi[:, None] * P - (sd.pi[:, None] * P).T).max() <= 1e-12
 
 
 def spectral_decompose_instance(inst):

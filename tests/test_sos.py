@@ -377,10 +377,10 @@ def _spectrum(rng, npos, nzero=0, dim=40):
 ], ids=["31", "9", "40", "0", "3", "37", "3-27", "35-3", "3-27-exact",
         "35-3-exact"])
 def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
-    """The split, rebuilt from the smaller side of the spectrum only,
-    equals the clipped full reconstruction: npos positive and nzero zero
-    eigenvalues of 40, on a real block and a Hermitian one, or with exact
-    zeros on a permuted diagonal."""
+    """A packed block's first split, by eigh and rebuilt from the smaller
+    side of the spectrum only, equals the clipped full reconstruction:
+    npos positive and nzero zero eigenvalues of 40, on a real block and a
+    Hermitian one, or with exact zeros on a permuted diagonal."""
     lam = _spectrum(rng, npos, nzero)
     if exact:
         perm = rng.permutation(lam.size)
@@ -388,14 +388,17 @@ def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
     else:
         cases = [_rotated(rng, lam), _rotated(rng, lam, complex_=True)]
     for S in cases:
+        real = not np.iscomplexobj(S)
+        block = sos._Block(lam.size, real, 1.0 if real else 2.0, 0)
+        split = sos._BlockSplit(block)
+        assert not split.predicts()                  # first step: eigh
         mu, V = np.linalg.eigh(S)
         ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
-        pos, rest = sos._psd_split(S)
-        assert np.abs(pos - ref).max() <= 1e-12
-        assert np.abs(rest - (S - ref)).max() <= 1e-12
-        # only the lower triangle is read
-        low = np.tril(S)
-        assert np.abs(np.tril(sos._psd_split(low)[0] - ref)).max() <= 1e-12
+        pos, rest = sos._psd_split(block.pack(S), split)
+        # the packed block holds only the lower triangle, all eigh reads
+        assert np.abs(block.unpack(pos) - np.tril(ref)).max() <= 1e-12
+        assert np.abs(block.unpack(rest) - np.tril(S - ref)).max() <= 1e-12
+        assert split.m <= lam.size // 2                 # the smaller side
 
 
 needs_partial_eig = pytest.mark.skipif(
@@ -494,7 +497,8 @@ def test_partial_eigensolver_runs_on_one_blas_thread(cube3_inst,
     if _kernels.get_blas_threads() is None:
         pytest.skip("no OpenBLAS thread control found")
     problem = build_relaxation(cube3_inst[1], 4)
-    assert max(b.dim for b in problem.layout.blocks) < sos.ONE_THREAD_MAX_DIM
+    assert (max(b.dim for b in problem.layout.blocks)
+            < _kernels.ONE_THREAD_MAX_DIM)
     seen = _spy_partial(monkeypatch)
     with _kernels.blas_threads(2):
         pE = solve_sdp(problem)
@@ -546,18 +550,19 @@ def test_verify_quick_solves_keep_small_blocks_on_eigh(monkeypatch, capsys):
     assert [d for d in partial_dims if d < 8] == []
 
 
-def _spy_eigh_threads(monkeypatch):
-    """Record the BLAS thread count at each np.linalg.eigh call."""
+def _spy_eigh_threads(monkeypatch, name="eigh"):
+    """Record the BLAS thread count at each np.linalg.eigh call (or at
+    each call of np.linalg's `name`)."""
     if _kernels.get_blas_threads() is None:
         pytest.skip("no OpenBLAS thread control found")
     seen = []
-    eigh = np.linalg.eigh
+    fn = getattr(np.linalg, name)
 
     def spy(a):
         seen.append(_kernels.get_blas_threads())
-        return eigh(a)
+        return fn(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return seen
 
 
@@ -580,7 +585,7 @@ def test_solve_restores_blas_threads(triangle_sat, monkeypatch):
 
 def test_large_dimension_keeps_blas_threads(triangle_sat, monkeypatch):
     seen = _spy_eigh_threads(monkeypatch)
-    monkeypatch.setattr(sos, "ONE_THREAD_MAX_DIM", 0)
+    monkeypatch.setattr(_kernels, "ONE_THREAD_MAX_DIM", 0)
     with _kernels.blas_threads(2):
         solve_sdp(build_relaxation(triangle_sat, 2))
     assert set(seen) == {2}
@@ -821,6 +826,17 @@ def charge_tables():
             sym = symmetrize(raw)
             out[k, D] = (raw, sym, product_copy(raw), product_copy(sym))
     return out
+
+
+def test_validate_charge_blocks_run_on_one_blas_thread(cube_pe, monkeypatch):
+    # the table's blocks (dim 17 and 16) and its product copy's (largest
+    # 49) are below ONE_THREAD_MAX_DIM
+    seen = _spy_eigh_threads(monkeypatch, "eigvalsh")
+    with _kernels.blas_threads(2):
+        for pE in (cube_pe, product_copy(cube_pe)):
+            assert _takes_charge_blocks(pE) and validate(pE).passed
+        assert _kernels.get_blas_threads() == 2
+    assert seen and set(seen) == {1}
 
 
 @pytest.mark.parametrize("D", [2, 4])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos import steppoly
+from ugsos import _kernels, steppoly
 from ugsos.errors import ConstructionError, ParameterError
 from ugsos.steppoly import (GRID_POINTS, StepPolynomial,
                             build_capped_step_poly, build_step_poly,
@@ -93,6 +93,24 @@ def test_clenshaw_error_is_within_its_bound():
             assert 0.0 < err < 1e-10
             for v, x in zip(vals, xs):
                 assert abs(Fraction(v) - _clenshaw_exact(q.series, x)) <= err
+
+
+def test_chebyshev_fit_runs_on_one_blas_thread(monkeypatch):
+    # deg + 1 columns, at most DEGREE_CAP + 1 = 201 < ONE_THREAD_MAX_DIM
+    if _kernels.get_blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    seen, lstsq = [], np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        seen.append(_kernels.get_blas_threads())
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    with _kernels.blas_threads(2):
+        steppoly._cheb_fit(0.4, 0.15, steppoly.DEGREE_CAP)
+        build_step_poly(0.5, 0.1, 0.2)
+        assert _kernels.get_blas_threads() == 2
+    assert len(seen) > 1 and set(seen) == {1}
 
 
 def test_monomial_coeffs_are_the_series_exactly():
