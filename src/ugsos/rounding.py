@@ -3,9 +3,10 @@ subgraph statistics, and the partial-to-full assignment driver.
 
 Condition & Round: sample a vertex u from the stationary measure, condition
 the pseudodistribution on X_u = 0, then round every vertex independently from
-its conditioned marginal.  The expected value of this procedure is available
-in closed form from degree-4 moments, which both the derandomized variant and
-the test suite lean on.
+its conditioned marginal.  `cond_marginals` conditions on every vertex at
+once, from one `sos.pair_moments` read; `_score` gives the expected value of
+independent rounding from any stack of label tables, which serves every
+closed form and the derandomized variant's choice of conditioning vertex.
 
 The partial-to-full driver repeatedly asks a caller-supplied subroutine for a
 high-CR-value subgraph, rounds its still-unassigned vertices greedily, then
@@ -90,105 +91,104 @@ class RoundingOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Conditioned marginals and closed forms
+# The conditioned table and the closed forms
 # ---------------------------------------------------------------------------
 
-def cond_marginals(pE: PseudoExpectation, inst: UgInstance,
-                   u: int) -> np.ndarray:
-    """(n, k) matrix of Pr[X_v = a | X_u = 0] = pE[X_{u,0} X_{v,a}] /
-    pE[X_{u,0}]; row u is the delta at 0.
+def cond_marginals(pE: PseudoExpectation) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, mass) for every conditioning vertex at once, from one
+    `pair_moments` read: Q[u, v, a] = Pr[X_v = a | X_u = 0] =
+    pE[X_{u,0} X_{v,a}] / pE[X_{u,0}] and mass[u] = pE[X_{u,0}]; row
+    Q[u, u] is the delta at 0.
 
     Tiny negative entries from an approximately-PSD table are clipped and the
-    rows renormalized (`_clip_renormalize`)."""
-    joint = pair_moments(pE)[u, :, 0]
-    mass = joint[u, 0]
-    if mass <= COND_FLOOR:
-        raise NullEventError(
-            f"pE[X_{u},0] = {mass:.3e} below floor {COND_FLOOR}")
-    return _clip_renormalize(joint / mass)
+    rows renormalized (`_clip_renormalize`).  Q[u] of a vertex whose mass is
+    at or below COND_FLOOR means nothing; callers skip such vertices or
+    reject them (`_check_mass`)."""
+    joint = pair_moments(pE)[:, :, 0, :]
+    mass = joint[:, :, 0].diagonal()
+    safe = np.where(mass > COND_FLOOR, mass, 1.0)
+    return _clip_renormalize(joint / safe[:, None, None]), mass
+
+
+def _check_mass(mass: np.ndarray, us) -> None:
+    """NullEventError naming the first vertex of `us` that cannot be
+    conditioned on."""
+    for u in us:
+        if mass[u] <= COND_FLOOR:
+            raise NullEventError(
+                f"pE[X_{u},0] = {mass[u]:.3e} below floor {COND_FLOOR}")
 
 
 def _clip_renormalize(q: np.ndarray) -> np.ndarray:
-    """The rows of q clipped at 0 and scaled to sum to 1; a row with no
-    positive mass becomes uniform."""
+    """The rows of q (along its last axis) clipped at 0 and scaled to sum to
+    1; a row with no positive mass becomes uniform."""
     q = np.clip(q, 0.0, None)
-    rows = q.sum(axis=1, keepdims=True)
+    rows = q.sum(axis=-1, keepdims=True)
     good = rows > 0.0
-    return np.where(good, q / np.where(good, rows, 1.0), 1.0 / q.shape[1])
+    return np.where(good, q / np.where(good, rows, 1.0), 1.0 / q.shape[-1])
+
+
+def _vertex_list(inst: UgInstance, H) -> list:
+    """The distinct vertices of H, sorted; ParameterError if one lies
+    outside [0, n)."""
+    H = sorted(set(int(v) for v in H))
+    if H and (H[0] < 0 or H[-1] >= inst.num_vertices):
+        raise ParameterError(
+            f"vertex set {H} leaves [0, {inst.num_vertices})")
+    return H
 
 
 def _edge_arrays(inst: UgInstance, H=None):
     """(eu, ev, w, s) restricted to H-internal edges, weights normalized."""
-    if H is None:
-        eu, ev, w, s = inst._arrays
-    else:
-        hset = set(int(v) for v in H)
-        rows = [(u, v, w, s) for (u, v, w, s) in inst.edges
-                if u in hset and v in hset]
-        if not rows:
+    eu, ev, w, s = inst._arrays
+    if H is not None:
+        inside = np.zeros(inst.num_vertices, dtype=bool)
+        inside[H] = True
+        keep = inside[eu] & inside[ev]
+        if not keep.any():
             raise ParameterError("subgraph has no internal edges")
-        eu = np.array([r[0] for r in rows], dtype=np.int64)
-        ev = np.array([r[1] for r in rows], dtype=np.int64)
-        w = np.array([r[2] for r in rows])
-        s = np.array([r[3] for r in rows], dtype=np.int64)
+        eu, ev, w, s = eu[keep], ev[keep], w[keep], s[keep]
     return eu, ev, w / w.sum(), s
 
 
-def _marginals(pE: PseudoExpectation) -> np.ndarray:
-    """(n, k) matrix of the unconditioned marginals pE[X_{v,a}]."""
-    return np.einsum("vvaa->va", pair_moments(pE))
-
-
-def _ind_val_from_marginals(marg: np.ndarray, inst: UgInstance,
-                            edges) -> float:
-    """E_e sum_a marg[u,a] marg[v,(a-s)%k] for independent rounding."""
+def _score(D: np.ndarray, edges) -> np.ndarray:
+    """sum_e w_e sum_a D[u, a] D[v, (a - s) % k] over the edges (u, v, w, s),
+    for each (n, k) label table in the stack D: the expected value of
+    rounding every vertex independently from its row."""
     eu, ev, w, s = edges
-    k = inst.k
+    k = D.shape[-1]
     a = np.arange(k)
-    # sat prob per edge: sum_a marg[eu,a]*marg[ev,(a-s)%k]
-    probs = np.einsum("ea,ea->e", marg[eu][:, a],
-                      marg[ev][np.arange(len(ev))[:, None], (a[None, :] - s[:, None]) % k])
-    return float(w @ probs)
+    probs = np.einsum("...ea,...ea->...e", D[..., eu, :],
+                      D[..., ev[:, None], (a - s[:, None]) % k])
+    return probs @ w
 
 
 def ind_val(pE: PseudoExpectation, inst: UgInstance) -> float:
     """Independent-rounding value from the unconditioned marginals, clipped
     and renormalized like the conditioned ones."""
-    return _ind_val_from_marginals(_clip_renormalize(_marginals(pE)), inst,
-                                   _edge_arrays(inst))
-
-
-def expected_cr_value(pE: PseudoExpectation, inst: UgInstance,
-                      u: int) -> float:
-    """Closed-form independent-rounding value after conditioning on X_u = 0."""
-    return _ind_val_from_marginals(cond_marginals(pE, inst, u), inst,
-                                   _edge_arrays(inst))
+    marg = np.einsum("vvaa->va", pair_moments(pE))
+    return float(_score(_clip_renormalize(marg), _edge_arrays(inst)))
 
 
 def closed_form_cr(pE: PseudoExpectation, inst: UgInstance) -> float:
     """E_{u~pi} of the conditioned independent-rounding value."""
     pi = inst.stationary
-    edges = _edge_arrays(inst)
-    total = 0.0
-    for u in range(inst.num_vertices):
-        if pi[u] > 0:
-            total += pi[u] * _ind_val_from_marginals(
-                cond_marginals(pE, inst, u), inst, edges)
-    return total
+    us = np.flatnonzero(pi > 0)
+    Q, mass = cond_marginals(pE)
+    _check_mass(mass, us)
+    return float(pi[us] @ _score(Q[us], _edge_arrays(inst)))
 
 
 def cr_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
     """E_{u uniform in V(H)} of the conditioned independent-rounding value of
     H's internal edges (Condition & Round restricted to H)."""
-    if H is None:
-        H = range(inst.num_vertices)
-    H = sorted(set(int(v) for v in H))
+    H = _vertex_list(inst, range(inst.num_vertices) if H is None else H)
     if not H:
         raise ParameterError("subgraph H is empty")
     edges = _edge_arrays(inst, H)
-    vals = [_ind_val_from_marginals(cond_marginals(pE, inst, u), inst, edges)
-            for u in H]
-    return float(np.mean(vals))
+    Q, mass = cond_marginals(pE)
+    _check_mass(mass, H)
+    return float(np.mean(_score(Q[H], edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +205,14 @@ def condition_and_round(pE: PseudoExpectation, inst: UgInstance,
     rng = np.random.default_rng(seed)
     pi = inst.stationary
     n = inst.num_vertices
-    q = None
+    Q, mass = cond_marginals(pE)
     for _ in range(4 * n):
         u = int(rng.choice(n, p=pi))
-        try:
-            q = cond_marginals(pE, inst, u)
+        if mass[u] > COND_FLOOR:  # shift-symmetric tables have mass 1/k
             break
-        except NullEventError:
-            continue  # shift-symmetric tables have mass 1/k; this flags a bad pE
-    if q is None:
+    else:  # every draw was a null vertex: this flags a bad pE
         raise NullEventError("no vertex with conditionable label mass")
-    cum = q.cumsum(axis=1)
+    cum = Q[u].cumsum(axis=1)
     y = (rng.random(n)[:, None] > cum).sum(axis=1)
     return RoundingOutcome(
         assignment=y.astype(np.int64),
@@ -228,16 +225,21 @@ def monte_carlo_cr(pE: PseudoExpectation, inst: UgInstance, n_samples: int,
                    seed=None) -> np.ndarray:
     """Vectorized Condition & Round over many seeds; returns the sampled
     values."""
+    if n_samples < 1:
+        raise ParameterError(f"monte_carlo_cr needs n_samples >= 1, got "
+                             f"{n_samples}")
     rng = np.random.default_rng(seed)
     pi = inst.stationary
     n = inst.num_vertices
     eu, ev, w, s = _edge_arrays(inst)
+    Q, mass = cond_marginals(pE)
     us = rng.choice(n, size=n_samples, p=pi)
+    _check_mass(mass, np.unique(us))
     out = np.empty(n_samples)
     for u in np.unique(us):
         sel = us == u
         b = int(sel.sum())
-        cum = cond_marginals(pE, inst, int(u)).cumsum(axis=1)
+        cum = Q[u].cumsum(axis=1)
         y = (rng.random((b, n))[:, :, None] > cum[None, :, :]).sum(axis=2)
         sat = (y[:, eu] - y[:, ev]) % inst.k == s[None, :]
         out[sel] = sat @ w
@@ -248,28 +250,25 @@ def monte_carlo_cr(pE: PseudoExpectation, inst: UgInstance, n_samples: int,
 # Derandomized rounding
 # ---------------------------------------------------------------------------
 
-def _greedy_round(marg: np.ndarray, inst: UgInstance, H, edges) -> np.ndarray:
-    """Method of conditional expectations under independent rounding with
-    per-vertex marginals `marg`; vertices fixed in descending order of their
-    max marginal.  Returns labels for H (full-length array, -1 outside)."""
-    k = inst.k
-    hset = set(H)
-    inc = {v: [] for v in H}
+def _greedy_round(D: np.ndarray, inst: UgInstance, H, edges) -> np.ndarray:
+    """Method of conditional expectations under independent rounding from
+    the rows of the (n, k) label table D; vertices are fixed in descending
+    order of their max entry, and a fixed vertex's row becomes one-hot at
+    its label.  Returns labels for H (full-length array, -1 outside)."""
     eu, ev, w, s = edges
-    for i in range(len(eu)):
-        inc[int(eu[i])].append((int(ev[i]), w[i], int(s[i])))
-        inc[int(ev[i])].append((int(eu[i]), w[i], int(-s[i]) % k))
-    order = sorted(H, key=lambda v: (-marg[v].max(), v))
+    k = inst.k
+    a = np.arange(k)
+    D = D.copy()
     x = np.full(inst.num_vertices, -1, dtype=np.int64)
-    for v in order:
-        scores = np.zeros(k)
-        for a in range(k):
-            for (nb, wt, sh) in inc[v]:
-                if x[nb] >= 0:
-                    scores[a] += wt * (1.0 if (a - x[nb]) % k == sh else 0.0)
-                else:
-                    scores[a] += wt * marg[nb, (a - sh) % k]
+    for v in sorted(H, key=lambda v: (-D[v].max(), v)):
+        # v's edges in edge order, each read as (x_v - x_nb) % k == sh
+        e = (eu == v) | (ev == v)
+        nb = eu[e] + ev[e] - v
+        sh = np.where(eu[e] == v, s[e], -s[e])
+        scores = (w[e][:, None] * D[nb[:, None], (a - sh[:, None]) % k]).sum(
+            axis=0)
         x[v] = int(np.argmax(scores))  # argmax takes the smallest label on ties
+        D[v] = a == x[v]
     return x
 
 
@@ -281,30 +280,25 @@ def derandomized_round(pE: PseudoExpectation, inst: UgInstance,
     never below the best closed-form expectation (up to 1e-9)."""
     if pE.degree < 2:
         raise ParameterError("derandomized_round needs degree >= 2")
-    whole = H is None
-    H = (list(range(inst.num_vertices)) if whole
-         else sorted(set(int(v) for v in H)))
+    H = _vertex_list(inst, range(inst.num_vertices) if H is None else H)
     if not H:
         raise ParameterError("subgraph H is empty")
     try:
-        edges = _edge_arrays(inst, None if whole else H)
+        edges = _edge_arrays(inst, H)
     except ParameterError:
         # no internal edges: fall back to per-vertex marginal argmax
         x = np.full(inst.num_vertices, -1, dtype=np.int64)
-        x[H] = _marginals(pE)[H].argmax(axis=1)
+        x[H] = np.einsum("vvaa->va", pair_moments(pE))[H].argmax(axis=1)
         return RoundingOutcome(x, 0.0, 0.0)
-    best_u, best_exp, best_q = None, -1.0, None
-    for u in H:
-        try:
-            q = cond_marginals(pE, inst, u)
-        except NullEventError:
-            continue
-        e = _ind_val_from_marginals(q, inst, edges)
-        if e > best_exp + 1e-15:
-            best_u, best_exp, best_q = u, e, q
-    if best_u is None:
+    Q, mass = cond_marginals(pE)
+    us = [u for u in H if mass[u] > COND_FLOOR]
+    if not us:
         raise NullEventError("no vertex with conditionable label mass")
-    x = _greedy_round(best_q, inst, H, edges)
+    best_u, best_exp = None, -1.0
+    for u, e in zip(us, _score(Q[us], edges)):
+        if e > best_exp + 1e-15:
+            best_u, best_exp = u, float(e)
+    x = _greedy_round(Q[best_u], inst, H, edges)
     eu, ev, w, s = edges
     achieved = float(w @ ((x[eu] - x[ev]) % inst.k == s))
     if achieved < best_exp - 1e-9:
@@ -349,7 +343,7 @@ def partial_to_full(inst: UgInstance, pE0: PseudoExpectation, subroutine,
             stop = "subroutine-none"
             break
         H, info = sub
-        H = sorted(set(int(v) for v in H))
+        H = _vertex_list(inst, H)
         S = [v for v in H if assigned[v] < 0]
         if not S:
             stall += 1

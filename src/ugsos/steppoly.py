@@ -68,30 +68,6 @@ class StepPolynomial:
                 out[i] += fc * ti
         return tuple(out)
 
-    def coeffs_json(self) -> str:
-        """JSON array of `coeffs`; exact `num/den` strings so the round trip
-        is lossless even for very large coefficients."""
-        import json
-        return json.dumps([f"{c.numerator}/{c.denominator}" for c in self.coeffs])
-
-    @classmethod
-    def from_coeffs_json(cls, alpha, eps, delta, text):
-        """Inverse of `coeffs_json`: the series is solved for exactly, top
-        order down, and each of its coefficients must be a float64."""
-        import json
-        coeffs = [Fraction(s) for s in json.loads(text)]
-        ts = _cheb_monomials_exact(len(coeffs) - 1)
-        series = [0.0] * len(coeffs)
-        for k in reversed(range(len(coeffs))):
-            ck = coeffs[k] / ts[k][k]
-            series[k] = float(ck)
-            if series[k] != ck:
-                raise ParameterError(f"Chebyshev coefficient {k} ({ck}) is "
-                                     "not a float64")
-            for i, ti in enumerate(ts[k]):
-                coeffs[i] -= ck * ti
-        return cls(alpha, eps, delta, tuple(series))
-
 
 @lru_cache(maxsize=None)
 def _cheb_monomials_exact(n: int):

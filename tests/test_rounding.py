@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,12 @@ from hypothesis import strategies as st
 
 from ugsos import rounding
 from ugsos.errors import ConstructionError, NullEventError, ParameterError
-from ugsos.instances import value
+from ugsos.instances import UgInstance, brute_force_opt, value
 from ugsos.potentials import phi_apx, truncation_cap
 from ugsos.rounding import (closed_form_cr, cond_marginals,
                             condition_and_round, cr_val, derandomized_round,
-                            expected_cr_value, ind_val, monte_carlo_cr,
-                            partial_to_full)
-from ugsos.sos import (PseudoExpectation, build_relaxation,
+                            ind_val, monte_carlo_cr, partial_to_full)
+from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
                        check_shift_symmetric, moment_index, point_mass_pe,
                        product_copy, rerandomize, solve_sdp, symmetrize)
 from ugsos.steppoly import build_capped_step_poly
@@ -25,15 +26,20 @@ def sym_pm(triangle_sat):
 
 
 def test_cond_marginals_recover_point_mass(triangle_sat, sym_pm):
-    q = cond_marginals(sym_pm, triangle_sat, 0)
+    Q, mass = cond_marginals(sym_pm)
     # conditioning the shift-spread mixture on X_0 = 0 picks the s=0 copy
-    assert np.allclose(q, np.eye(3)[[0, 2, 1]], atol=1e-10)
+    assert np.allclose(Q[0], np.eye(3)[[0, 2, 1]], atol=1e-10)
+    assert np.allclose(mass, 1.0 / 3.0, atol=1e-12)
 
 
 def test_cond_marginals_null_event():
+    # the point mass on [1, 2, 0] puts no mass on X_0 = 0: the table says
+    # so, and a closed form that conditions on vertex 0 raises
     pE = point_mass_pe(3, 3, [1, 2, 0])
-    with pytest.raises(NullEventError):
-        cond_marginals(pE, make_triangle(3), 0)
+    _, mass = cond_marginals(pE)
+    assert mass[0] <= COND_FLOOR and mass[2] == 1.0
+    with pytest.raises(NullEventError, match=r"pE\[X_0,0\]"):
+        cr_val(pE, make_triangle(3))
 
 
 def test_closed_form_cr_on_satisfying_mixture(triangle_sat, sym_pm):
@@ -45,13 +51,6 @@ def test_closed_form_cr_on_satisfying_mixture(triangle_sat, sym_pm):
 def test_ind_val_uniform_is_one_over_k(triangle_sat, sym_pm):
     # without conditioning the symmetrized marginals are uniform
     assert ind_val(sym_pm, triangle_sat) == pytest.approx(1.0 / 3.0, abs=1e-10)
-
-
-def test_expected_cr_matches_average(triangle_sat, sym_pm):
-    pi = triangle_sat.stationary
-    avg = sum(pi[u] * expected_cr_value(sym_pm, triangle_sat, u)
-              for u in range(3))
-    assert avg == pytest.approx(closed_form_cr(sym_pm, triangle_sat), abs=1e-12)
 
 
 def test_condition_and_round_sampled(triangle_sat, sym_pm):
@@ -84,6 +83,62 @@ def test_derandomized_beats_expectation(cube_pe, cube_inst):
     out = derandomized_round(cube_pe, inst)
     assert out.achieved_value >= out.expected_value - 1e-9
     assert np.all(out.assignment >= 0)
+
+
+def _ref_score(q, inst, H):
+    """The independent-rounding value of H's internal edges from the label
+    table q, edge by edge."""
+    H = set(H)
+    num = den = 0.0
+    for u, v, w, s in inst.edges:
+        if u in H and v in H:
+            num += w * sum(q[u, a] * q[v, (a - s) % inst.k]
+                           for a in range(inst.k))
+            den += w
+    return num / den
+
+
+def _ref_greedy(q, inst, H, edges):
+    """`rounding._greedy_round` as it scored fixed and unfixed neighbours in
+    two branches of an incidence-list loop."""
+    k = inst.k
+    eu, ev, w, s = edges
+    inc = {v: [] for v in H}
+    for i in range(len(eu)):
+        inc[int(eu[i])].append((int(ev[i]), w[i], int(s[i])))
+        inc[int(ev[i])].append((int(eu[i]), w[i], int(-s[i]) % k))
+    x = np.full(inst.num_vertices, -1, dtype=np.int64)
+    for v in sorted(H, key=lambda v: (-q[v].max(), v)):
+        scores = np.zeros(k)
+        for a in range(k):
+            for nb, wt, sh in inc[v]:
+                if x[nb] >= 0:
+                    scores[a] += wt * (1.0 if (a - x[nb]) % k == sh else 0.0)
+                else:
+                    scores[a] += wt * q[nb, (a - sh) % k]
+        x[v] = int(np.argmax(scores))
+    return x
+
+
+def test_closed_forms_and_greedy_match_per_vertex_loops(
+        cube_pe, cube_inst, cube3_pe, cube3_raw, cube3_inst):
+    # the stacked scorer sums in another order than the loops, so the closed
+    # forms may differ in the last places (1e-14 is about 90 units near 1);
+    # the greedy adds the same terms in the same order, so labels are equal
+    for pE, (_, inst, _) in ((cube_pe, cube_inst), (cube3_pe, cube3_inst),
+                             (cube3_raw, cube3_inst)):
+        Q, _ = cond_marginals(pE)
+        n, pi = inst.num_vertices, inst.stationary
+        ref = sum(pi[u] * _ref_score(Q[u], inst, range(n)) for u in range(n))
+        assert abs(closed_form_cr(pE, inst) - ref) <= 1e-14
+        for H in (list(range(n)), [0, 1, 3]):
+            ref = np.mean([_ref_score(Q[u], inst, H) for u in H])
+            assert abs(cr_val(pE, inst, H) - ref) <= 1e-14
+            edges = rounding._edge_arrays(inst, H)
+            for u in H:
+                assert np.array_equal(
+                    rounding._greedy_round(Q[u], inst, H, edges),
+                    _ref_greedy(Q[u], inst, H, edges))
 
 
 def test_derandomized_checks_greedy_result(triangle_sat, sym_pm, monkeypatch):
@@ -226,3 +281,75 @@ def test_partial_to_full_no_reassignment(cube3_pe, cube3_inst):
         for s2 in assigned_per_iter[i + 1:]:
             assert not (s1 & s2)
     assert np.all(out.assignment >= 0)
+
+
+@pytest.mark.parametrize("H", [[-1, 0], [3, 4]], ids=["negative", "past-n"])
+def test_vertex_sets_outside_the_graph_are_rejected(cube_pe, cube_inst, H):
+    # a 4-vertex instance: -1 must not read as vertex 3, nor 4 index past it
+    _, inst, _ = cube_inst
+    assert inst.num_vertices == 4
+    with pytest.raises(ParameterError, match="leaves"):
+        derandomized_round(cube_pe, inst, H)
+    with pytest.raises(ParameterError, match="leaves"):
+        cr_val(cube_pe, inst, H)
+    with pytest.raises(ParameterError, match="leaves"):
+        partial_to_full(inst, cube_pe, lambda mu: (H, {}), eps=0.05)
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_monte_carlo_needs_a_sample(cube_pe, cube_inst, n_samples):
+    _, inst, _ = cube_inst
+    with pytest.raises(ParameterError, match="n_samples"):
+        monte_carlo_cr(cube_pe, inst, n_samples, seed=0)
+
+
+def test_each_rounding_call_reads_the_pair_moments_once(
+        cube3_pe, cube3_inst, monkeypatch):
+    # the conditioned table for every vertex comes from one pair_moments
+    # read; condition_and_round reads it again for its closed form
+    _, inst, _ = cube3_inst
+    calls = []
+    read = rounding.pair_moments
+    monkeypatch.setattr(rounding, "pair_moments",
+                        lambda pE: calls.append(pE) or read(pE))
+    H = [0, 1, 3, 5]
+    cases = [(closed_form_cr, 1), (cr_val, 1),
+             (lambda pE, i: cr_val(pE, i, H), 1),
+             (derandomized_round, 1),
+             (lambda pE, i: derandomized_round(pE, i, H), 1),
+             (lambda pE, i: monte_carlo_cr(pE, i, 200, seed=0), 1)]
+    for fn, reads in cases:
+        calls.clear()
+        fn(cube3_pe, inst)
+        assert len(calls) == reads
+    calls.clear()
+    condition_and_round(cube3_pe, inst, seed=0)
+    assert 1 <= len(calls) <= 2
+
+
+@st.composite
+def fuzz_instances(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.sampled_from([2, 3]))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                           max_size=len(pairs), unique=True))
+    return UgInstance(n, k, tuple(
+        (u, v, draw(st.floats(0.5, 2.0)), draw(st.integers(0, k - 1)))
+        for u, v in chosen))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fuzz_instances(), st.integers(1, 1000))
+def test_derandomized_value_lies_between_its_expectation_and_the_bound(
+        inst, max_iters):
+    # sdp_upper_bound is certified at any ADMM iterate, so a capped D = 2
+    # solve still brackets OPT; the rounding is a real assignment
+    pE = solve_sdp(build_relaxation(inst, 2), max_iters=max_iters)
+    out = derandomized_round(pE, inst)
+    opt = brute_force_opt(inst)[1]
+    assert out.achieved_value - 1e-12 <= opt
+    assert opt <= pE.flags["sdp_upper_bound"] + 1e-9
+    assert out.achieved_value >= out.expected_value - 1e-9
+    # the chosen vertex's closed form is the best of all of them
+    assert out.expected_value >= cr_val(pE, inst) - 1e-12

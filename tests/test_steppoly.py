@@ -122,8 +122,6 @@ def test_monomial_coeffs_are_the_series_exactly():
     assert p.degree == 20 and max(abs(float(c)) for c in p.coeffs) > 1e11
     for x in np.linspace(0.0, 1.0, 41):
         assert _horner_fraction(p.coeffs, x) == _clenshaw_exact(p.series, x)
-    with pytest.raises(ParameterError):
-        StepPolynomial.from_coeffs_json(0.4, 0.1, 0.15, '["1/3"]')
 
 
 def test_criterion_6_triples_keep_their_degrees():
@@ -164,13 +162,6 @@ def test_cap_failure_names_the_best_deviation():
             "step polynomial unachievable within degree 200: best deviation "
             "1.219e-02 vs requested 0.001")):
         build_step_poly(0.5, 0.001, 0.01)
-
-
-def test_json_round_trip(p_easy):
-    text = p_easy.coeffs_json()
-    back = StepPolynomial.from_coeffs_json(p_easy.alpha, p_easy.eps,
-                                           p_easy.delta, text)
-    assert back.coeffs == p_easy.coeffs
 
 
 def test_bad_parameters_rejected():
