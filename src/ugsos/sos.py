@@ -19,11 +19,18 @@ copy * n + vertex), a key of degree d is a d-subset of the slots plus a label
 per chosen slot, and its id is offset[d] + rank * k^d + code: offset[d]
 counts the keys of lower degree, rank is the lexicographic rank of the slot
 subset (from a binomial table) and code reads the labels, slot by slot, as a
-base-k number.  The index stores every key as a row of slot entries (label +
-1, or 0 for an unused slot), so a product of keys is an entrywise max of two
-rows (zero where two labels meet at one slot) ranked back to an id, and every
-table the calculus needs -- shifts, moment-matrix entries, partition sums,
-conditioning products, dropped vertices -- is one ranking of such rows.
+base-k number.  So a degree-d block is a (C(S, d), k, ..., k) grid: the
+subset's rank, then one label axis per chosen slot, the first slot the most
+significant.  A table whose keys keep their subset, or gain or lose one
+slot, needs only ranks of subsets (`MomentIndex.subsets`, `subset_rank`) and
+arithmetic on the label codes: a label bijection permutes each block's codes
+(`relabel`: the shifts of `symmetrize`, the charge negation g -> -g), a
+partition sum adds one label axis of the degree-(d+1) grid into the d-subset
+that remains, and a moment-matrix entry of two keys sits at their union's
+rank with each label digit weighted by its place in the union.  The index
+also stores every key as a row of slot entries (label + 1, or 0 for an
+unused slot), which `rank` maps back to ids: conditioning products, dropped
+vertices and a product copy's two parts are rankings of such rows.
 
 A pseudoexpectation is its index plus one float64 array of moments in id
 order, whether it comes from the solver, a point mass, a mixture, a JSON file
@@ -98,7 +105,13 @@ base's transformed matrix Mt_b.  Round-off leaves an off-charge part E, and
 by Weyl's inequality lambda_min(M) >= min over the blocks of lambda_min -
 ||E||_F; for a product copy E = E_b (x) Mt_b + B_b (x) E_b restricted to
 the product basis (B_b, E_b the base's blocks and off-charge part), so
-||E||_F <= sqrt(2) ||E_b||_F ||M_b||_F.
+||E||_F <= sqrt(2) ||E_b||_F ||M_b||_F.  A self-conjugate block (c = -c,
+for a product copy (c_0, c_1) = (-c_0, -c_1)) is closed under negating
+every frequency, which conjugates its entries, so in the basis
+(x +- conj x)/sqrt2 it is real (Gatermann & Parrilo, as in the solver) and
+takes a real `eigvalsh` (`_real_form`); the imaginary round-off it drops
+lies inside the blocks, E outside, and the Weyl term is the Frobenius norm
+of both.
 """
 from __future__ import annotations
 
@@ -263,12 +276,43 @@ class MomentIndex:
         return int(self.offset[-1])
 
     @functools.cached_property
+    def subsets(self) -> list:
+        """subsets[d]: the d-subsets of the slots as rows of ascending slot
+        numbers, row r the subset of rank r."""
+        S = self.n * self.copies
+        return [np.array(list(itertools.combinations(range(S), d)),
+                         dtype=np.intp).reshape(math.comb(S, d), d)
+                for d in range(self.degree + 1)]
+
+    def subset_rank(self, chosen: np.ndarray) -> np.ndarray:
+        """Ranks of the slot subsets marked True along the last axis of
+        `chosen` (any leading shape), each of size <= D."""
+        S = chosen.shape[-1]
+        d = chosen.sum(axis=-1)
+        # lex rank: C(S, d) - 1 - sum_i C(S-1-s_i, d-i) over the chosen
+        # slots s_0 < s_1 < ...
+        left = np.where(chosen, d[..., None] + chosen - chosen.cumsum(-1), 0)
+        terms = np.where(chosen, self._binom[S - 1 - np.arange(S), left], 0)
+        return self._binom[S, d] - 1 - terms.sum(axis=-1)
+
+    def relabel(self, f) -> np.ndarray:
+        """Per id, the id of its key with every label a replaced by f[a], f
+        a permutation of range(k): the subset keeps its rank, and the code
+        is permuted digit by digit."""
+        f = np.asarray(f, dtype=np.int64)
+        code, out = np.zeros(1, dtype=np.int64), []
+        for d, subsets in enumerate(self.subsets):
+            if d:
+                code = (code[:, None] * self.k + f).ravel()
+            ranks = np.arange(len(subsets))[:, None] * self._kpow[d]
+            out.append((self.offset[d] + ranks + code).ravel())
+        return np.concatenate(out)
+
+    @functools.cached_property
     def slots(self) -> np.ndarray:
         S, k = self.n * self.copies, self.k
         blocks = []
-        for d in range(self.degree + 1):
-            combos = np.array(list(itertools.combinations(range(S), d)),
-                              dtype=np.intp).reshape(math.comb(S, d), d)
+        for d, combos in enumerate(self.subsets):
             labels = np.array(list(itertools.product(range(1, k + 1),
                                                      repeat=d)),
                               dtype=self.dtype).reshape(k**d, d)
@@ -559,6 +603,7 @@ class _Block:
     def __init__(self, dim: int, real: bool, weight: float, start: int):
         self.dim, self.real, self.weight = dim, real, weight
         self.rows, self.cols = np.tril_indices(dim)
+        self.flat = self.rows * dim + self.cols      # in a C-order matrix
         self.off = self.rows != self.cols
         self.f = math.sqrt(weight) * np.where(self.off, math.sqrt(2.0), 1.0)
         size = self.rows.size + (0 if real else int(self.off.sum()))
@@ -580,7 +625,7 @@ class _Block:
         return M
 
     def pack(self, M: np.ndarray) -> np.ndarray:
-        lower = M[self.rows, self.cols]
+        lower = M.take(self.flat)
         if self.real:
             return lower * self.f
         return np.concatenate((lower.real * self.f,
@@ -597,13 +642,13 @@ class _BlockSplit:
         self.block, self.positive, self.m = block, True, None
         self.eig = None
         self.partial_calls = 0
+        self.kernel = _kernels.PartialEig.available(block.real)
 
     def predicts(self) -> bool:
         """Whether the next split computes only the remembered side: when
         PARTIAL_EIG_DIVISOR * (m + 1) <= dim and the kernel is there."""
-        return (self.m is not None
-                and PARTIAL_EIG_DIVISOR * (self.m + 1) <= self.block.dim
-                and _kernels.PartialEig.available(self.block.real))
+        return (self.m is not None and self.kernel
+                and PARTIAL_EIG_DIVISOR * (self.m + 1) <= self.block.dim)
 
     def side_pairs(self, s: np.ndarray):
         """(eigenvalues, eigenvector columns) of the packed block s on the
@@ -616,18 +661,18 @@ class _BlockSplit:
             self.flat = self.eig.a.ravel(order="F")
             self.at = b.cols * b.dim + b.rows
         self.flat[self.at] = b.lower(s)
-        bound = 1.0 + 2.0 * float(np.linalg.norm(s)) / math.sqrt(b.weight)
+        bound = 1.0 + 2.0 * math.sqrt(s @ s) / math.sqrt(b.weight)
         self.partial_calls += 1
         return self.eig(*((0.0, bound) if self.positive else (-bound, 0.0)))
 
 
-def _psd_split(S: np.ndarray, split: _BlockSplit):
-    """(S_+, S - S_+) for the block of `split` packed in S, S_+ the PSD
-    projection of the symmetric or Hermitian block, rebuilt from its smaller
-    eigenspace; the split remembers that side.  When the side is predicted
-    small (`_BlockSplit.predicts`), only it is computed, but all of it, so
-    the split is exact and a wrong prediction costs only time; otherwise
-    `eigh` runs on the unpacked lower triangle, as on the first step."""
+def _psd_split(S: np.ndarray, split: _BlockSplit) -> np.ndarray:
+    """S_+ for the block of `split` packed in S: the PSD projection of the
+    symmetric or Hermitian block, rebuilt from its smaller eigenspace; the
+    split remembers that side.  When the side is predicted small
+    (`_BlockSplit.predicts`), only it is computed, but all of it, so the
+    split is exact and a wrong prediction costs only time; otherwise `eigh`
+    runs on the unpacked lower triangle, as on the first step."""
     partial = split.predicts()
     if partial:
         lam, V = split.side_pairs(S)
@@ -642,14 +687,12 @@ def _psd_split(S: np.ndarray, split: _BlockSplit):
     part = (V * lam) @ V.conj().T
     split.positive, split.m = positive, lam.size
     if positive:
-        plus = split.block.pack(part)
-    elif partial:
-        plus = S - split.block.pack(part)
-    else:
-        # rounded as M - part, not S - pack(part): the iterates of the
-        # blocks below dim 8, which always take this branch, stay the same
-        plus = split.block.pack(M - part)
-    return plus, S - plus
+        return split.block.pack(part)
+    if partial:
+        return S - split.block.pack(part)
+    # rounded as M - part, not S - pack(part): the iterates of the blocks
+    # below dim 8, which always take this branch, stay the same
+    return split.block.pack(M - part)
 
 
 class _ChargeLayout:
@@ -659,12 +702,14 @@ class _ChargeLayout:
 
     def __init__(self, n: int, k: int, D: int):
         self.k = k
+        # g -> k - g on the slot entries 1..k-1 (labels 0..k-2)
+        self._negation = np.arange(k - 2, -1, -1)
         self.rbasis = moment_index(n, k - 1, D // 2)
         self.rmoments = moment_index(n, k - 1, D)
         self._coordinates()
         B = self.rbasis.slots
         charge = B.sum(axis=1, dtype=np.int64) % k
-        partner = self.rbasis.rank(np.where(B > 0, k - B, 0))  # of -g
+        partner = self.rbasis.relabel(self._negation)  # of -g
         scale = float(k) ** (-0.5 * (B > 0).sum(axis=1))
         self.blocks, terms, start = [], [], 0
         for c in range(k // 2 + 1):
@@ -693,7 +738,7 @@ class _ChargeLayout:
         and two for a pair: yhat(g) = y[re[g]] + 1j sign[g] y[im[g]]."""
         k, G = self.k, self.rmoments.slots
         ids = np.flatnonzero(G.sum(axis=1, dtype=np.int64) % k == 0)
-        partner = self.rmoments.rank(np.where(G[ids] > 0, k - G[ids], 0))
+        partner = self.rmoments.relabel(self._negation)[ids]
         first, single = partner > ids, partner == ids
         width = np.where(first, 2, np.where(single, 1, 0))
         start = np.cumsum(width) - width
@@ -729,20 +774,25 @@ class _ChargeLayout:
     def _entries(self, block, fns, B):
         """(packed entry, coordinate, coef) triples of one block: entry
         (i, j) is E[f_i conj(f_j)] = sum q q' yhat(g - g'), and each yhat
-        reads one or two coordinates."""
+        reads one or two coordinates.  A zero q (a complex block's second
+        term, and that of a real g = -g) adds nothing and is skipped."""
         rows, cols, k = block.rows, block.cols, self.k
-        ntri = rows.size
-        off = np.flatnonzero(block.off)
+        # where each off-diagonal entry's imaginary part is packed
+        imag_at = rows.size + np.cumsum(block.off) - 1
         for (ga, qa), (gb, qb) in itertools.product(fns, fns):
-            alpha = qa[rows] * qb[cols].conj() * block.f
-            m = self.rmoments.rank((B[ga[rows]] - B[gb[cols]]) % k)
+            at = np.flatnonzero((qa[rows] != 0) & (qb[cols] != 0))
+            if not at.size:
+                continue
+            r, c = rows[at], cols[at]
+            alpha = qa[r] * qb[c].conj() * block.f[at]
+            m = self.rmoments.rank((B[ga[r]] - B[gb[c]]) % k)
             re, im, sign = self.re[m], self.im[m], self.sign[m]
-            yield np.arange(ntri), re, alpha.real
-            yield np.arange(ntri), im, -sign * alpha.imag
+            yield at, re, alpha.real
+            yield at, im, -sign * alpha.imag
             if not block.real:
-                at = ntri + np.arange(off.size)
-                yield at, re[off], alpha.imag[off]
-                yield at, im[off], (sign * alpha.real)[off]
+                off = block.off[at]
+                yield imag_at[at[off]], re[off], alpha.imag[off]
+                yield imag_at[at[off]], im[off], (sign * alpha.real)[off]
 
     def A(self, y: np.ndarray) -> np.ndarray:
         """The packed blocks of the moment matrix of coordinates y."""
@@ -759,7 +809,7 @@ class _ChargeLayout:
         plus = np.empty_like(s)
         for split in splits:
             part = split.block.part
-            plus[part] = _psd_split(s[part], split)[0]
+            plus[part] = _psd_split(s[part], split)
         return plus, s - plus
 
     def moments(self, y: np.ndarray) -> np.ndarray:
@@ -798,11 +848,42 @@ class SdpProblem:
 def _product_ids(index: MomentIndex) -> np.ndarray:
     """The ids of the products of two keys of degree <= D/2 of `index`
     (-1 = zero monomial), the moment matrix's entries: read-only and cached
-    per index, so `moment_matrix` is a gather after its first call."""
-    dim = int(index.offset[index.degree // 2 + 1])
-    rows, cols = np.tril_indices(dim)
+    per index, so `moment_matrix` is a gather after its first call.
+
+    The (d1, d2) block, d1 <= d2, is a (C(S, d1), k^d1, C(S, d2), k^d2)
+    grid: a subset pair (A, B) fixes the rank of their union U and each
+    label digit's weight k^(|U| - 1 - place in U) (0 for B's digits at
+    slots of A), and a shared slot with two labels zeroes the entry."""
+    half, k = index.degree // 2, index.k
+    dim = int(index.offset[half + 1])
     E = np.empty((dim, dim), dtype=np.int64)
-    E[rows, cols] = E[cols, rows] = index.mul(rows, cols)
+    subsets = index.subsets[:half + 1]
+    eye = np.eye(index.n * index.copies, dtype=bool)    # slot -> its mask
+    chosen = [eye[T].any(axis=1) for T in subsets]
+    digits = [np.indices((k,) * d).reshape(d, k**d) for d in range(half + 1)]
+    for d1, d2 in itertools.combinations_with_replacement(range(half + 1), 2):
+        A, B = subsets[d1], subsets[d2]
+        union = chosen[d1][:, None] | chosen[d2][None]
+        size = union.sum(axis=-1)
+        place = index._kpow[size[..., None] - union.cumsum(axis=-1)]
+        wA = np.take_along_axis(place, A[:, None], axis=-1)
+        wB = np.where(chosen[d1][:, B], 0,
+                      np.take_along_axis(place, B[None], axis=-1))
+        ids = ((index.offset[size] + index.subset_rank(union)
+                * index._kpow[size])[:, None, :, None]
+               + (wA @ digits[d1]).transpose(0, 2, 1)[..., None]
+               + (wB @ digits[d2])[:, None])
+        clash = np.zeros(ids.shape, dtype=bool)
+        for i, j in itertools.product(range(d1), range(d2)):
+            same = A[:, i, None] == B[None, :, j]
+            differ = digits[d1][i][:, None] != digits[d2][j]
+            clash |= same[:, None, :, None] & differ[None, :, None, :]
+        block = np.where(clash, -1, ids).reshape(len(A) * k**d1,
+                                                len(B) * k**d2)
+        rows = slice(index.offset[d1], index.offset[d1 + 1])
+        cols = slice(index.offset[d2], index.offset[d2 + 1])
+        E[rows, cols] = block
+        E[cols, rows] = block.T
     E.flags.writeable = False
     return E
 
@@ -901,7 +982,7 @@ class _Anderson:
         self.pending = None     # g and |g| at the current point
 
     def accepts(self, g: np.ndarray) -> bool:
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g @ g)
         # with a history, the current point was extrapolated
         if self.count and gnorm > self.last[2]:
             self.reset()
@@ -978,8 +1059,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                 Ay = lay.A(y_new)
             # X-update: PSD projection; U takes the negative part
             X_new, U = lay.psd_split(S, splits)
-            pri = float(np.linalg.norm(Ay - X_new))
-            dua = rho * float(np.linalg.norm(lay.adjoint(X_new - X)))
+            r_pri, r_dua = Ay - X_new, lay.adjoint(X_new - X)
+            pri = math.sqrt(r_pri @ r_pri)
+            dua = rho * math.sqrt(r_dua @ r_dua)
             X = X_new
             y = y_new
             if pri <= tol and dua <= tol:
@@ -1033,11 +1115,10 @@ def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
     if pE.copy_count != 1:
         raise ParameterError("symmetrize requires copy_count = 1")
     k = pE.k
-    values, L = pE._array(), pE.index.slots
+    values = pE._array()
     total = np.zeros(len(values))
     for t in range(k):
-        shifted = np.where(L > 0, (L - 1 - t) % k + 1, 0)
-        total += values[pE.index.rank(shifted)]
+        total += values[pE.index.relabel((np.arange(k) - t) % k)]
     flags = dict(pE.flags)
     if "mixture" in flags:
         # the symmetrized distribution is the shift-spread mixture
@@ -1098,10 +1179,14 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
     The result has degree D - 2*deg(event).  Conditioning on an event with
     pseudo-probability below `COND_FLOOR` raises NullEventError (the
     "pPr = 0 means conditional = 0" convention lives inside the potential
-    formulas, not here)."""
+    formulas, not here), and on one with a vertex, label or copy outside
+    the table ParameterError."""
     event = canon_key(event)
     if event is None:
         raise NullEventError("conditioning on the zero monomial")
+    if any(v not in range(pE.num_vertices) or a not in range(pE.k)
+           or c not in range(pE.copy_count) for (v, a, c) in event):
+        raise ParameterError(f"event {event} is outside the table")
     new_deg = pE.degree - 2 * len(event)
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")
@@ -1136,10 +1221,13 @@ def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
 def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
     """Replace the moments on the vertex set S with uniform independent
     marginals: pE'[m] = (1/k^t) pE[m with S-pairs removed], t = #S-pairs.
-    Shift-symmetry is preserved."""
+    Shift-symmetry is preserved.  Raises ParameterError on a vertex outside
+    [0, n)."""
     if pE.copy_count != 1:
         raise ParameterError("rerandomize requires copy_count = 1")
     S = set(S)
+    if any(v not in range(pE.num_vertices) for v in S):
+        raise ParameterError(f"vertex set {S} leaves [0, {pE.num_vertices})")
     if not S:
         return PseudoExpectation(pE.degree, pE.k, pE.num_vertices,
                                  pE._array(), flags=dict(pE.flags))
@@ -1199,7 +1287,9 @@ class _ChargeFrame:
     docstring): `dft[d]`, the label DFT on each d-subset; `charge` per basis
     function; `blocks`, the ids of one charge per conjugate pair; `left` and
     `right`, the base ids of each product-basis monomial's two copies'
-    parts, and `product_blocks` theirs per conjugate pair of (c_0, c_1)."""
+    parts, and `product_blocks` theirs per conjugate pair of (c_0, c_1).
+    Each block carries the local positions of its functions' negations
+    (g -> -g on every slot) when it is self-conjugate, and None else."""
 
     def __init__(self, n: int, k: int, half: int):
         index = moment_index(n, k, half)
@@ -1210,16 +1300,26 @@ class _ChargeFrame:
             self.dft.append(np.exp(2j * np.pi / k * (g @ g.T)) / k**(d / 2))
             charge.append(np.tile(g.sum(axis=1) % k, math.comb(n, d)))
         self.charge = np.concatenate(charge)
-        self.blocks = [np.flatnonzero(self.charge == c)
-                       for c in range(k) if c <= -c % k]
-        L = moment_index(n, k, half, copies=2).slots
+        two = moment_index(n, k, half, copies=2)
+        L = two.slots
         self.left, self.right = index.rank(L[:, :n]), index.rank(L[:, n:])
+        negate = -np.arange(k) % k
+        flip, flip2 = index.relabel(negate), two.relabel(negate)
+        self.blocks = []
+        for c in range(k):
+            ids = np.flatnonzero(self.charge == c)
+            if c <= -c % k:
+                self.blocks.append((ids, np.searchsorted(ids, flip[ids])
+                                    if c == -c % k else None))
         pair = self.charge[self.left] * k + self.charge[self.right]
-        self.product_blocks = [
-            (self.left[rows], self.right[rows])
-            for a, b in itertools.product(range(k), repeat=2)
-            if (a, b) <= (-a % k, -b % k)
-            and (rows := np.flatnonzero(pair == a * k + b)).size]
+        self.product_blocks = []
+        for a, b in itertools.product(range(k), repeat=2):
+            rows, conj = np.flatnonzero(pair == a * k + b), (-a % k, -b % k)
+            if rows.size and (a, b) <= conj:
+                self.product_blocks.append(
+                    (self.left[rows], self.right[rows],
+                     np.searchsorted(rows, flip2[rows])
+                     if (a, b) == conj else None))
 
     def transform(self, M: np.ndarray) -> np.ndarray:
         """F M F^H = F (F M)^H for a symmetric M, F the DFT on every subset:
@@ -1237,47 +1337,79 @@ class _ChargeFrame:
 _charge_frame = functools.lru_cache(maxsize=16)(_ChargeFrame)
 
 
+def _real_form(B: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Q^H B Q for the unitary Q with columns e_i (partner[i] = i) and
+    (e_i + e_j)/sqrt2, -i (e_i - e_j)/sqrt2 (i < j = partner[i]), in that
+    order: real when B[partner][:, partner] = conj(B), as a self-conjugate
+    charge block of a real matrix is (Gatermann & Parrilo 2004)."""
+    at = np.arange(len(partner))
+    one, lo = np.flatnonzero(at == partner), np.flatnonzero(at < partner)
+    s, m, r = one.size, lo.size, math.sqrt(0.5)
+    R = B[np.ix_(*2 * [np.concatenate((one, lo, partner[lo]))])]
+    for X, phase in ((R.T, -1j * r), (R, 1j * r)):  # columns by Q, rows by Q^H
+        a, b = X[s:s + m], X[s + m:]
+        X[s:s + m], X[s + m:] = (a + b) * r, (a - b) * phase
+    return R
+
+
 def _charge_split(pE: PseudoExpectation, Mb: np.ndarray):
     """(smallest eigenvalue over the charge blocks, Weyl term) of pE's
     moment matrix, from Mb, the moment matrix of pE or of its base; None
-    when Mb's off-charge part exceeds CHARGE_SPLIT_TOL ||Mb||_F."""
+    when Mb's off-charge part exceeds CHARGE_SPLIT_TOL ||Mb||_F.  A
+    self-conjugate block takes the real `eigvalsh` of its `_real_form`; the
+    imaginary parts dropped lie inside the blocks and the off-charge part
+    outside them, so the Weyl term is the Frobenius norm of both."""
     frame = _charge_frame(pE.num_vertices, pE.k, pE.degree // 2)
-    sizes = ([len(ids) for ids in frame.blocks] if pE._base is None
-             else [len(l) for l, _ in frame.product_blocks])
+    sizes = ([len(ids) for ids, _ in frame.blocks] if pE._base is None
+             else [len(l) for l, _, _ in frame.product_blocks])
     with _kernels.blas_threads_for(max(sizes)):
         Mt = frame.transform(Mb)
         weyl = float(np.linalg.norm(Mt[frame.charge[:, None] != frame.charge]))
         norm = float(np.linalg.norm(Mb))
         if weyl > CHARGE_SPLIT_TOL * norm:
             return None
+        # one block alive at a time, for peak memory
         if pE._base is None:
-            blocks = [Mt[np.ix_(ids, ids)] for ids in frame.blocks]
+            blocks = ((Mt[np.ix_(ids, ids)], p) for ids, p in frame.blocks)
         else:
-            blocks = [Mt[np.ix_(l, l)] * Mt[np.ix_(r, r)]
-                      for l, r in frame.product_blocks]
+            blocks = ((Mt[np.ix_(l, l)] * Mt[np.ix_(r, r)], p)
+                      for l, r, p in frame.product_blocks)
             weyl *= math.sqrt(2.0) * norm
-        lam = min(float(np.linalg.eigvalsh(B)[0]) for B in blocks)
-    return lam, weyl
+        lam, dropped = math.inf, 0.0
+        for B, partner in blocks:
+            if partner is not None:
+                R = _real_form(B, partner)
+                dropped += float(np.vdot(R.imag, R.imag))
+                B = R.real
+            lam = min(lam, float(np.linalg.eigvalsh(B)[0]))
+    return lam, math.hypot(weyl, math.sqrt(dropped))
 
 
 def _partition_table(pE: PseudoExpectation):
     """(amp, res) over monomials m of degree d < D: amp[d] is the largest
     |pE[m]| and res[d] the largest partition residual
-    |sum_a pE[m X_{u,a}] - pE[m]| over all vertices u and copies."""
-    index, D = pE.index, pE.degree
-    L = index.slots[:index.offset[D]]
+    |sum_a pE[m X_{u,a}] - pE[m]| over all vertices u and copies.
+
+    Each sum is one label axis of the (C(S, d+1), k, ..., k) grid of the
+    degree-(d+1) block, summed in label order; its m drops that axis's slot
+    from the subset and keeps the other labels' code."""
+    index, D, k = pE.index, pE.degree, pE.k
     values = pE._array()
-    pm = values[:len(L)]
-    worst = np.zeros(len(L))
-    for s in range(L.shape[1]):
-        # where m already holds slot s, its sum is pE[m] itself (residual 0)
-        free = np.flatnonzero(L[:, s] == 0)
-        rows = L[free]
-        total = np.zeros(len(free))
-        for a in range(1, pE.k + 1):
-            rows[:, s] = a
-            total += values[index.rank(rows)]
-        worst[free] = np.maximum(worst[free], np.abs(total - pm[free]))
+    pm = values[:index.offset[D]]
+    worst = np.zeros(len(pm))
+    eye = np.eye(index.n * index.copies, dtype=bool)    # slot -> its mask
+    for d in range(D):
+        subsets = index.subsets[d + 1]
+        grid = values[index.offset[d + 1]:index.offset[d + 2]].reshape(
+            (len(subsets),) + (k,) * (d + 1))
+        for i in range(d + 1):
+            total = np.zeros((len(subsets), k**d))
+            for a in range(k):
+                total += grid.take(a, axis=i + 1).reshape(len(subsets), k**d)
+            rest = eye[np.delete(subsets, i, axis=1)].any(axis=1)
+            m = (index.offset[d] + np.arange(k**d)
+                 + (index.subset_rank(rest) * index._kpow[d])[:, None])
+            np.maximum.at(worst, m, np.abs(total - pm[m]))
     amp, res = [0.0] * D, [0.0] * D
     for d in range(D):
         part = slice(index.offset[d], index.offset[d + 1])

@@ -13,11 +13,11 @@ from ugsos.errors import NullEventError, ParameterError
 from ugsos.graphs import johnson_graph
 from ugsos.instances import plant_instance
 from ugsos.rounding import cond_marginals
-from ugsos.sos import (MomentIndex, all_canonical_keys, build_relaxation,
-                       canon_key, check_shift_symmetric, condition, key_mul,
-                       mixture_pe, moment_matrix, pair_moments, point_mass_pe,
-                       product_copy, rerandomize, shift_key, solve_sdp,
-                       symmetrize)
+from ugsos.sos import (MomentIndex, PseudoExpectation, all_canonical_keys,
+                       build_relaxation, canon_key, check_shift_symmetric,
+                       condition, key_mul, mixture_pe, moment_matrix,
+                       pair_moments, point_mass_pe, product_copy, rerandomize,
+                       shift_key, solve_sdp, symmetrize)
 
 
 # -- ranking ----------------------------------------------------------------
@@ -50,6 +50,76 @@ def test_large_alphabet_ranks_and_shifts():
     rng = np.random.default_rng(3)
     pE = sos.PseudoExpectation(1, 130, 1, rng.random(131))
     _same(symmetrize(pE), ref_symmetrize(pE))
+
+
+# -- grid tables against the per-key rank/mul reference ------------------------
+
+def rank_partition_table(pE):
+    """`sos._partition_table` as S * k rankings of every key's slot row."""
+    index, D = pE.index, pE.degree
+    L = index.slots[:index.offset[D]]
+    values = pE._array()
+    worst = np.zeros(len(L))
+    for s in range(L.shape[1]):
+        free = np.flatnonzero(L[:, s] == 0)
+        rows, total = L[free], np.zeros(len(free))
+        for a in range(1, pE.k + 1):
+            rows[:, s] = a
+            total += values[index.rank(rows)]
+        worst[free] = np.maximum(worst[free], np.abs(total - values[free]))
+    amp, res = [0.0] * D, [0.0] * D
+    for d in range(D):
+        part = slice(index.offset[d], index.offset[d + 1])
+        if part.start < part.stop:
+            amp[d] = max(0.0, float(np.abs(values[part]).max()))
+            res[d] = max(0.0, float(worst[part].max()))
+    return amp, res
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(2, 5), st.sampled_from([2, 4, 6]),
+       st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_grid_tables_match_per_key_ranking(n, k, D, copies, seed):
+    while sos._index_size(n, k, D, copies) > 20_000:
+        n -= 1
+    rng = np.random.default_rng(seed)
+    index = MomentIndex(n, k, D, copies)
+    L = index.slots
+    # label shifts, and the charge negation g -> k - g on entries 1..k-1
+    for t in range(k):
+        shifted = np.where(L > 0, (L - 1 - t) % k + 1, 0)
+        assert np.array_equal(index.relabel((np.arange(k) - t) % k),
+                              index.rank(shifted))
+    charges = MomentIndex(n, k - 1, D, copies)
+    G = charges.slots
+    assert np.array_equal(charges.relabel(np.arange(k - 2, -1, -1)),
+                          charges.rank(np.where(G > 0, k - G, 0)))
+    pE = PseudoExpectation(D, k, n, rng.normal(size=len(index)),
+                           copy_count=copies)
+    assert sos._partition_table(pE) == rank_partition_table(pE)
+    dim = int(index.offset[D // 2 + 1])
+    rows, cols = np.indices((dim, dim))
+    assert np.array_equal(sos._product_ids(index), index.mul(rows, cols))
+
+
+def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
+    # the grid tables rank subsets only; the charge frame's two rankings
+    # of the product basis's copies are all `rank` calls left
+    calls = []
+    rank = MomentIndex.rank
+
+    def spy(self, rows):
+        calls.append(rows.shape)
+        return rank(self, rows)
+
+    for cache in (sos.moment_index, sos._product_ids, sos._charge_frame):
+        cache.cache_clear()
+    monkeypatch.setattr(MomentIndex, "rank", spy)
+    sym = symmetrize(cube3_raw)
+    assert calls == []
+    for pE in (cube3_raw, product_copy(sym)):
+        sos.validate(pE)
+    assert len(calls) <= 2
 
 
 # -- dict-based references ----------------------------------------------------

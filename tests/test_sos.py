@@ -394,7 +394,8 @@ def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
         assert not split.predicts()                  # first step: eigh
         mu, V = np.linalg.eigh(S)
         ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
-        pos, rest = sos._psd_split(block.pack(S), split)
+        pos = sos._psd_split(block.pack(S), split)
+        rest = block.pack(S) - pos
         # the packed block holds only the lower triangle, all eigh reads
         assert np.abs(block.unpack(pos) - np.tril(ref)).max() <= 1e-12
         assert np.abs(block.unpack(rest) - np.tril(S - ref)).max() <= 1e-12
@@ -461,11 +462,13 @@ def test_partial_psd_split_matches_clipped_reconstruction(
         block = sos._Block(lam.size, real, 1.0 if real else 2.0, 0)
         mu, V = np.linalg.eigh(S)
         ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
-        pos, rest = sos._psd_split(block.pack(S), _hinted_split(block, hint))
+        pos = sos._psd_split(block.pack(S), _hinted_split(block, hint))
+        rest = block.pack(S) - pos
         assert np.abs(block.unpack(pos) - np.tril(ref)).max() <= 1e-12
         assert np.abs(block.unpack(rest) - np.tril(S - ref)).max() <= 1e-12
-        neg_pos, neg_rest = sos._psd_split(
+        neg_pos = sos._psd_split(
             block.pack(-S), _hinted_split(block, lam.size - hint))
+        neg_rest = block.pack(-S) - neg_pos
         assert np.abs(neg_pos + rest).max() <= 1e-12
         assert np.abs(neg_rest + pos).max() <= 1e-12
     assert len(seen) == 2 * len(cases)
@@ -684,6 +687,14 @@ def test_condition_null_event_raises():
         condition(pE, ((0, 1, 0),))
 
 
+@pytest.mark.parametrize("event", [((0, -1, 0),), ((0, 3, 0),),
+                                   ((0, 5, 0),), ((7, 0, 0),), ((0, 0, 1),)])
+def test_condition_rejects_an_event_outside_the_table(event):
+    pE = symmetrize(point_mass_pe(3, 3, [0, 1, 2]))
+    with pytest.raises(ParameterError):
+        condition(pE, event)
+
+
 def test_conditioned_matrix_stays_psd(cube_pe, cube_inst):
     _, inst, _ = cube_inst
     cond = condition(cube_pe, ((0, 0, 0),))
@@ -797,6 +808,13 @@ def test_unconverged_flag_survives_condition_and_rerandomize(triangle_unsat):
     assert all(d.flags.get("unconverged") for d in derived)
 
 
+@pytest.mark.parametrize("S", [{99}, {-1}, {"a"}, [0, 3]])
+def test_rerandomize_rejects_vertices_outside_the_table(S):
+    pE = symmetrize(point_mass_pe(3, 3, [0, 1, 2]))
+    with pytest.raises(ParameterError):
+        rerandomize(pE, S)
+
+
 def test_rerandomize_empty_is_identity(cube_pe):
     out = rerandomize(cube_pe, [])
     assert out.moment(((0, 0, 0), (1, 1, 0))) == pytest.approx(
@@ -852,6 +870,27 @@ def test_charge_blocks_bound_the_dense_min_eigenvalue(charge_tables, k, D):
         assert rep.passed == (dense >= -tol
                               and rep.max_partition_residual <= tol
                               and rep.scaling_deviation <= tol)
+
+
+def test_real_self_conjugate_blocks_bound_the_dense_min_eigenvalue(
+        cube3_raw, cube3_pe, monkeypatch):
+    # the acceptance suite's cube3 solves (tol 1e-4 raw, 1e-7 symmetrized)
+    # and their product copies: the charge block 0 and the product block
+    # (0, 0) take the real form
+    calls = []
+    real_form = sos._real_form
+
+    def spy(B, partner):
+        calls.append(len(partner))
+        return real_form(B, partner)
+
+    monkeypatch.setattr(sos, "_real_form", spy)
+    for base in (cube3_raw, cube3_pe):
+        for pE in (base, product_copy(base)):
+            del calls[:]
+            rep = validate(pE, 1e-5)
+            assert calls
+            assert rep.min_eigenvalue <= _dense_min(pE) + 1e-15
 
 
 def _charge_pair_table(k, c, beta=1.2):
