@@ -195,24 +195,21 @@ def get_blas_threads():
     return None if fns is None else int(fns[0]())
 
 
-def set_blas_threads(n: int):
-    """Set the OpenBLAS thread count; returns the previous count (None and
-    no effect when no OpenBLAS is loaded)."""
-    prev = get_blas_threads()
-    if prev is not None:
-        _openblas_thread_fns()[1](int(n))
-    return prev
-
-
 @contextlib.contextmanager
 def blas_threads(n: int):
-    """Run the body with `n` OpenBLAS threads, restoring the count after."""
-    prev = set_blas_threads(n)
+    """Run the body with `n` OpenBLAS threads, restoring the count after
+    (no effect when no OpenBLAS is loaded)."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    prev = int(get())
+    put(int(n))
     try:
         yield
     finally:
-        if prev is not None:
-            set_blas_threads(prev)
+        put(prev)
 
 
 # Bodies whose largest matrix is below this dimension run on one BLAS

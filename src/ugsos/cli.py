@@ -9,35 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
-from ugsos import _kernels
 from ugsos.errors import ParameterError, SizeCapError, UgsosError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_PARAMETER = 3
 EXIT_SIZE_CAP = 4
-
-
-def _limit_threads():
-    """Cap the OpenBLAS thread count at UGSOS_THREADS, if set.  numpy is
-    already loaded here, so the cap goes through the library itself rather
-    than the environment variables it reads at load time."""
-    cap = os.environ.get("UGSOS_THREADS")
-    if not cap:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        raise ParameterError(f"UGSOS_THREADS must be an integer, got {cap!r}")
-    if n < 1:
-        raise ParameterError(f"UGSOS_THREADS must be >= 1, got {n}")
-    _kernels.set_blas_threads(n)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--l", type=int, default=2)
         p.add_argument("--alpha", type=float, default=0.5)
         p.add_argument("--k", type=int, default=3)
-        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--eps", type=float, default=0.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--path", default=None,
@@ -72,8 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve-round", help="solve the SDP and round")
     instance_flags(s)
     s.add_argument("--degree", type=int, default=4)
-    s.add_argument("--beta", type=float, default=0.9)
-    s.add_argument("--nu", type=float, default=0.05)
+    s.add_argument("--beta", type=float, default=0.9,
+                   help="threshold alpha of the potentials' step polynomial")
+    s.add_argument("--nu", type=float, default=0.05,
+                   help="half-width delta of the step polynomial's window "
+                        "(not the reported nu_effective, its achieved "
+                        "deviation); below --degree 6 the polynomial is the "
+                        "constant 1/2, so neither flag changes a computed "
+                        "number")
     s.add_argument("--tol", type=float, default=1e-7)
     v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("--tier", default="quick", choices=["quick", "full"])
@@ -114,8 +102,7 @@ def _load_instance(args):
             raise ParameterError("--family file needs --path")
         return UgInstance.from_json(_read(args.path)), None, None
     graph = _make_graph(args)
-    eps = args.eps if args.eps is not None else 0.0
-    inst, planted = plant_instance(graph, args.k, eps, seed=args.seed)
+    inst, planted = plant_instance(graph, args.k, args.eps, seed=args.seed)
     return inst, planted, graph
 
 
@@ -128,13 +115,7 @@ def _emit(args, text: str):
 
 
 def cmd_gen(args) -> int:
-    from ugsos.graphs import graph_to_instance_json
     from ugsos.instances import value
-    if args.family == "cayley" and args.eps is None:
-        # plain graph export: the walk is row-stochastic, shifts all zero
-        _emit(args, graph_to_instance_json(_make_graph(args), args.k))
-        print("exported cayley graph (no planted assignment)", file=sys.stderr)
-        return EXIT_OK
     inst, planted, _ = _load_instance(args)
     _emit(args, inst.to_json())
     if planted is not None:
@@ -151,7 +132,6 @@ def cmd_solve_round(args) -> int:
 
     t0 = time.time()
     inst, _, graph = _load_instance(args)
-    eps = args.eps if args.eps is not None else 0.0
     solving_tol = args.tol if args.family != "johnson" else max(args.tol, 3e-4)
     pE = solve_sdp(build_relaxation(inst, args.degree), tol=solving_tol)
     p = build_capped_step_poly(args.beta, args.nu,
@@ -173,7 +153,7 @@ def cmd_solve_round(args) -> int:
         "sdp_iterations": pE.flags["iterations"],
     }
     if args.family == "johnson":
-        out = johnson_pipeline(inst, pE, graph, eps)
+        out = johnson_pipeline(inst, pE, graph, args.eps)
         report["rounded_value"] = out.achieved_value
         report["trace"] = json.loads(out.to_json())["trace"]
     else:
@@ -330,7 +310,6 @@ def main(argv=None) -> int:
                 "verify": cmd_verify}
     try:
         args = _build_parser().parse_args(argv)
-        _limit_threads()
         return handlers[args.command](args)
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)

@@ -331,15 +331,3 @@ def sse_profile(g: WeightedGraph, delta: float, seed=None) -> SseProfile:
             arg[c] = tuple(int(v) for v in batch[i])
     return SseProfile(best, exhaustive, arg)
 
-
-def graph_to_instance_json(g: WeightedGraph, k: int = 1) -> str:
-    """Export the graph in the instance JSON edge-list format (all shifts 0)."""
-    import json
-    edges = []
-    for u in range(g.num_vertices):
-        for v in range(u + 1, g.num_vertices):
-            if g.W[u, v] > 0:
-                edges.append({"u": u, "v": v,
-                              "w": float(f"{g.W[u, v]:.17g}"), "shift": 0})
-    return json.dumps({"k": k, "n": g.num_vertices, "edges": edges})
-

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from math import comb
 
@@ -114,15 +113,11 @@ def restriction_density(F: np.ndarray, A, n: int | None = None,
                         l: int | None = None) -> float:
     """delta_A(F): the mean of F over the subcube restricted by A.
 
-    F may be an l-dimensional tensor on [n]^l (A fixes the first |A|
-    coordinates) or a flat vector over the C(n,l) l-subsets in lexicographic
+    F is a flat vector over the C(n,l) l-subsets in lexicographic
     combination order (A is a subset every vertex must contain; n and l are
     then required)."""
     F = np.asarray(F, dtype=float)
     A = tuple(int(a) for a in A)
-    if F.ndim > 1:
-        block = F[A] if A else F
-        return float(np.mean(block))
     if not A:
         return float(np.mean(F))
     if n is None or l is None:
@@ -145,7 +140,7 @@ class LevelDecomposition:
     level_weights: tuple     # eta_i = <F_i, F_i>_pi
     reduced: tuple           # f_{i,F} as tensors on [n]^i
     densities: tuple         # D_j: mean over all but the first j coordinates
-    invariant: bool
+    invariant: bool          # F permutation-invariant; else c6 is not checked
     parseval_residual: float
     pointwise_residual: float
     c6_residual: float
@@ -167,9 +162,6 @@ def level_decompose(F: np.ndarray) -> LevelDecomposition:
     if F.size > LEVEL_CAP:
         raise SizeCapError(f"level_decompose caps at n^l <= {LEVEL_CAP}")
     invariant = _is_permutation_invariant(F)
-    if not invariant:
-        warnings.warn("F is not permutation-invariant; the reduced-function "
-                      "identities do not apply", stacklevel=2)
     # D_j: average over the last l - j axes
     D = [F.mean(axis=tuple(range(j, l))) if j < l else F for j in range(l + 1)]
     # f_i on [n]^i by inclusion-exclusion; broadcasting D_|B| onto axes B

@@ -101,17 +101,20 @@ omega^(g.a) X_{S,a}, splits a shift-symmetric table's moment matrix into
 blocks of equal charge sum g mod k, block -c the conjugate of block c, so
 one block per pair is solved (`_ChargeFrame`).  A product copy's block
 (c_0, c_1) has entries Mt_b[g_0, h_0] Mt_b[g_1, h_1], gathered from the
-base's transformed matrix Mt_b.  Round-off leaves an off-charge part E, and
-by Weyl's inequality lambda_min(M) >= min over the blocks of lambda_min -
-||E||_F; for a product copy E = E_b (x) Mt_b + B_b (x) E_b restricted to
-the product basis (B_b, E_b the base's blocks and off-charge part), so
-||E||_F <= sqrt(2) ||E_b||_F ||M_b||_F.  A self-conjugate block (c = -c,
-for a product copy (c_0, c_1) = (-c_0, -c_1)) is closed under negating
-every frequency, which conjugates its entries, so in the basis
+base's transformed matrix Mt_b; block (c_1, c_0) holds the same products of
+the same two floats in permuted order, so one block per orbit under
+conjugation and the copy swap is solved.  Round-off leaves an off-charge
+part E, and by Weyl's inequality lambda_min(M) >= min over the blocks of
+lambda_min - ||E||_F; for a product copy E = E_b (x) Mt_b + B_b (x) E_b
+restricted to the product basis (B_b, E_b the base's blocks and off-charge
+part), so ||E||_F <= sqrt(2) ||E_b||_F ||M_b||_F.  A self-conjugate block
+(c = -c, for a product copy (c_0, c_1) = (-c_0, -c_1)) is closed under
+negating every frequency, which conjugates its entries, so in the basis
 (x +- conj x)/sqrt2 it is real (Gatermann & Parrilo, as in the solver) and
 takes a real `eigvalsh` (`_real_form`); the imaginary round-off it drops
 lies inside the blocks, E outside, and the Weyl term is the Frobenius norm
-of both.
+of both, with the round-off of a self-conjugate product block counted
+again for its unsolved swap image when c_0 != c_1.
 """
 from __future__ import annotations
 
@@ -321,10 +324,6 @@ class MomentIndex:
                 block[np.arange(len(combos)), :, combos[:, i]] = labels[:, i]
             blocks.append(block.reshape(len(combos) * len(labels), S))
         return np.concatenate(blocks)
-
-    @functools.cached_property
-    def degrees(self) -> np.ndarray:
-        return np.repeat(np.arange(self.degree + 1), np.diff(self.offset))
 
     @functools.cached_property
     def keys(self) -> list:
@@ -1287,9 +1286,12 @@ class _ChargeFrame:
     docstring): `dft[d]`, the label DFT on each d-subset; `charge` per basis
     function; `blocks`, the ids of one charge per conjugate pair; `left` and
     `right`, the base ids of each product-basis monomial's two copies'
-    parts, and `product_blocks` theirs per conjugate pair of (c_0, c_1).
-    Each block carries the local positions of its functions' negations
-    (g -> -g on every slot) when it is self-conjugate, and None else."""
+    parts, and `product_blocks` theirs per orbit of (c_0, c_1) under
+    conjugation and the copy swap (c_0, c_1) -> (c_1, c_0).  Each block
+    carries the local positions of its functions' negations (g -> -g on
+    every slot) when it is self-conjugate, and None else; a product block
+    also carries the number of self-conjugate blocks it stands for, its
+    own swap image included."""
 
     def __init__(self, n: int, k: int, half: int):
         index = moment_index(n, k, half)
@@ -1315,11 +1317,11 @@ class _ChargeFrame:
         self.product_blocks = []
         for a, b in itertools.product(range(k), repeat=2):
             rows, conj = np.flatnonzero(pair == a * k + b), (-a % k, -b % k)
-            if rows.size and (a, b) <= conj:
+            if rows.size and (a, b) <= min(conj, (b, a), conj[::-1]):
                 self.product_blocks.append(
                     (self.left[rows], self.right[rows],
                      np.searchsorted(rows, flip2[rows])
-                     if (a, b) == conj else None))
+                     if (a, b) == conj else None, 1 + (a != b)))
 
     def transform(self, M: np.ndarray) -> np.ndarray:
         """F M F^H = F (F M)^H for a symmetric M, F the DFT on every subset:
@@ -1361,7 +1363,7 @@ def _charge_split(pE: PseudoExpectation, Mb: np.ndarray):
     outside them, so the Weyl term is the Frobenius norm of both."""
     frame = _charge_frame(pE.num_vertices, pE.k, pE.degree // 2)
     sizes = ([len(ids) for ids, _ in frame.blocks] if pE._base is None
-             else [len(l) for l, _, _ in frame.product_blocks])
+             else [len(l) for l, _, _, _ in frame.product_blocks])
     with _kernels.blas_threads_for(max(sizes)):
         Mt = frame.transform(Mb)
         weyl = float(np.linalg.norm(Mt[frame.charge[:, None] != frame.charge]))
@@ -1370,16 +1372,17 @@ def _charge_split(pE: PseudoExpectation, Mb: np.ndarray):
             return None
         # one block alive at a time, for peak memory
         if pE._base is None:
-            blocks = ((Mt[np.ix_(ids, ids)], p) for ids, p in frame.blocks)
+            blocks = ((Mt[np.ix_(ids, ids)], p, 1)
+                      for ids, p in frame.blocks)
         else:
-            blocks = ((Mt[np.ix_(l, l)] * Mt[np.ix_(r, r)], p)
-                      for l, r, p in frame.product_blocks)
+            blocks = ((Mt[np.ix_(l, l)] * Mt[np.ix_(r, r)], p, copies)
+                      for l, r, p, copies in frame.product_blocks)
             weyl *= math.sqrt(2.0) * norm
         lam, dropped = math.inf, 0.0
-        for B, partner in blocks:
+        for B, partner, copies in blocks:
             if partner is not None:
                 R = _real_form(B, partner)
-                dropped += float(np.vdot(R.imag, R.imag))
+                dropped += copies * float(np.vdot(R.imag, R.imag))
                 B = R.real
             lam = min(lam, float(np.linalg.eigvalsh(B)[0]))
     return lam, math.hypot(weyl, math.sqrt(dropped))

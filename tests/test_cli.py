@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ugsos import _kernels
-from ugsos.cli import _limit_threads, main
+from ugsos import graphs
+from ugsos.cli import main
+from ugsos.instances import plant_instance
 
 
 def run(capsys, *argv):
@@ -147,20 +148,58 @@ def test_verify_unknown_only_is_parameter_error(capsys):
     assert code == 3
 
 
-def test_ugsos_threads_sets_blas_threads(monkeypatch):
-    if _kernels.get_blas_threads() is None:
-        pytest.skip("no OpenBLAS thread control found")
-    with _kernels.blas_threads(2):
-        monkeypatch.setenv("UGSOS_THREADS", "1")
-        _limit_threads()
-        assert _kernels.get_blas_threads() == 1
+def test_solve_round_johnson_body_is_deterministic_and_traced(capsys):
+    argv = ["solve-round", "--family", "johnson", "--n", "5", "--l", "2",
+            "--alpha", "0.5", "--k", "3", "--eps", "0.05", "--degree", "2",
+            "--tol", "3e-3"]
+    bodies = []
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rep = json.loads(out)
+        rep.pop("wall_clock_s")
+        bodies.append(rep)
+    assert bodies[0] == bodies[1]
+    rep = bodies[0]
+    assert rep["trace"]
+    for record in rep["trace"]:
+        assert {"subgraph", "newly_assigned", "val_before", "val_after",
+                "drop", "cr_val"} <= record.keys()
+    assert rep["rounded_value"] > 1.0 / 3.0
 
 
-def test_ugsos_threads_rejects_non_integer(monkeypatch, capsys):
-    monkeypatch.setenv("UGSOS_THREADS", "two")
-    code, _, err = run(capsys, "verify", "--only", "no-such-check")
-    assert code == 3
-    assert "UGSOS_THREADS" in err
+_FAMILY_GRAPHS = {
+    "shortcode": (["--d", "1", "--n", "3"],
+                  lambda: graphs.shortcode_graph(1, 3)),
+    "cayley": (["--n", "3", "--l", "2", "--alpha", "0.5"],
+               lambda: graphs.johnson_cayley_graph(3, 2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_GRAPHS))
+def test_gen_and_solve_round_on_the_shortcode_and_cayley_families(
+        family, tmp_path, capsys):
+    flags, graph = _FAMILY_GRAPHS[family]
+    common = ["--family", family, *flags, "--k", "2", "--eps", "0.1"]
+    out = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "gen", *common, "--out", str(out))
+    assert code == 0
+    inst, _ = plant_instance(graph(), 2, 0.1, seed=0)
+    assert out.read_text() == inst.to_json()
+    code, _, _ = run(capsys, "solve-round", *common, "--degree", "2")
+    assert code == 0
+
+
+def test_gen_cayley_without_eps_plants_at_eps_zero(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    code, _, err = run(capsys, "gen", "--family", "cayley", "--n", "3",
+                       "--l", "2", "--alpha", "0.5", "--k", "2",
+                       "--out", str(out))
+    assert code == 0
+    assert "planted value: 1.000000" in err
+    inst, _ = plant_instance(graphs.johnson_cayley_graph(3, 2, 0.5), 2, 0.0,
+                             seed=0)
+    assert out.read_text() == inst.to_json()
 
 
 def test_verify_quick_under_optimize():

@@ -264,6 +264,25 @@ def test_partial_to_full_stall_aborts(cube_pe, cube_inst):
     assert out.stop_reason == "stalled"
 
 
+def test_partial_to_full_stops_when_the_subroutine_gives_up(cube_pe,
+                                                            cube_inst):
+    _, inst, _ = cube_inst
+    out = partial_to_full(inst, cube_pe, lambda mu: None, eps=0.4)
+    assert out.stop_reason == "subroutine-none"
+    assert out.trace == ()
+    assert np.array_equal(out.assignment, np.zeros(inst.num_vertices))
+    calls = []
+
+    def once(mu):
+        calls.append(mu)
+        return ([0], {}) if len(calls) == 1 else None
+
+    out = partial_to_full(inst, cube_pe, once, eps=0.4)
+    assert out.stop_reason == "subroutine-none"
+    assert len(out.trace) == 1 and out.trace[0].newly_assigned == (0,)
+    assert len(calls) == 2
+
+
 def test_partial_to_full_no_reassignment(cube3_pe, cube3_inst):
     _, inst, _ = cube3_inst
     n = inst.num_vertices

@@ -43,3 +43,15 @@ def test_every_public_definition_is_referenced():
               and not node.name.startswith("_")
               and counts[node.name] == list(_names(node)).count(node.name)]
     assert not unused, f"public definitions nothing refers to: {unused}"
+
+
+def test_the_package_reads_no_environment_variable():
+    # behaviour is set by arguments alone; OpenBLAS reads its own variables
+    env = {"environ", "getenv", "putenv"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in env
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in env for alias in node.names)]
+    assert not found, f"environment reads in ugsos: {found}"
