@@ -284,16 +284,20 @@ class PartialEig:
         self.n, self.real = n, real
         itype = np.int64 if cint is ctypes.c_int64 else np.int32
         dtype = float if real else complex
-        self.a = np.empty((n, n), dtype=dtype, order="F")
+        # zeroed: a Hermitian `a`'s diagonal imaginary parts are never
+        # written by the caller
+        self.a = np.zeros((n, n), dtype=dtype, order="F")
         self.z = np.empty((n, n), dtype=dtype, order="F")
         self.w = np.empty(n)
         self.m = np.zeros(1, dtype=itype)
         self.isuppz = np.empty(2 * n, dtype=itype)
-        work, rwork, iwork = (np.empty(1, dtype), np.empty(1),
-                              np.empty(1, dtype=itype))
+        # the query writes only the sizes the routine takes (dsyevr has no
+        # rwork), so the others must not be read from uninitialized memory
+        work, rwork, iwork = (np.zeros(1, dtype), np.zeros(1),
+                              np.zeros(1, dtype=itype))
         self._run(self._arguments(work, -1, rwork, -1, iwork, -1))  # query
         self.work = np.empty(int(work[0].real), dtype)
-        self.rwork = np.empty(int(rwork[0]))
+        self.rwork = np.empty(0 if real else int(rwork[0]))
         self.iwork = np.empty(int(iwork[0]), dtype=itype)
         self._args = self._arguments(self.work, self.work.size, self.rwork,
                                      self.rwork.size, self.iwork,

@@ -72,11 +72,25 @@ when both residuals and the duality gap |c.y - r_empty| are at most tol,
 r = c + A^T(-rho U) with -rho U PSD, as SCS does (O'Donoghue et al., JOTA
 169, 2016); small residuals alone can stop short of the optimum.  Since
 |yhat(g)| <= 1 (pseudo-Cauchy-Schwarz), r_empty + sum |r_g| over the other
-coordinates bounds the SDP value, and OPT, from above.  The full-label table
-is one FFT per degree (`_full_moments_from_reduced`).  The loop runs under
-the BLAS-thread rule (`_kernels.blas_threads_for`) for its largest block: on
-one thread when every block is below `_kernels.ONE_THREAD_MAX_DIM`, as fast
-as two at those sizes for half the CPU; the count is restored afterwards.
+coordinates bounds the SDP value, and OPT, from above.  tol must be finite
+and positive and the cap at least 1 (ParameterError otherwise).  The
+full-label table is one FFT per degree (`_full_moments_from_reduced`) over
+a grid of ids built from the ranks of each slot subset's sub-subsets
+(`_fft_ids`).  The loop runs under the BLAS-thread rule
+(`_kernels.blas_threads_for`) for its largest block: on one thread when
+every block is below `_kernels.ONE_THREAD_MAX_DIM`, as fast as two at those
+sizes for half the CPU; the count is restored afterwards.
+
+Besides its eigensolves, an iteration makes a fixed, small set of numpy
+calls, as SCS's iteration is its cone projection plus a few cheap linear
+maps.  A and its adjoint are one gather, one multiply and one `bincount`
+each; a block goes to the eigensolver and comes back through the float
+positions `_Block` precomputes, one scaling and one scatter in, one gather
+and one multiply out, written straight into the iterate; c / rho is kept
+until rho changes; the dual residual is formed only on the iterations whose
+tests read it; and the temporaries an iteration consumes at once share one
+workspace.  All of it rounds as the plain formulas do, so the iterates do
+not depend on these choices.
 
 Every block is rank 1 at the optimum, so after the first step the smaller
 side of a block's spectrum usually holds one eigenpair.  Each block's
@@ -147,6 +161,7 @@ ADMM_OVER_RELAX = 1.6
 # The history is what sets the solve's peak memory; 20 doubles it.
 ANDERSON_MEMORY = 10
 ANDERSON_REG = 1e-10
+_TINY = np.finfo(float).tiny
 # ADMM's initial penalty, on the balancing rule's power-of-two lattice (each
 # change clears the Anderson history).  Iterations to the stopping test at
 # rho0 = 1/256, 1/128, 1/64, 1/32, 1/16:
@@ -597,38 +612,58 @@ def mixture_pe(num_vertices: int, k: int, weighted_assignments,
 class _Block:
     """A stored block, packed as its lower triangle (real parts, then a
     complex block's strictly lower imaginary parts), weighted sqrt(2) off
-    the diagonal and sqrt(weight) throughout: Frobenius inner products."""
+    the diagonal and sqrt(weight) throughout: Frobenius inner products.
+
+    Matrices are read and written through their floats (a complex entry's
+    real and imaginary parts adjacent), so `pack` is one gather and one
+    multiply and filling a matrix from a packed block is one unweighting
+    and one scatter, with no complex temporaries: `c_at` and `f_at` hold
+    each packed entry's position among the floats of a C-order and of a
+    Fortran-order matrix, and `w` its weight.  Unweighting divides a real
+    part by its weight but multiplies an imaginary part by the weight's
+    reciprocal (`imag_scale`), as the complex division (v_re + 1j v_im) / f
+    rounds (numpy divides by a complex denominator by Smith's method), so
+    the solver's iterates are those of that formula to the last bit."""
 
     def __init__(self, dim: int, real: bool, weight: float, start: int):
         self.dim, self.real, self.weight = dim, real, weight
         self.rows, self.cols = np.tril_indices(dim)
-        self.flat = self.rows * dim + self.cols      # in a C-order matrix
         self.off = self.rows != self.cols
         self.f = math.sqrt(weight) * np.where(self.off, math.sqrt(2.0), 1.0)
-        size = self.rows.size + (0 if real else int(self.off.sum()))
-        self.part = slice(start, start + size)
+        c_at = self.rows * dim + self.cols
+        f_at = self.cols * dim + self.rows
+        if real:
+            self.c_at, self.f_at, self.w = c_at, f_at, self.f
+        else:
+            self.c_at = np.concatenate((2 * c_at, 2 * c_at[self.off] + 1))
+            self.f_at = np.concatenate((2 * f_at, 2 * f_at[self.off] + 1))
+            self.w = np.concatenate((self.f, self.f[self.off]))
+            self.imag_scale = 1.0 / self.f[self.off]
+        self.part = slice(start, start + self.w.size)
 
-    def lower(self, v: np.ndarray) -> np.ndarray:
-        """The lower triangle of the block packed in v, in (rows, cols)
-        order."""
-        lower = v[:self.rows.size] / self.f
+    def unweighted(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The lower triangle of the block packed in v, its floats in packed
+        order, written into `out`."""
+        n = self.rows.size
+        np.divide(v[:n], self.f, out=out[:n])
         if not self.real:
-            lower = lower.astype(complex)
-            lower[self.off] += 1j * v[self.rows.size:] / self.f[self.off]
-        return lower
+            np.multiply(v[n:], self.imag_scale, out=out[n:])
+        return out
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
         """The lower triangle of the block packed in v (all `eigh` reads)."""
         M = np.zeros((self.dim, self.dim), dtype=float if self.real else complex)
-        M[self.rows, self.cols] = self.lower(v)
+        _floats(M)[self.c_at] = self.unweighted(v, np.empty(v.size))
         return M
 
-    def pack(self, M: np.ndarray) -> np.ndarray:
-        lower = M.take(self.flat)
-        if self.real:
-            return lower * self.f
-        return np.concatenate((lower.real * self.f,
-                               lower.imag[self.off] * self.f[self.off]))
+    def pack(self, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The block of the C-order matrix M packed (into `out` if given)."""
+        return np.multiply(_floats(M).take(self.c_at), self.w, out=out)
+
+
+def _floats(M: np.ndarray) -> np.ndarray:
+    """The floats of M in C order, flat: a view of a C-contiguous M."""
+    return M.reshape(-1).view(np.float64)
 
 
 class _BlockSplit:
@@ -656,22 +691,24 @@ class _BlockSplit:
         b = self.block
         if self.eig is None:
             self.eig = _kernels.PartialEig(b.dim, b.real)
-            # where the packed lower triangle goes in the column-major input
-            self.flat = self.eig.a.ravel(order="F")
-            self.at = b.cols * b.dim + b.rows
-        self.flat[self.at] = b.lower(s)
+            # the column-major input's floats, and the unweighted block
+            self.floats = self.eig.a.ravel(order="F").view(np.float64)
+            self.lower = np.empty(b.w.size)
+        self.floats[b.f_at] = b.unweighted(s, self.lower)
         bound = 1.0 + 2.0 * math.sqrt(s @ s) / math.sqrt(b.weight)
         self.partial_calls += 1
         return self.eig(*((0.0, bound) if self.positive else (-bound, 0.0)))
 
 
-def _psd_split(S: np.ndarray, split: _BlockSplit) -> np.ndarray:
-    """S_+ for the block of `split` packed in S: the PSD projection of the
-    symmetric or Hermitian block, rebuilt from its smaller eigenspace; the
-    split remembers that side.  When the side is predicted small
-    (`_BlockSplit.predicts`), only it is computed, but all of it, so the
-    split is exact and a wrong prediction costs only time; otherwise `eigh`
-    runs on the unpacked lower triangle, as on the first step."""
+def _psd_split(S: np.ndarray, split: _BlockSplit,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """S_+ for the block of `split` packed in S, written into `out` if
+    given: the PSD projection of the symmetric or Hermitian block, rebuilt
+    from its smaller eigenspace; the split remembers that side.  When the
+    side is predicted small (`_BlockSplit.predicts`), only it is computed,
+    but all of it, so the split is exact and a wrong prediction costs only
+    time; otherwise `eigh` runs on the unpacked lower triangle, as on the
+    first step."""
     partial = split.predicts()
     if partial:
         lam, V = split.side_pairs(S)
@@ -686,12 +723,12 @@ def _psd_split(S: np.ndarray, split: _BlockSplit) -> np.ndarray:
     part = (V * lam) @ V.conj().T
     split.positive, split.m = positive, lam.size
     if positive:
-        return split.block.pack(part)
+        return split.block.pack(part, out)
     if partial:
-        return S - split.block.pack(part)
+        return np.subtract(S, split.block.pack(part, out), out=out)
     # rounded as M - part, not S - pack(part): the iterates of the blocks
     # below dim 8, which always take this branch, stay the same
-    return split.block.pack(M - part)
+    return split.block.pack(np.subtract(M, part, out=part), out)
 
 
 class _ChargeLayout:
@@ -705,6 +742,7 @@ class _ChargeLayout:
         self._negation = np.arange(k - 2, -1, -1)
         self.rbasis = moment_index(n, k - 1, D // 2)
         self.rmoments = moment_index(n, k - 1, D)
+        self._negated = self.rmoments.relabel(self._negation)  # id of -g
         self._coordinates()
         B = self.rbasis.slots
         charge = B.sum(axis=1, dtype=np.int64) % k
@@ -737,7 +775,7 @@ class _ChargeLayout:
         and two for a pair: yhat(g) = y[re[g]] + 1j sign[g] y[im[g]]."""
         k, G = self.k, self.rmoments.slots
         ids = np.flatnonzero(G.sum(axis=1, dtype=np.int64) % k == 0)
-        partner = self.rmoments.relabel(self._negation)[ids]
+        partner = self._negated[ids]
         first, single = partner > ids, partner == ids
         width = np.where(first, 2, np.where(single, 1, 0))
         start = np.cumsum(width) - width
@@ -778,13 +816,24 @@ class _ChargeLayout:
         rows, cols, k = block.rows, block.cols, self.k
         # where each off-diagonal entry's imaginary part is packed
         imag_at = rows.size + np.cumsum(block.off) - 1
-        for (ga, qa), (gb, qb) in itertools.product(fns, fns):
+        (g1, _), (g2, _) = fns
+        # ids of g - g' for the term pairs (first, first), (first, second),
+        # ... at every entry; in a real block the second term's charge is
+        # the negation of the first's, so the pairs that start with it
+        # negate those that start with the first
+        diff = {(0, 0): self.rmoments.rank((B[g1[rows]] - B[g1[cols]]) % k)}
+        if block.real:
+            diff[0, 1] = self.rmoments.rank((B[g1[rows]] - B[g2[cols]]) % k)
+            diff[1, 0] = self._negated[diff[0, 1]]
+            diff[1, 1] = self._negated[diff[0, 0]]
+        for (a, b), ids in diff.items():
+            (_, qa), (_, qb) = fns[a], fns[b]
             at = np.flatnonzero((qa[rows] != 0) & (qb[cols] != 0))
             if not at.size:
                 continue
             r, c = rows[at], cols[at]
             alpha = qa[r] * qb[c].conj() * block.f[at]
-            m = self.rmoments.rank((B[ga[r]] - B[gb[c]]) % k)
+            m = ids[at]
             re, im, sign = self.re[m], self.im[m], self.sign[m]
             yield at, re, alpha.real
             yield at, im, -sign * alpha.imag
@@ -795,12 +844,15 @@ class _ChargeLayout:
 
     def A(self, y: np.ndarray) -> np.ndarray:
         """The packed blocks of the moment matrix of coordinates y."""
-        return np.bincount(self.t_row, weights=self.t_coef * y[self.t_col],
+        terms = y.take(self.t_col)
+        terms *= self.t_coef
+        return np.bincount(self.t_row, weights=terms,
                            minlength=self.packed_size)
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        return np.bincount(self.t_col, weights=self.t_coef * r[self.t_row],
-                           minlength=self.size)
+        terms = r.take(self.t_row)
+        terms *= self.t_coef
+        return np.bincount(self.t_col, weights=terms, minlength=self.size)
 
     def psd_split(self, s: np.ndarray, splits: list):
         """(S_+, S - S_+) of the packed blocks s, block by block, with one
@@ -808,7 +860,7 @@ class _ChargeLayout:
         plus = np.empty_like(s)
         for split in splits:
             part = split.block.part
-            plus[part] = _psd_split(s[part], split)
+            _psd_split(s[part], split, plus[part])
         return plus, s - plus
 
     def moments(self, y: np.ndarray) -> np.ndarray:
@@ -925,9 +977,31 @@ def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
 @functools.lru_cache(maxsize=16)
 def _fft_ids(n: int, k: int, D: int) -> np.ndarray:
     """Per full-label key, the id of the charge monomial whose charges are
-    its labels (label 0 drops the slot): the grid the FFT transforms."""
-    L = moment_index(n, k, D).slots
-    return moment_index(n, k - 1, D).rank(np.where(L > 0, L - 1, 0))
+    its labels (label 0 drops the slot): the grid the FFT transforms.
+
+    At degree d a key's charge monomial keeps the slots of its nonzero
+    labels, so its id is the rank of that sub-subset of the key's subset
+    plus a term of the label code alone: the 2^d sub-subsets of every
+    d-subset are ranked once, and each code picks its own."""
+    full, charge = moment_index(n, k, D), moment_index(n, k - 1, D)
+    out = []
+    for d, subsets in enumerate(full.subsets):
+        bit = 1 << np.arange(d - 1, -1, -1)     # place i's bit in a mask
+        kept = np.arange(2**d)[:, None] & bit > 0   # kept[mask, i]
+        chosen = np.zeros((len(subsets), n, 2**d), dtype=bool)
+        chosen[np.arange(len(subsets))[:, None], subsets] = kept.T
+        sub = charge.subset_rank(chosen.transpose(0, 2, 1))
+        sub *= charge._kpow[kept.sum(axis=1)]
+        # per code: its drop mask, and the charge degree and code it keeps
+        labels = np.indices((k,) * d).reshape(d, k**d)
+        nonzero = labels > 0
+        mask = bit @ nonzero
+        code = np.zeros(k**d, dtype=np.int64)
+        for i in range(d):
+            code = np.where(nonzero[i], code * (k - 1) + labels[i] - 1, code)
+        out.append((sub[:, mask] + (charge.offset[nonzero.sum(0)]
+                                    + code)).ravel())
+    return np.concatenate(out)
 
 
 def _full_moments_from_reduced(yhat: np.ndarray, n: int, k: int,
@@ -973,6 +1047,7 @@ class _Anderson:
         self.dT = np.empty((self.memory, dim))
         self.dG = np.empty((self.memory, dim))
         self.gram = np.empty((self.memory, self.memory))
+        self.eye = np.eye(self.memory)
         self.reset()
 
     def reset(self):
@@ -1005,8 +1080,8 @@ class _Anderson:
         m = min(self.count, self.memory)
         H = self.gram[:m, :m]
         # the tiny floor keeps an all-zero history solvable (c = 0)
-        reg = ANDERSON_REG * np.trace(H) + np.finfo(float).tiny
-        coef = np.linalg.solve(H + reg * np.eye(m), self.dG[:m] @ g)
+        reg = ANDERSON_REG * H.trace() + _TINY
+        coef = np.linalg.solve(H + reg * self.eye[:m, :m], self.dG[:m] @ g)
         s = coef @ self.dT[:m]
         np.subtract(T, s, out=s)
         return s
@@ -1025,10 +1100,16 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     iteration count, both residuals, the final rho in flags["rho"], the
     number of block projections that took the partial eigensolver in
     flags["partial_projections"], and "unconverged": True if the iteration
-    cap was hit."""
+    cap was hit.  A cap below 1, or a tol that is not finite and positive,
+    raises ParameterError."""
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be at least 1, not {max_iters}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be finite and positive, not {tol}")
     lay = problem.layout
     c = problem.objective_vec
     rho = ADMM_RHO0
+    c_rho = c / rho
     # start from the uniform independent distribution (feasible, interior)
     y = np.zeros(lay.size)
     y[0] = 1.0
@@ -1039,17 +1120,25 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     converged = False
     accel = _Anderson(lay.packed_size)
     splits = [_BlockSplit(b) for b in lay.blocks]
+    # the temporaries that an iteration consumes as soon as it forms them
+    work, work2 = np.empty((2, lay.packed_size))
     with _kernels.blas_threads_for(max(b.dim for b in lay.blocks)):
         for it in range(max_iters):
             # y-update: diagonal normal equations
-            y_new = (c / rho + lay.adjoint(X - U)) / lay.counts
+            y_new = lay.adjoint(np.subtract(X, U, out=work))
+            y_new += c_rho
+            y_new /= lay.counts
             y_new[0] = 1.0
             Ay = lay.A(y_new)
             # the Douglas-Rachford map of the current point S = X + U is
             # T = gamma A(y) + (1 - gamma) X + U, with residual gamma (A(y) - X)
-            if accel.accepts(gamma * (Ay - X)):
+            g = np.subtract(Ay, X)
+            g *= gamma
+            if accel.accepts(g):
                 # T takes U's buffer, which the iteration no longer reads
-                T = np.add(gamma * Ay + (1.0 - gamma) * X, U, out=U)
+                np.multiply(Ay, gamma, out=work)
+                work += np.multiply(X, 1.0 - gamma, out=work2)
+                T = np.add(work, U, out=U)
                 plain = (y_new, X, T)
                 S = accel.step(T)
             else:
@@ -1058,9 +1147,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                 Ay = lay.A(y_new)
             # X-update: PSD projection; U takes the negative part
             X_new, U = lay.psd_split(S, splits)
-            r_pri, r_dua = Ay - X_new, lay.adjoint(X_new - X)
+            r_pri = np.subtract(Ay, X_new, out=work)
             pri = math.sqrt(r_pri @ r_pri)
-            dua = rho * math.sqrt(r_dua @ r_dua)
+            # the dual residual is read only by the stopping test once the
+            # primal one passes, by the rebalancing and by the last flags
+            if pri <= tol or it % 50 == 49 or it == max_iters - 1:
+                r_dua = lay.adjoint(np.subtract(X_new, X, out=work))
+                dua = rho * math.sqrt(r_dua @ r_dua)
             X = X_new
             y = y_new
             if pri <= tol and dua <= tol:
@@ -1068,15 +1161,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                 if abs(c @ y - r[0]) <= tol:
                     converged = True
                     break
-            if it % 50 == 49:
-                if pri > 10.0 * dua:
-                    rho *= 2.0
-                    U /= 2.0
-                    accel.reset()
-                elif dua > 10.0 * pri:
-                    rho /= 2.0
-                    U *= 2.0
-                    accel.reset()
+            if it % 50 == 49 and (pri > 10.0 * dua or dua > 10.0 * pri):
+                scale = 2.0 if pri > dua else 0.5
+                rho *= scale
+                U /= scale
+                c_rho = c / rho
+                accel.reset()
     inst = problem.inst
     moments = _full_moments_from_reduced(lay.moments(y), inst.num_vertices,
                                          inst.k, problem.degree)

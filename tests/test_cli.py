@@ -143,6 +143,19 @@ def test_exit_code_size_cap(capsys):
     assert "size cap" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-7", "nan", "inf"])
+def test_solve_round_rejects_a_tolerance_it_cannot_meet(tmp_path, capsys,
+                                                       tol):
+    # a stopping test that can never pass would run the full iteration cap
+    inst_path = tmp_path / "inst.json"
+    run(capsys, "gen", "--family", "hypercube", "--d", "2", "--alpha", "0.3",
+        "--k", "2", "--eps", "0.0", "--seed", "1", "--out", str(inst_path))
+    code, out, err = run(capsys, "solve-round", "--family", "file", "--path",
+                         str(inst_path), "--degree", "2", f"--tol={tol}")
+    assert code == 3 and out == ""
+    assert "parameter error: tol must be finite and positive" in err
+
+
 def test_verify_unknown_only_is_parameter_error(capsys):
     code, _, err = run(capsys, "verify", "--only", "nonexistent")
     assert code == 3

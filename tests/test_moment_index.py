@@ -102,6 +102,47 @@ def test_grid_tables_match_per_key_ranking(n, k, D, copies, seed):
     assert np.array_equal(sos._product_ids(index), index.mul(rows, cols))
 
 
+@pytest.mark.parametrize("n, k, D", [(8, 3, 4), (10, 3, 4), (6, 2, 4),
+                                     (5, 4, 4), (6, 3, 6), (0, 3, 4)])
+def test_fft_ids_match_per_key_ranking(n, k, D):
+    # the charge monomial of every full-label key, ranked key by key
+    L = MomentIndex(n, k, D).slots
+    ref = MomentIndex(n, k - 1, D).rank(np.where(L > 0, L - 1, 0))
+    assert np.array_equal(sos._fft_ids.__wrapped__(n, k, D), ref)
+
+
+class _RankEveryPair(sos._ChargeLayout):
+    """The charge layout with every basis-term pair's differences ranked
+    directly, the reference for the negation shortcut."""
+
+    def _entries(self, block, fns, B):
+        rows, cols, k = block.rows, block.cols, self.k
+        imag_at = rows.size + np.cumsum(block.off) - 1
+        for (ga, qa), (gb, qb) in itertools.product(fns, fns):
+            at = np.flatnonzero((qa[rows] != 0) & (qb[cols] != 0))
+            if not at.size:
+                continue
+            r, c = rows[at], cols[at]
+            alpha = qa[r] * qb[c].conj() * block.f[at]
+            m = self.rmoments.rank((B[ga[r]] - B[gb[c]]) % k)
+            re, im, sign = self.re[m], self.im[m], self.sign[m]
+            yield at, re, alpha.real
+            yield at, im, -sign * alpha.imag
+            if not block.real:
+                off = block.off[at]
+                yield imag_at[at[off]], re[off], alpha.imag[off]
+                yield imag_at[at[off]], im[off], (sign * alpha.real)[off]
+
+
+@pytest.mark.parametrize("n, k, D", [(3, 3, 4), (3, 4, 6), (10, 3, 4),
+                                     (4, 2, 4), (5, 5, 4), (4, 3, 6),
+                                     (6, 6, 4), (1, 3, 2)])
+def test_charge_layout_matches_ranking_every_pair(n, k, D):
+    got, ref = sos._ChargeLayout(n, k, D), _RankEveryPair(n, k, D)
+    for name in ("t_row", "t_col", "t_coef", "counts"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
     # the grid tables rank subsets only; the charge frame's two rankings
     # of the product basis's copies are all `rank` calls left

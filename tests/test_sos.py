@@ -225,6 +225,21 @@ def test_johnson52_iterations_pinned():
     assert pE.flags["rho"] == sos.ADMM_RHO0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_iters": 0}, {"max_iters": -3}, {"tol": 0.0}, {"tol": -1e-7},
+    {"tol": float("nan")}, {"tol": float("inf")}])
+def test_solver_rejects_arguments_it_cannot_run_with(kwargs):
+    problem = build_relaxation(make_triangle(3), 2)
+    with pytest.raises(ParameterError):
+        solve_sdp(problem, **kwargs)
+
+
+def test_solver_stops_at_a_one_iteration_cap():
+    pE = solve_sdp(build_relaxation(make_triangle(3), 2), max_iters=1)
+    assert pE.flags["iterations"] == 1 and pE.flags["unconverged"]
+    assert np.isfinite(pE.flags["dual_residual"])
+
+
 def _affine_contraction(rng, p):
     """T(s) = L s + b on vectors of length p, with |L| = 0.9."""
     L = rng.normal(size=(p, p))
@@ -474,6 +489,105 @@ def test_partial_psd_split_matches_clipped_reconstruction(
     assert len(seen) == 2 * len(cases)
 
 
+def _reference_lower(block, v):
+    """The lower triangle of the block packed in v by the complex formula
+    (v_re + 1j v_im) / f, entry by entry: the reference for the float
+    maps."""
+    n = block.rows.size
+    lower = v[:n] / block.f
+    if not block.real:
+        lower = lower.astype(complex)
+        lower[block.off] += 1j * v[n:] / block.f[block.off]
+    return lower
+
+
+def _reference_pack(block, M):
+    lower = M[block.rows, block.cols]
+    if block.real:
+        return lower * block.f
+    return np.concatenate((lower.real * block.f,
+                           lower.imag[block.off] * block.f[block.off]))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 9, 36, 41, 50, 57])
+def test_block_maps_equal_the_complex_formulas_exactly(monkeypatch, dim,
+                                                        real):
+    rng = np.random.default_rng(dim)
+    block = sos._Block(dim, real, 1.0 if real else 2.0, 0)
+    n = block.rows.size
+    packed = []
+    for _ in range(2):
+        v = rng.normal(size=block.w.size)
+        # mantissa 1.5: there dividing by sqrt(2) sqrt(2) and multiplying by
+        # its reciprocal, as complex division by a real does, round apart
+        v[::3] = (rng.choice([-1.5, 1.5], size=v[::3].size)
+                  * 2.0 ** rng.integers(-30, 30, size=v[::3].size))
+        packed.append(v)
+    if not real:
+        f = block.f[block.off]
+        assert np.any(v[n:] / f != v[n:] * (1.0 / f))
+    refs = []
+    for v in packed:
+        ref = np.zeros((dim, dim), dtype=float if real else complex)
+        ref[block.rows, block.cols] = _reference_lower(block, v)
+        refs.append(ref)
+        M = block.unpack(v)
+        assert M.dtype == ref.dtype and np.array_equal(M, ref)
+        # pack reads the lower triangle of any C-order matrix
+        full = rng.normal(size=(dim, dim))
+        if not real:
+            full = full + 1j * rng.normal(size=(dim, dim))
+        out = np.full(block.w.size + 2, np.nan)
+        assert block.pack(full, out[1:-1]) is not None
+        assert np.array_equal(out[1:-1], _reference_pack(block, full))
+        assert np.isnan(out[[0, -1]]).all()
+        assert np.array_equal(block.pack(ref), _reference_pack(block, ref))
+    if not _kernels.PartialEig.available(real):
+        return
+    # the column-major fill that the partial eigensolver reads, twice into
+    # one buffer
+    seen = []
+
+    def record(self, vl, vu):
+        seen.append(self.a.copy(order="A"))
+        return np.zeros(0), np.zeros((dim, 0))
+
+    monkeypatch.setattr(_kernels.PartialEig, "__call__", record)
+    split = sos._BlockSplit(block)
+    for v in packed:
+        split.side_pairs(v)
+    assert all(a.flags.f_contiguous for a in seen)
+    assert all(np.array_equal(a, ref) for a, ref in zip(seen, refs))
+
+
+@pytest.mark.parametrize("npos, hint", [(3, None), (37, None), (3, 3),
+                                        (37, 37)],
+                         ids=["eigh-positive", "eigh-negative",
+                              "partial-positive", "partial-negative"])
+def test_psd_split_into_a_slice_equals_its_return_value(rng, npos, hint):
+    if hint is not None and not (_kernels.PartialEig.available(True)
+                                 and _kernels.PartialEig.available(False)):
+        pytest.skip("no LAPACKE dsyevr/zheevr in the BLAS")
+    lam = _spectrum(rng, npos)
+    for S in (_rotated(rng, lam), _rotated(rng, lam, complex_=True)):
+        real = not np.iscomplexobj(S)
+        block = sos._Block(lam.size, real, 1.0 if real else 2.0, 3)
+        P = np.concatenate((np.zeros(3), block.pack(S), np.zeros(2)))
+
+        def split():
+            if hint is None:
+                return sos._BlockSplit(block)
+            return _hinted_split(block, hint)
+
+        returned = sos._psd_split(P[block.part], split())
+        out = np.full(P.size, np.nan)
+        written = sos._psd_split(P[block.part], split(), out[block.part])
+        assert np.shares_memory(written, out)
+        assert np.array_equal(out[block.part], returned)
+        assert np.isnan(out[:3]).all() and np.isnan(out[-2:]).all()
+
+
 @needs_partial_eig
 @pytest.mark.parametrize("real", [True, False])
 def test_partial_eigensolver_reports_lapack_errors(real):
@@ -481,6 +595,27 @@ def test_partial_eigensolver_reports_lapack_errors(real):
     eig.a[...] = np.eye(4)
     with pytest.raises(np.linalg.LinAlgError):
         eig(1.0, 0.0)                                   # empty range vl >= vu
+
+
+@needs_partial_eig
+@pytest.mark.parametrize("poison", [-5.0, np.nan, 3e7])
+@pytest.mark.parametrize("real", [True, False])
+def test_partial_eigensolver_sizes_ignore_freed_memory(poison, real):
+    # small numpy buffers freed just before construction are handed to its
+    # one-element workspace-query outputs; dsyevr's query never writes rwork
+    freed = [np.full(1, poison) for _ in range(8)]
+    del freed
+    eig = _kernels.PartialEig(57, real)
+    if real:
+        assert eig.rwork.size == 0
+    else:
+        assert 0 < eig.rwork.size <= 100 * 57
+    assert 0 < eig.work.size <= 100 * 57 and 0 < eig.iwork.size <= 100 * 57
+    S = _rotated(np.random.default_rng(0), _spectrum(
+        np.random.default_rng(1), 3, dim=57), complex_=not real)
+    eig.a[...] = S
+    w, _ = eig(0.0, 10.0)
+    assert np.allclose(w, np.linalg.eigvalsh(S)[-3:], rtol=0, atol=1e-12)
 
 
 def test_partial_path_needs_dimension_eight():
