@@ -25,7 +25,7 @@ through ctypes on first use, not at import.  Its buffers are allocated once
 per `PartialEig`, sized by one workspace query, and their pointers kept,
 because at the solver's block sizes (dim 8 to 300) the per-call overhead of
 fetching them is a visible part of the call.  The solver uses it only on
-blocks of dimension 8 and more (`sos.PARTIAL_EIG_DIVISOR`).
+blocks of dimension 8 and more (`admm.PARTIAL_EIG_DIVISOR`).
 """
 import contextlib
 import ctypes

@@ -87,12 +87,6 @@ class SpectralData:
     eigenvectors: np.ndarray
     transition: np.ndarray
 
-    def inner(self, f, g) -> float:
-        return float(np.sum(self.pi * np.asarray(f) * np.asarray(g)))
-
-    def apply_walk(self, f) -> np.ndarray:
-        return self.transition @ np.asarray(f)
-
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -270,8 +264,9 @@ def expansion(g: WeightedGraph, spectral: SpectralData, f) -> ExpansionReport:
     """Dirichlet form <f, Lf>_pi, mean E_pi[f], and (for 0/1-valued f) the
     edge expansion phi(S) = <f, Lf>_pi / E_pi[f]."""
     f = np.asarray(f, dtype=float)
-    dirichlet = spectral.inner(f, f) - spectral.inner(f, spectral.apply_walk(f))
-    mean = float(np.sum(spectral.pi * f))
+    pi, walk = spectral.pi, spectral.transition @ f
+    dirichlet = float(np.sum(pi * f * f)) - float(np.sum(pi * f * walk))
+    mean = float(np.sum(pi * f))
     is_indicator = np.all((np.abs(f) < 1e-12) | (np.abs(f - 1.0) < 1e-12))
     phi = None
     if is_indicator:

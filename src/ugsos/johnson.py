@@ -21,7 +21,8 @@ import numpy as np
 from ugsos.errors import ParameterError, SizeCapError
 from ugsos.graphs import WeightedGraph, johnson_cayley_graph
 from ugsos.instances import UgInstance
-from ugsos.rounding import RoundingOutcome, cr_val, partial_to_full
+from ugsos.rounding import (RoundingOutcome, _conditioned, _edge_arrays,
+                            _score, cond_marginals, partial_to_full)
 from ugsos.sos import PseudoExpectation
 
 LEVEL_CAP = 10**5
@@ -140,28 +141,27 @@ class LevelDecomposition:
     level_weights: tuple     # eta_i = <F_i, F_i>_pi
     reduced: tuple           # f_{i,F} as tensors on [n]^i
     densities: tuple         # D_j: mean over all but the first j coordinates
-    invariant: bool          # F permutation-invariant; else c6 is not checked
     parseval_residual: float
     pointwise_residual: float
     c6_residual: float
 
 
 def _is_permutation_invariant(F: np.ndarray) -> bool:
-    axes = range(F.ndim)
     return all(np.allclose(F, np.transpose(F, p), atol=1e-10)
-               for p in itertools.permutations(axes))
+               for p in itertools.permutations(range(F.ndim)))
 
 
 def level_decompose(F: np.ndarray) -> LevelDecomposition:
     """Split F on [n]^l into level functions by inclusion-exclusion over
     restriction densities: f_i(X) = sum_{B subset [i]} (-1)^(i-|B|) D_|B|(X_B)
-    and F_i(X) = sum_{|I|=i} f_i(X|_I)."""
+    and F_i(X) = sum_{|I|=i} f_i(X|_I).  F must be permutation-invariant, as
+    D_|B| stands at every axis subset B (ParameterError otherwise)."""
     F = np.asarray(F, dtype=float)
-    l = F.ndim
-    n = F.shape[0]
+    l, n = F.ndim, F.shape[0]
     if F.size > LEVEL_CAP:
         raise SizeCapError(f"level_decompose caps at n^l <= {LEVEL_CAP}")
-    invariant = _is_permutation_invariant(F)
+    if not _is_permutation_invariant(F):
+        raise ParameterError("level_decompose needs a permutation-invariant F")
     # D_j: average over the last l - j axes
     D = [F.mean(axis=tuple(range(j, l))) if j < l else F for j in range(l + 1)]
     # f_i on [n]^i by inclusion-exclusion; broadcasting D_|B| onto axes B
@@ -170,33 +170,24 @@ def level_decompose(F: np.ndarray) -> LevelDecomposition:
         f = np.zeros((n,) * i)
         for rsize in range(i + 1):
             for B in itertools.combinations(range(i), rsize):
-                block = D[rsize]
-                # expand to i axes with the rsize axes of block placed at B
-                shape = [1] * i
-                for pos, ax in enumerate(B):
-                    shape[ax] = n
-                expanded = block.reshape(shape) if rsize else np.full((1,) * i if i else (), float(block))
-                f = f + (-1) ** (i - rsize) * expanded
+                shape = [n if ax in B else 1 for ax in range(i)]
+                f = f + (-1) ** (i - rsize) * np.reshape(D[rsize], shape)
         reduced.append(f)
     # F_i = sum over i-subsets I of axes of f_i(X|_I)
     levels = []
     for i in range(l + 1):
         Fi = np.zeros((n,) * l)
         for I in itertools.combinations(range(l), i):
-            shape = [1] * l
-            for ax in I:
-                shape[ax] = n
+            shape = [n if ax in I else 1 for ax in range(l)]
             Fi = Fi + reduced[i].reshape(shape)
         levels.append(Fi)
     eta = tuple(float(np.mean(Fi**2)) for Fi in levels)
     parseval = abs(sum(eta) - float(np.mean(F**2)))
     pointwise = float(np.max(np.abs(sum(levels) - F)))
-    c6 = 0.0
-    if invariant:
-        c6 = max(abs(eta[i] - comb(l, i) * float(np.mean(reduced[i]**2)))
-                 for i in range(l + 1))
+    c6 = max(abs(eta[i] - comb(l, i) * float(np.mean(reduced[i]**2)))
+             for i in range(l + 1))
     return LevelDecomposition(tuple(levels), eta, tuple(reduced), tuple(D),
-                              invariant, parseval, pointwise, c6)
+                              parseval, pointwise, c6)
 
 
 @dataclass(frozen=True)
@@ -318,13 +309,14 @@ def structure_report_csv(reports) -> str:
 
 def find_best_subcube(pE, inst: UgInstance, graph: WeightedGraph,
                       r_max: int):
-    """Maximize Condition & Round value over all restricted subcubes J|_A
-    with |A| <= r_max; ties go to smaller |A|, then lexicographic A."""
+    """Maximize `cr_val` over restricted subcubes J|_A, |A| <= r_max (pE
+    conditioned once); ties go to smaller |A|, then lexicographic A."""
     n = graph.meta.get("n")
     if n is None:
         raise ParameterError("graph lacks Johnson metadata")
     if comb(n, max(r_max, 1)) > SUBCUBE_CAP:
         raise SizeCapError(f"subcube search caps at C(n, r) <= {SUBCUBE_CAP}")
+    cond = cond_marginals(pE)
     best = None
     for r in range(r_max + 1):
         for A in itertools.combinations(range(n), r):
@@ -333,9 +325,10 @@ def find_best_subcube(pE, inst: UgInstance, graph: WeightedGraph,
             if len(verts) < 2:
                 continue
             try:
-                cv = cr_val(pE, inst, verts)
+                edges = _edge_arrays(inst, verts)
             except ParameterError:
                 continue  # no internal edges
+            cv = float(np.mean(_score(_conditioned(cond, verts), edges)))
             if best is None or cv > best[1] + 1e-15:
                 best = (sub, cv)
     if best is None:

@@ -103,20 +103,22 @@ def cond_marginals(pE: PseudoExpectation) -> tuple[np.ndarray, np.ndarray]:
     Tiny negative entries from an approximately-PSD table are clipped and the
     rows renormalized (`_clip_renormalize`).  Q[u] of a vertex whose mass is
     at or below COND_FLOOR means nothing; callers skip such vertices or
-    reject them (`_check_mass`)."""
+    reject them (`_conditioned`)."""
     joint = pair_moments(pE)[:, :, 0, :]
     mass = joint[:, :, 0].diagonal()
     safe = np.where(mass > COND_FLOOR, mass, 1.0)
     return _clip_renormalize(joint / safe[:, None, None]), mass
 
 
-def _check_mass(mass: np.ndarray, us) -> None:
-    """NullEventError naming the first vertex of `us` that cannot be
-    conditioned on."""
+def _conditioned(cond, us) -> np.ndarray:
+    """Q[us] of the conditioned table cond = (Q, mass); NullEventError names
+    the first vertex of `us` that cannot be conditioned on."""
+    Q, mass = cond
     for u in us:
         if mass[u] <= COND_FLOOR:
             raise NullEventError(
                 f"pE[X_{u},0] = {mass[u]:.3e} below floor {COND_FLOOR}")
+    return Q[us]
 
 
 def _clip_renormalize(q: np.ndarray) -> np.ndarray:
@@ -172,11 +174,14 @@ def ind_val(pE: PseudoExpectation, inst: UgInstance) -> float:
 
 def closed_form_cr(pE: PseudoExpectation, inst: UgInstance) -> float:
     """E_{u~pi} of the conditioned independent-rounding value."""
+    return _closed_form(cond_marginals(pE), inst)
+
+
+def _closed_form(cond, inst: UgInstance) -> float:
+    """`closed_form_cr` from the conditioned table cond = (Q, mass)."""
     pi = inst.stationary
     us = np.flatnonzero(pi > 0)
-    Q, mass = cond_marginals(pE)
-    _check_mass(mass, us)
-    return float(pi[us] @ _score(Q[us], _edge_arrays(inst)))
+    return float(pi[us] @ _score(_conditioned(cond, us), _edge_arrays(inst)))
 
 
 def cr_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
@@ -186,9 +191,7 @@ def cr_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
     if not H:
         raise ParameterError("subgraph H is empty")
     edges = _edge_arrays(inst, H)
-    Q, mass = cond_marginals(pE)
-    _check_mass(mass, H)
-    return float(np.mean(_score(Q[H], edges)))
+    return float(np.mean(_score(_conditioned(cond_marginals(pE), H), edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ def condition_and_round(pE: PseudoExpectation, inst: UgInstance,
     return RoundingOutcome(
         assignment=y.astype(np.int64),
         achieved_value=value(inst, y),
-        expected_value=closed_form_cr(pE, inst),
+        expected_value=_closed_form((Q, mass), inst),
         seed=seed)
 
 
@@ -232,14 +235,14 @@ def monte_carlo_cr(pE: PseudoExpectation, inst: UgInstance, n_samples: int,
     pi = inst.stationary
     n = inst.num_vertices
     eu, ev, w, s = _edge_arrays(inst)
-    Q, mass = cond_marginals(pE)
+    cond = cond_marginals(pE)
     us = rng.choice(n, size=n_samples, p=pi)
-    _check_mass(mass, np.unique(us))
+    drawn = np.unique(us)
     out = np.empty(n_samples)
-    for u in np.unique(us):
+    for u, q in zip(drawn, _conditioned(cond, drawn)):
         sel = us == u
         b = int(sel.sum())
-        cum = Q[u].cumsum(axis=1)
+        cum = q.cumsum(axis=1)
         y = (rng.random((b, n))[:, :, None] > cum[None, :, :]).sum(axis=2)
         sat = (y[:, eu] - y[:, ev]) % inst.k == s[None, :]
         out[sel] = sat @ w

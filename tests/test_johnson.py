@@ -72,10 +72,17 @@ def test_level_decomposition_identities():
     for _ in range(10):
         F = random_invariant(rng, 5, 2)
         dec = level_decompose(F)
-        assert dec.invariant
         assert dec.parseval_residual <= 1e-8
         assert dec.pointwise_residual <= 1e-8
         assert dec.c6_residual <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 3, 3)])
+def test_level_decompose_rejects_a_non_invariant_function(shape):
+    # decomposed anyway, these two would get levels that are not orthogonal,
+    # with Parseval residuals 0.087 and 0.118
+    with pytest.raises(ParameterError, match="permutation-invariant"):
+        level_decompose(np.random.default_rng(0).random(shape))
 
 
 def test_restriction_recursion():
@@ -175,6 +182,25 @@ def test_find_best_subcube_prefers_whole_graph_when_satisfiable(
     pE = symmetrize(solve_sdp(build_relaxation(inst, 2), tol=1e-6))
     sub, cv = find_best_subcube(pE, inst, g, r_max=1)
     assert cv >= 1.0 - 1e-4
+
+
+def test_find_best_subcube_conditions_once(planted_johnson, monkeypatch):
+    # the six candidates (the whole graph and five stars) are scored from
+    # one conditioned table, each as cr_val scores its vertices
+    from ugsos import rounding
+    g, inst, _ = planted_johnson
+    pE = symmetrize(solve_sdp(build_relaxation(inst, 2), tol=1e-6))
+    calls, read = [], rounding.pair_moments
+    monkeypatch.setattr(rounding, "pair_moments",
+                        lambda pE: calls.append(pE) or read(pE))
+    scored = []
+    for r in (0, 1):
+        calls.clear()
+        scored.append(find_best_subcube(pE, inst, g, r_max=r))
+        assert len(calls) == 1
+    monkeypatch.undo()
+    for sub, cv in scored:
+        assert cv == rounding.cr_val(pE, inst, subcube_vertices(g, sub))
 
 
 def test_pipeline_degree2_recovers_planted(planted_johnson):

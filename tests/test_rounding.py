@@ -322,6 +322,20 @@ def test_monte_carlo_needs_a_sample(cube_pe, cube_inst, n_samples):
         monte_carlo_cr(cube_pe, inst, n_samples, seed=0)
 
 
+def test_condition_and_round_conditions_once(cube3_pe, cube3_inst,
+                                            monkeypatch):
+    # the draw and the closed-form expectation read one conditioned table,
+    # and the expectation is closed_form_cr's to the last bit
+    _, inst, _ = cube3_inst
+    calls, read = [], rounding.cond_marginals
+    monkeypatch.setattr(rounding, "cond_marginals",
+                        lambda pE: calls.append(pE) or read(pE))
+    out = condition_and_round(cube3_pe, inst, seed=0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert out.expected_value == closed_form_cr(cube3_pe, inst)
+
+
 def test_each_rounding_call_reads_the_pair_moments_once(
         cube3_pe, cube3_inst, monkeypatch):
     # the conditioned table for every vertex comes from one pair_moments

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos import _kernels, sos
+from ugsos import _kernels, admm, sos
 from ugsos.errors import (DegreeError, NullEventError, ParameterError,
                           SizeCapError)
 from ugsos.graphs import johnson_graph, noisy_hypercube
@@ -204,7 +204,7 @@ def test_solver_iterates_pinned():
     pE = solve_sdp(build_relaxation(inst, 4))
     assert pE.flags["iterations"] == 28
     assert abs(pE.flags["sdp_value"] - 0.9999999997010671) <= 1e-10
-    assert pE.flags["rho"] == sos.ADMM_RHO0
+    assert pE.flags["rho"] == admm.ADMM_RHO0
 
 
 def test_cube3_iterations_pinned(cube3_pe):
@@ -222,7 +222,7 @@ def test_johnson52_iterations_pinned():
     inst, _ = plant_instance(johnson_graph(5, 2, 0.5), 3, 0.05, seed=0)
     pE = solve_sdp(build_relaxation(inst, 4), tol=3e-3)
     assert pE.flags["iterations"] == 36
-    assert pE.flags["rho"] == sos.ADMM_RHO0
+    assert pE.flags["rho"] == admm.ADMM_RHO0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -254,7 +254,7 @@ def test_anderson_solves_an_affine_contraction_in_memory_plus_one_steps(seed):
     # point within memory + 1 steps, where the plain iteration would still
     # be at about 0.9^11 of its start
     rng = np.random.default_rng(seed)
-    accel = sos._Anderson(6)
+    accel = admm._Anderson(6)
     T = _affine_contraction(rng, 6)
     s = np.zeros(6)
     g0 = np.linalg.norm(T(s) - s)
@@ -269,7 +269,7 @@ def test_anderson_solves_an_affine_contraction_in_memory_plus_one_steps(seed):
 
 def test_anderson_empty_history_is_the_plain_step():
     rng = np.random.default_rng(1)
-    accel = sos._Anderson(10)
+    accel = admm._Anderson(10)
     T = rng.normal(size=10)
     assert accel.accepts(rng.normal(size=10))
     assert accel.step(T) is T and accel.count == 0
@@ -279,7 +279,7 @@ def test_anderson_empty_history_is_the_plain_step():
 
 def test_anderson_safeguard_rejects_a_worse_point_and_clears_history():
     rng = np.random.default_rng(2)
-    accel = sos._Anderson(6)
+    accel = admm._Anderson(6)
     v = rng.normal(size=6)
     accel.accepts(v)
     accel.step(v)
@@ -301,8 +301,8 @@ def test_anderson_history_resets_on_each_penalty_change(cube3_inst,
     # whether or not the safeguard then rejects the extrapolated point
     iters, resets, plain_after = [], [], []
     inside = []
-    accepts, step, reset = (sos._Anderson.accepts, sos._Anderson.step,
-                            sos._Anderson.reset)
+    accepts, step, reset = (admm._Anderson.accepts, admm._Anderson.step,
+                            admm._Anderson.reset)
 
     def spy_accepts(self, g):
         iters.append(True)
@@ -322,16 +322,16 @@ def test_anderson_history_resets_on_each_penalty_change(cube3_inst,
             resets.append(len(iters))
         reset(self)
 
-    monkeypatch.setattr(sos._Anderson, "accepts", spy_accepts)
-    monkeypatch.setattr(sos._Anderson, "step", spy_step)
-    monkeypatch.setattr(sos._Anderson, "reset", spy_reset)
+    monkeypatch.setattr(admm._Anderson, "accepts", spy_accepts)
+    monkeypatch.setattr(admm._Anderson, "step", spy_step)
+    monkeypatch.setattr(admm._Anderson, "reset", spy_reset)
     _, inst, _ = cube3_inst
     problem = build_relaxation(inst, 4)
     # from rho0 = 1/64 this solve never rebalances; from these it does
     for rho0 in (1.0, 1.0 / 1024):
         for record in (iters, resets, plain_after):
             record.clear()
-        monkeypatch.setattr(sos, "ADMM_RHO0", rho0)
+        monkeypatch.setattr(admm, "ADMM_RHO0", rho0)
         solve_sdp(problem, tol=1e-4)
         # rho is rebalanced only after every 50th iteration; this solve does
         # so at least once, and the step after each such reset is the plain
@@ -404,12 +404,12 @@ def test_psd_split_matches_clipped_reconstruction(rng, npos, nzero, exact):
         cases = [_rotated(rng, lam), _rotated(rng, lam, complex_=True)]
     for S in cases:
         real = not np.iscomplexobj(S)
-        block = sos._Block(lam.size, real, 1.0 if real else 2.0, 0)
-        split = sos._BlockSplit(block)
+        block = admm._Block(lam.size, real, 1.0 if real else 2.0, 0)
+        split = admm._BlockSplit(block)
         assert not split.predicts()                  # first step: eigh
         mu, V = np.linalg.eigh(S)
         ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
-        pos = sos._psd_split(block.pack(S), split)
+        pos = admm._psd_split(block.pack(S), split)
         rest = block.pack(S) - pos
         # the packed block holds only the lower triangle, all eigh reads
         assert np.abs(block.unpack(pos) - np.tril(ref)).max() <= 1e-12
@@ -439,7 +439,7 @@ def _spy_partial(monkeypatch):
 def _hinted_split(block, npos):
     """A split of `block` that predicts npos nonnegative eigenvalues, as
     one that has split a block with that spectrum before."""
-    split = sos._BlockSplit(block)
+    split = admm._BlockSplit(block)
     split.positive = 2 * npos <= block.dim
     split.m = npos if split.positive else block.dim - npos
     return split
@@ -474,14 +474,14 @@ def test_partial_psd_split_matches_clipped_reconstruction(
     seen = _spy_partial(monkeypatch)
     for S in cases:
         real = not np.iscomplexobj(S)
-        block = sos._Block(lam.size, real, 1.0 if real else 2.0, 0)
+        block = admm._Block(lam.size, real, 1.0 if real else 2.0, 0)
         mu, V = np.linalg.eigh(S)
         ref = (V * np.clip(mu, 0.0, None)) @ V.conj().T
-        pos = sos._psd_split(block.pack(S), _hinted_split(block, hint))
+        pos = admm._psd_split(block.pack(S), _hinted_split(block, hint))
         rest = block.pack(S) - pos
         assert np.abs(block.unpack(pos) - np.tril(ref)).max() <= 1e-12
         assert np.abs(block.unpack(rest) - np.tril(S - ref)).max() <= 1e-12
-        neg_pos = sos._psd_split(
+        neg_pos = admm._psd_split(
             block.pack(-S), _hinted_split(block, lam.size - hint))
         neg_rest = block.pack(-S) - neg_pos
         assert np.abs(neg_pos + rest).max() <= 1e-12
@@ -514,7 +514,7 @@ def _reference_pack(block, M):
 def test_block_maps_equal_the_complex_formulas_exactly(monkeypatch, dim,
                                                         real):
     rng = np.random.default_rng(dim)
-    block = sos._Block(dim, real, 1.0 if real else 2.0, 0)
+    block = admm._Block(dim, real, 1.0 if real else 2.0, 0)
     n = block.rows.size
     packed = []
     for _ in range(2):
@@ -554,7 +554,7 @@ def test_block_maps_equal_the_complex_formulas_exactly(monkeypatch, dim,
         return np.zeros(0), np.zeros((dim, 0))
 
     monkeypatch.setattr(_kernels.PartialEig, "__call__", record)
-    split = sos._BlockSplit(block)
+    split = admm._BlockSplit(block)
     for v in packed:
         split.side_pairs(v)
     assert all(a.flags.f_contiguous for a in seen)
@@ -572,17 +572,17 @@ def test_psd_split_into_a_slice_equals_its_return_value(rng, npos, hint):
     lam = _spectrum(rng, npos)
     for S in (_rotated(rng, lam), _rotated(rng, lam, complex_=True)):
         real = not np.iscomplexobj(S)
-        block = sos._Block(lam.size, real, 1.0 if real else 2.0, 3)
+        block = admm._Block(lam.size, real, 1.0 if real else 2.0, 3)
         P = np.concatenate((np.zeros(3), block.pack(S), np.zeros(2)))
 
         def split():
             if hint is None:
-                return sos._BlockSplit(block)
+                return admm._BlockSplit(block)
             return _hinted_split(block, hint)
 
-        returned = sos._psd_split(P[block.part], split())
+        returned = admm._psd_split(P[block.part], split())
         out = np.full(P.size, np.nan)
-        written = sos._psd_split(P[block.part], split(), out[block.part])
+        written = admm._psd_split(P[block.part], split(), out[block.part])
         assert np.shares_memory(written, out)
         assert np.array_equal(out[block.part], returned)
         assert np.isnan(out[:3]).all() and np.isnan(out[-2:]).all()
@@ -621,10 +621,10 @@ def test_partial_eigensolver_sizes_ignore_freed_memory(poison, real):
 def test_partial_path_needs_dimension_eight():
     # PARTIAL_EIG_DIVISOR * (m + 1) <= dim: a dim-7 block stays on eigh
     # even with an empty side
-    assert sos.PARTIAL_EIG_DIVISOR == 8
+    assert admm.PARTIAL_EIG_DIVISOR == 8
     for dim, m, partial in ((7, 0, False), (8, 0, True), (15, 1, False),
                             (16, 1, True)):
-        split = _hinted_split(sos._Block(dim, True, 1.0, 0), m)
+        split = _hinted_split(admm._Block(dim, True, 1.0, 0), m)
         assert split.predicts() == (partial and _kernels.PartialEig
                                     .available(True))
 
@@ -667,7 +667,7 @@ def test_verify_quick_solves_keep_small_blocks_on_eigh(monkeypatch, capsys):
     # only; its k=2 triangle is chaotic under round-off, so its iterates
     # hold only while those blocks keep eigh's projection
     from ugsos import cli
-    solve, side_pairs = sos.solve_sdp, sos._BlockSplit.side_pairs
+    solve, side_pairs = sos.solve_sdp, admm._BlockSplit.side_pairs
     dims, iterations, partial_dims = [], [], []
 
     def spy_solve(problem, *args, **kwargs):
@@ -681,7 +681,7 @@ def test_verify_quick_solves_keep_small_blocks_on_eigh(monkeypatch, capsys):
         return side_pairs(self, s)
 
     monkeypatch.setattr(sos, "solve_sdp", spy_solve)
-    monkeypatch.setattr(sos._BlockSplit, "side_pairs", spy_side_pairs)
+    monkeypatch.setattr(admm._BlockSplit, "side_pairs", spy_side_pairs)
     assert cli.main(["verify", "--tier", "quick"]) == 0
     assert iterations == [38, 65, 28]
     assert min(dims) < 8

@@ -55,3 +55,31 @@ def test_the_package_reads_no_environment_variable():
              or isinstance(node, ast.ImportFrom) and node.module == "os"
              and any(alias.name in env for alias in node.names)]
     assert not found, f"environment reads in ugsos: {found}"
+
+
+def test_the_admm_core_imports_only_kernels_and_errors_from_ugsos():
+    # the solver knows its layout by six members, not the unique-games
+    # modules
+    found = set()
+    for node in ast.walk(ast.parse((SRC / "admm.py").read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.split(".")[0] == "ugsos"}
+        elif isinstance(node, ast.ImportFrom):
+            module = ("ugsos." * (node.level > 0) + (node.module or "")
+                      ).rstrip(".")
+            if module == "ugsos":
+                found |= {f"ugsos.{a.name}" for a in node.names}
+            elif module.split(".")[0] == "ugsos":
+                found.add(module)
+    assert found <= {"ugsos._kernels", "ugsos.errors"}
+
+
+def test_the_solver_names_live_in_admm_alone():
+    from ugsos import admm, sos
+    moved = ["_Block", "_BlockSplit", "_psd_split", "_Anderson", "_floats",
+             "ADMM_RHO0", "ADMM_MAX_ITERS", "ADMM_OVER_RELAX",
+             "ANDERSON_MEMORY", "ANDERSON_REG", "PARTIAL_EIG_DIVISOR"]
+    assert [name for name in moved if hasattr(sos, name)] == []
+    assert all(hasattr(admm, name) for name in moved)
+    assert not hasattr(sos._ChargeLayout, "psd_split")
