@@ -54,7 +54,9 @@ import numpy as np
 # P_L^T (about j*k^(j+1) floats) and C (|H|*j*k^2); the high side is decoded
 # block by block.  Memory is those tables plus one block, below the state
 # count except at n = 3, where k^(j+1) = k^2 is the state count.  With one
-# low vertex (n = 3 or 4) P_L^T is the k x k identity and is not built.
+# low vertex (n = 3 or 4) P_L^T is the k x k identity and is not built: at
+# n = 3, k = 1000 it would add 8 MB to a 9 MB scan and a k x k GEMM per
+# block.
 # ---------------------------------------------------------------------------
 
 _BLOCK_FLOATS = 1 << 16

@@ -150,7 +150,7 @@ def local_value(inst: UgInstance, x, u: int) -> float:
     return wsat / wtot
 
 
-def brute_force_opt(inst: UgInstance, cap: int = BRUTE_FORCE_CAP):
+def brute_force_opt(inst: UgInstance):
     """Exact optimum by exhaustive enumeration with x_0 = 0.
 
     Valid for affine instances because the value is invariant under global
@@ -162,9 +162,9 @@ def brute_force_opt(inst: UgInstance, cap: int = BRUTE_FORCE_CAP):
     (assignment, value), the first optimum in code order.
     """
     n, k = inst.num_vertices, inst.k
-    if k ** (n - 1) > cap:
-        raise SizeCapError(
-            f"k^(n-1) = {k}^{n - 1} exceeds the brute-force cap {cap}")
+    if k ** (n - 1) > BRUTE_FORCE_CAP:
+        raise SizeCapError(f"k^(n-1) = {k}^{n - 1} exceeds the brute-force "
+                           f"cap {BRUTE_FORCE_CAP}")
     eu, ev, w, s = inst._arrays
     code, wsat = _kernels.brute_force_scan(eu, ev, w, s, n, k)
     x = np.zeros(n, dtype=np.int64)

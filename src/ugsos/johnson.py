@@ -25,7 +25,7 @@ from ugsos.rounding import (RoundingOutcome, _conditioned, _edge_arrays,
                             _score, cond_marginals, partial_to_full)
 from ugsos.sos import PseudoExpectation
 
-LEVEL_CAP = 10**5
+LEVEL_CAP = 4 * 10**5
 SUBCUBE_CAP = 10**5
 LEVEL_BOUND_SLACK = 1e-8
 
@@ -147,19 +147,23 @@ class LevelDecomposition:
 
 
 def _is_permutation_invariant(F: np.ndarray) -> bool:
-    return all(np.allclose(F, np.transpose(F, p), atol=1e-10)
-               for p in itertools.permutations(range(F.ndim)))
+    # the adjacent transpositions generate the symmetric group
+    return all(np.allclose(F, np.swapaxes(F, i, i + 1), atol=1e-10)
+               for i in range(F.ndim - 1))
 
 
 def level_decompose(F: np.ndarray) -> LevelDecomposition:
     """Split F on [n]^l into level functions by inclusion-exclusion over
     restriction densities: f_i(X) = sum_{B subset [i]} (-1)^(i-|B|) D_|B|(X_B)
     and F_i(X) = sum_{|I|=i} f_i(X|_I).  F must be permutation-invariant, as
-    D_|B| stands at every axis subset B (ParameterError otherwise)."""
+    D_|B| stands at every axis subset B (ParameterError otherwise).  The
+    level sums add 2^l tensors of n^l entries, so 2^l n^l is capped at
+    `LEVEL_CAP` (SizeCapError)."""
     F = np.asarray(F, dtype=float)
     l, n = F.ndim, F.shape[0]
-    if F.size > LEVEL_CAP:
-        raise SizeCapError(f"level_decompose caps at n^l <= {LEVEL_CAP}")
+    if 2**l * F.size > LEVEL_CAP:
+        raise SizeCapError(
+            f"level_decompose caps at 2^l n^l <= {LEVEL_CAP}")
     if not _is_permutation_invariant(F):
         raise ParameterError("level_decompose needs a permutation-invariant F")
     # D_j: average over the last l - j axes
@@ -292,17 +296,6 @@ def structure_inequality_check(F: np.ndarray, r: int, n: int, l: int,
                            density, boolean, slack)
 
 
-def structure_report_csv(reports) -> str:
-    lines = ["variant,mean,lhs,rhs,density_term,booleanity_term,residual,"
-             "order_n_slack"]
-    for rep in reports:
-        slack = "" if rep.order_n_slack is None else f"{rep.order_n_slack:.12g}"
-        lines.append(f"{rep.variant},{rep.mean:.12g},{rep.lhs:.12g},"
-                     f"{rep.rhs:.12g},{rep.density_term:.12g},"
-                     f"{rep.booleanity_term:.12g},{rep.residual:.12g},{slack}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcube search and pipeline
 # ---------------------------------------------------------------------------
@@ -346,8 +339,11 @@ def johnson_pipeline(inst: UgInstance, pE: PseudoExpectation,
 
     Subcubes J|_A range over |A| <= r, with the restriction budget
     r = min(floor(32 eps/alpha), floor(l/4)) unless `r_override` sets it.
-    The choice is driven by measured CR values, so the paper's beta = 201 eps
-    plays no part."""
+    The budget is 0 for every l < 4, so on J(n, 2) and J(n, 3) the search
+    scores only the whole graph and the first step rounds every vertex;
+    `r_override` is the way into the restriction regime there.  The choice
+    is driven by measured CR values, so the paper's beta = 201 eps plays no
+    part."""
     if pE.degree not in (2, 4):
         raise ParameterError("johnson_pipeline supports D in {2, 4}")
     meta = graph.meta

@@ -238,19 +238,6 @@ def phi_apx(pE: PseudoExpectation, p: StepPolynomial,
     return _ShiftStats(pE, p, inst).phi
 
 
-def phi_exact_sampled(inst: UgInstance, x, xp, beta: float) -> float:
-    """Exact-indicator oracle: sum_s (E_{u~pi} Ind[x_u - x'_u = s]
-    Ind[val_u(x) >= beta])^2 on two integral assignments."""
-    x = np.asarray(x, dtype=np.int64)
-    xp = np.asarray(xp, dtype=np.int64)
-    pi = inst.stationary
-    masses = np.zeros(inst.k)
-    for u in range(inst.num_vertices):
-        if pi[u] > 0 and local_value(inst, x, u) >= beta:
-            masses[(x[u] - xp[u]) % inst.k] += pi[u]
-    return float(masses @ masses)
-
-
 # ---------------------------------------------------------------------------
 # Psi
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ monomial (represented as None and never stored).  `copy` is 0 except after
 `product_copy`, which introduces an independent second copy X'.
 
 `moment_index(n, k, D, copies)` ranks the canonical keys of degree <= D with
-integer ids in `all_canonical_keys` order.  With S = n * copies slots (slot
+integer ids, ordered by degree, then by the lexicographic order of their slot
+subsets, then by label code.  With S = n * copies slots (slot
 copy * n + vertex), a key of degree d is a d-subset of the slots plus a label
 per chosen slot, and its id is offset[d] + rank * k^d + code: offset[d]
 counts the keys of lower degree, rank is the lexicographic rank of the slot
@@ -142,42 +143,14 @@ def canon_key(pairs):
     return tuple(sorted((v, a, c) for (v, c), a in seen.items()))
 
 
-def key_mul(k1, k2):
-    """Product of two canonical keys (None = zero monomial)."""
-    if k1 is None or k2 is None:
-        return None
-    return canon_key(k1 + k2)
-
-
 def poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
-            km = key_mul(k1, k2)
+            km = None if k1 is None or k2 is None else canon_key(k1 + k2)
             if km is not None:
                 out[km] = out.get(km, 0.0) + c1 * c2
     return out
-
-
-def poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out.get(k, 0.0) + c
-    return out
-
-
-def shift_key(key, s: int, k: int):
-    """Apply a global label shift of s (mod k) to every pair of the key."""
-    return tuple(sorted((v, (a + s) % k, c) for (v, a, c) in key))
-
-
-def all_canonical_keys(n: int, k: int, max_degree: int, copies: int = 1):
-    """All canonical keys of degree <= max_degree (single copy by default)."""
-    slots = [(v, c) for c in range(copies) for v in range(n)]
-    for d in range(max_degree + 1):
-        for chosen in itertools.combinations(slots, d):
-            for labels in itertools.product(range(k), repeat=d):
-                yield tuple(sorted((v, a, c) for (v, c), a in zip(chosen, labels)))
 
 
 def _index_size(n: int, k: int, D: int, copies: int = 1) -> int:
@@ -187,8 +160,9 @@ def _index_size(n: int, k: int, D: int, copies: int = 1) -> int:
 
 class MomentIndex:
     """Integer ids of the canonical keys of degree <= D over n vertices, k
-    labels and `copies` copies, in `all_canonical_keys` order (see the
-    module docstring); `len` is the number of keys.
+    labels and `copies` copies, ordered by degree, then by lexicographic
+    slot subset, then by label code (see the module docstring); `len` is
+    the number of keys.
 
     `slots` holds key i as row i: label + 1 at slot copy * n + vertex, 0
     where the key has no pair.  `rank` maps such rows back to ids, so it
@@ -310,10 +284,6 @@ class MomentIndex:
                 row[c * self.n + v] = a + 1
         return L
 
-    def ids(self, keys) -> np.ndarray:
-        """Ids of canonical keys."""
-        return self.rank(self.rows(keys))
-
     @functools.cached_property
     def id_of(self) -> dict:
         """Canonical key -> id, for scalar lookups."""
@@ -336,15 +306,6 @@ def ug_objective_poly(inst: UgInstance) -> dict:
         for a in range(k):
             key = canon_key(((u, a, 0), (v, (a - s) % k, 0)))
             out[key] = out.get(key, 0.0) + cw
-    return out
-
-
-def z_var_poly(u: int, s: int, k: int) -> dict:
-    """Z_{u,s} = sum_a X_{u,a} X'_{u,a+s}: shift-s indicator at u."""
-    out: dict = {}
-    for a in range(k):
-        key = canon_key(((u, a, 0), (u, (a + s) % k, 1)))
-        out[key] = out.get(key, 0.0) + 1.0
     return out
 
 
@@ -902,14 +863,13 @@ def edge_agreement(pE: PseudoExpectation, inst: UgInstance) -> np.ndarray:
                             (a - s[:, None]) % pE.k].sum(axis=1)
 
 
-def check_shift_symmetric(pE: PseudoExpectation,
-                          strict: bool = True) -> float:
+def check_shift_symmetric(pE: PseudoExpectation) -> float:
     """Max deviation of the degree <= 2 moments under a global label shift
-    by one; a shift-symmetric table has deviation 0.  With `strict`, a
-    deviation above `SYM_CHECK_TOL` raises ParameterError."""
+    by one; a shift-symmetric table has deviation 0.  A deviation above
+    `SYM_CHECK_TOL` raises ParameterError."""
     P = pair_moments(pE)
     worst = float(np.abs(P - np.roll(P, -1, axis=(2, 3))).max())
-    if strict and worst > SYM_CHECK_TOL:
+    if worst > SYM_CHECK_TOL:
         raise ParameterError(
             f"pseudoexpectation is not shift-symmetric (deviation {worst:.3e})")
     return worst

@@ -24,12 +24,13 @@ from ugsos.potentials import phi_apx, psi, truncation_cap
 from ugsos.rounding import closed_form_cr, derandomized_round, monte_carlo_cr
 from ugsos.sos import (build_relaxation, canon_key, condition, evaluate,
                        moment_matrix, poly_mul, product_copy, solve_sdp,
-                       symmetrize, ug_objective_poly, validate, z_var_poly)
+                       symmetrize, ug_objective_poly, validate)
 from ugsos.steppoly import (build_capped_step_poly, build_step_poly,
                             check_invariants, check_markov_bounds,
                             check_union_bound)
 
 from conftest import make_triangle, record_criterion
+from reference import z_var_poly
 
 JOHNSON_SOLVER_TOL = 3e-3  # marginal accuracy; full certificate tol is 1e-7
 

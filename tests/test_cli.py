@@ -110,8 +110,8 @@ def test_verify_pe_file(tmp_path, capsys):
 
 def test_verify_pe_file_of_product_copy(tmp_path, capsys):
     # the file holds the full 2-copy table, not the view's empty own table
-    from ugsos.sos import (PseudoExpectation, all_canonical_keys,
-                           point_mass_pe, product_copy)
+    from reference import all_canonical_keys
+    from ugsos.sos import PseudoExpectation, point_mass_pe, product_copy
     pE2 = product_copy(point_mass_pe(3, 3, [0, 1, 2]))
     text = pE2.to_json()
     back = PseudoExpectation.from_json(text)
@@ -295,3 +295,10 @@ def test_verify_pe_file_rejects_truncated_and_incomplete(tmp_path, capsys):
                            str(path))
         assert code == 3, name
         assert "parameter error" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve-round"])
+def test_family_file_needs_a_path(capsys, command):
+    code, out, err = run(capsys, command, "--family", "file")
+    assert code == 3 and out == ""
+    assert "parameter error: --family file needs --path" in err

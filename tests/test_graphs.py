@@ -249,3 +249,33 @@ def test_generators_refuse_more_vertices_than_the_cap(make):
     # each would otherwise allocate a dense N x N weight matrix (GBs)
     with pytest.raises(SizeCapError):
         make()
+
+
+_ISOLATED = np.array([[1.0, 0.0], [0.0, 0.0]])   # vertex 1 has no weight
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: WeightedGraph(3, np.zeros((2, 2))), ParameterError,
+     "shape mismatch"),
+    (lambda: WeightedGraph(2, [[0.0, -1.0], [-1.0, 0.0]]), ParameterError,
+     "negative edge weight"),
+    (lambda: WeightedGraph(2, np.zeros((2, 2))), ParameterError,
+     "zero total weight"),
+    (lambda: WeightedGraph(2, _ISOLATED).transition(), ParameterError,
+     "isolated vertex"),
+    (lambda: noisy_hypercube(0, 0.1), ParameterError, "d must be >= 1"),
+    (lambda: noisy_hypercube(2, 1.0), ParameterError, "eps must lie"),
+    (lambda: shortcode_graph(0, 2), SizeCapError, "1 <= d < n <= 4"),
+    (lambda: johnson_graph(3, 3, 1.0), ParameterError, "need l < n"),
+    (lambda: johnson_graph(5, 2, 0.0), ParameterError, "alpha must lie"),
+    (lambda: spectral_decompose(WeightedGraph(2, _ISOLATED)), ParameterError,
+     "degenerate graph: isolated vertex"),
+    (lambda: expansion(noisy_hypercube(2, 0.1),
+                       spectral_decompose(noisy_hypercube(2, 0.1)),
+                       np.zeros(4)), ParameterError, "E_pi\\[f\\] = 0"),
+], ids=["shape", "negative-weight", "zero-weight", "transition-isolated",
+        "hypercube-d", "hypercube-eps", "shortcode-d", "johnson-l",
+        "alpha-range", "spectral-isolated", "expansion-empty-set"])
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -53,10 +53,11 @@ def test_global_shift_invariance():
 
 
 def test_brute_force_cap():
-    g = noisy_hypercube(3, 0.3)
-    inst, _ = plant_instance(g, 3, 0.0, seed=0)
+    # 2^31 states, above BRUTE_FORCE_CAP: refused before any scan
+    g = noisy_hypercube(5, 0.3)
+    inst, _ = plant_instance(g, 2, 0.0, seed=0)
     with pytest.raises(SizeCapError):
-        brute_force_opt(inst, cap=10)
+        brute_force_opt(inst)
 
 
 def test_brute_force_checks_scan_result(monkeypatch):
@@ -345,3 +346,36 @@ def test_value_matches_direct_count(k, shifts, seed):
     x = rng.integers(0, k, size=4)
     direct = np.mean([(x[u] - x[v]) % k == s for (u, v, _, s) in inst.edges])
     assert value(inst, x) == pytest.approx(direct)
+
+
+_EDGE = ((0, 1, 1.0, 0),)
+_BAD_WEIGHT = ('{"n": 2, "k": 2, "edges": '
+               '[{"u": 0, "v": 1, "w": "1", "shift": 0}]}')
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: UgInstance(0, 2, _EDGE), "num_vertices must be positive"),
+    (lambda: UgInstance(2, 0, _EDGE), "alphabet size k must be positive"),
+    (lambda: UgInstance(2, 2, ((0, 2, 1.0, 0),)), "out of range"),
+    (lambda: UgInstance.from_json(_BAD_WEIGHT), "has weight '1'"),
+    (lambda: value(UgInstance(2, 2, _EDGE), [0]), "assignment has length"),
+    (lambda: value(UgInstance(2, 2, _EDGE), [0, 2]),
+     "entries must lie in \\[0, k\\)"),
+    (lambda: local_value(UgInstance(2, 2, _EDGE), [0], 0),
+     "assignment length mismatch"),
+    (lambda: local_value(UgInstance(2, 2, _EDGE), [0, 0], 2),
+     "vertex 2 out of range"),
+    (lambda: local_value(UgInstance(3, 2, _EDGE), [0, 0, 0], 2),
+     "vertex 2 is isolated"),
+    (lambda: plant_instance(noisy_hypercube(2, 0.3), 3, 1.5),
+     "eps must lie in \\[0, 1\\]"),
+    (lambda: plant_instance(noisy_hypercube(2, 0.3), 1, 0.0),
+     "k must be at least 2"),
+    (lambda: plant_instance(noisy_hypercube(2, 0.0), 3, 0.0),
+     "no off-diagonal edges"),
+], ids=["n", "k", "edge-range", "json-weight", "value-length",
+        "value-labels", "local-length", "local-vertex", "local-isolated",
+        "plant-eps", "plant-k", "plant-no-edges"])
+def test_input_checks_raise(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()

@@ -3,21 +3,21 @@ inequality, and subcube search on the Johnson graph and its Cayley model."""
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ugsos.errors import ParameterError, SizeCapError
 from ugsos.graphs import (expansion, johnson_cayley_graph, johnson_graph,
-                          spectral_decompose)
-from ugsos.instances import plant_instance, value
+                          noisy_hypercube, spectral_decompose)
+from ugsos.instances import UgInstance, plant_instance, value
 from ugsos.johnson import (SubcubeId, eigenvalue_multiset,
                            expansion_bound_check, find_best_subcube,
                            johnson_eigenvalue, johnson_pipeline,
                            level_decompose, level_weight_bound_check,
                            restriction_density, structure_inequality_check,
-                           structure_report_csv, subcube_expansion,
-                           subcube_vertices)
+                           subcube_expansion, subcube_vertices)
 from ugsos.sos import (build_relaxation, point_mass_pe, solve_sdp,
                        symmetrize)
 
@@ -122,6 +122,21 @@ def test_level_decompose_size_cap():
         level_decompose(np.zeros((50,) * 3))
 
 
+def test_level_decompose_work_is_bounded():
+    # invariance takes l - 1 transpositions, not l! permutations (l = 9 took
+    # 15 s with all of them), and the 2^l n^l of the level sums is capped:
+    # (2,)^16 has 65,536 entries but 2^32 terms
+    F = np.indices((2,) * 9).sum(axis=0) / 9.0
+    t0 = time.perf_counter()
+    dec = level_decompose(F)
+    assert time.perf_counter() - t0 < 1.0
+    assert dec.pointwise_residual <= 1e-12 and dec.parseval_residual <= 1e-12
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCapError, match="2\\^l n\\^l"):
+        level_decompose(np.zeros((2,) * 16))
+    assert time.perf_counter() - t0 < 0.1
+
+
 # -- structure inequality ---------------------------------------------------
 
 def test_structure_c_variant_random():
@@ -152,14 +167,6 @@ def test_structure_j_variant_reports_slack():
                                      variant="J", graph=g)
     assert rep.order_n_slack is not None
     assert rep.residual + rep.order_n_slack >= -1e-8
-
-
-def test_structure_csv_has_header():
-    rng = np.random.default_rng(4)
-    rep = structure_inequality_check(random_invariant(rng, 4, 2), 1, 4, 2, 0.5)
-    text = structure_report_csv([rep])
-    assert text.startswith("variant,")
-    assert len(text.strip().splitlines()) == 2
 
 
 def test_structure_rejects_out_of_range_values():
@@ -271,3 +278,49 @@ def test_pipeline_reads_the_degree_from_the_table(planted_johnson):
     pE = point_mass_pe(10, 3, xstar, degree=0)
     with pytest.raises(ParameterError, match="D in"):
         johnson_pipeline(inst, pE, g, 0.05)
+
+
+def test_expansion_bound_is_not_checked_past_l_over_4():
+    # r = floor(32 * 0.1 / 0.5) = 6 exceeds l/4 = 1
+    assert expansion_bound_check(4, 0.5, 0.1) == (6, None, None)
+
+
+def _no_internal_edge_search():
+    # J(4,2)'s six vertices carry none of the instance's edges
+    inst = UgInstance(8, 2, ((6, 7, 1.0, 0),))
+    return find_best_subcube(point_mass_pe(8, 2, [0] * 8, degree=2), inst,
+                             johnson_graph(4, 2, 0.5), 0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: johnson_eigenvalue(3, 0.5, 1), ParameterError,
+     "must be an integer"),
+    (lambda: johnson_eigenvalue(2, 0.5, 3), ParameterError,
+     "character degree t = 3"),
+    (lambda: subcube_expansion(2, 0.5, 2), ParameterError,
+     "restriction size r = 2"),
+    (lambda: SubcubeId((1, 1)), ParameterError, "must be distinct"),
+    (lambda: SubcubeId((-1,)), ParameterError, "must be nonnegative"),
+    (lambda: restriction_density(np.ones(10), (0,)), ParameterError,
+     "needs n and l"),
+    (lambda: restriction_density(np.ones(10), (0, 1, 2), n=5, l=2),
+     ParameterError, "matches no vertex"),
+    (lambda: structure_inequality_check(np.zeros((4, 4)), 1, 4, 2, 0.5,
+                                        variant="X"),
+     ParameterError, "unknown variant"),
+    (lambda: structure_inequality_check(np.zeros(6), 1, 4, 2, 0.5,
+                                        variant="J"),
+     ParameterError, "J-variant needs the Johnson graph"),
+    (lambda: find_best_subcube(None, None, noisy_hypercube(2, 0.3), 0),
+     ParameterError, "lacks Johnson metadata"),
+    (lambda: find_best_subcube(None, None, johnson_graph(30, 2, 0.5), 5),
+     SizeCapError, "C\\(n, r\\)"),
+    (_no_internal_edge_search, ParameterError,
+     "no subcube has internal edges"),
+], ids=["alpha-l", "character-degree", "restriction-size",
+        "subcube-distinct", "subcube-negative", "density-needs-n-l",
+        "density-empty", "structure-variant", "structure-j-graph",
+        "search-metadata", "search-cap", "search-no-edges"])
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

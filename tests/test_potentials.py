@@ -15,8 +15,8 @@ from ugsos.instances import UgInstance, local_value, plant_instance
 from ugsos.potentials import (_factors, _ShiftStats, check_shift_symmetric,
                               claim_b1, claim_b2, claim_partition_expansion,
                               claim_vertex_coverage, phi_apx,
-                              phi_exact_sampled, potential_report, psi,
-                              sp_pseudo_check, truncation_cap)
+                              potential_report, psi, sp_pseudo_check,
+                              truncation_cap)
 from ugsos.rounding import closed_form_cr
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
                        canon_key, evaluate, mixture_pe, point_mass_pe,
@@ -24,6 +24,7 @@ from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
 from ugsos.steppoly import build_capped_step_poly, build_step_poly
 
 from conftest import make_triangle
+from reference import phi_exact_sampled
 
 BETA, NU = 0.3, 0.1
 
@@ -46,7 +47,7 @@ def test_truncation_cap_values():
 
 
 def test_shift_symmetry_detector(sym_pm):
-    assert check_shift_symmetric(sym_pm, strict=False) <= 1e-12
+    assert check_shift_symmetric(sym_pm) <= 1e-12
     raw = point_mass_pe(3, 3, [0, 2, 1])
     with pytest.raises(ParameterError):
         check_shift_symmetric(raw)

@@ -13,11 +13,12 @@ from ugsos.rounding import (closed_form_cr, cond_marginals,
                             condition_and_round, cr_val, derandomized_round,
                             ind_val, monte_carlo_cr, partial_to_full)
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
-                       check_shift_symmetric, moment_index, point_mass_pe,
-                       product_copy, rerandomize, solve_sdp, symmetrize)
+                       moment_index, point_mass_pe, product_copy, rerandomize,
+                       solve_sdp, symmetrize)
 from ugsos.steppoly import build_capped_step_poly
 
 from conftest import make_triangle
+from reference import ref_shift_deviation
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +249,8 @@ def test_rerandomize_never_raises_the_shift_deviation(n, k, D, seed, data):
         size=len(moment_index(n, k, D)))
     pE = PseudoExpectation(D, k, n, values)
     S = data.draw(st.sets(st.integers(0, n - 1)))
-    assert (check_shift_symmetric(rerandomize(pE, S), strict=False)
-            <= check_shift_symmetric(pE, strict=False))
+    assert (ref_shift_deviation(rerandomize(pE, S))
+            <= ref_shift_deviation(pE))
 
 
 def test_partial_to_full_stall_aborts(cube_pe, cube_inst):
@@ -386,3 +387,16 @@ def test_derandomized_value_lies_between_its_expectation_and_the_bound(
     assert out.achieved_value >= out.expected_value - 1e-9
     # the chosen vertex's closed form is the best of all of them
     assert out.expected_value >= cr_val(pE, inst) - 1e-12
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda inst, pE: cr_val(pE, inst, H=[]), "subgraph H is empty"),
+    (lambda inst, pE: derandomized_round(
+        point_mass_pe(3, 3, [0, 2, 1], degree=1), inst),
+     "needs degree >= 2"),
+    (lambda inst, pE: derandomized_round(pE, inst, H=[]),
+     "subgraph H is empty"),
+], ids=["cr-empty-H", "derandomized-degree", "derandomized-empty-H"])
+def test_input_checks_raise(triangle_sat, sym_pm, call, match):
+    with pytest.raises(ParameterError, match=match):
+        call(triangle_sat, sym_pm)

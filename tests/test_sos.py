@@ -13,14 +13,13 @@ from ugsos.errors import (DegreeError, NullEventError, ParameterError,
                           SizeCapError)
 from ugsos.graphs import johnson_graph, noisy_hypercube
 from ugsos.instances import UgInstance, brute_force_opt, plant_instance, value
-from ugsos.sos import (PseudoExpectation, all_canonical_keys,
-                       build_relaxation, canon_key, condition, evaluate,
-                       key_mul, mixture_pe,
-                       moment_matrix, point_mass_pe, poly_add, poly_mul,
-                       product_copy, rerandomize, solve_sdp, symmetrize,
-                       ug_objective_poly, validate, z_var_poly)
+from ugsos.sos import (PseudoExpectation, build_relaxation, canon_key,
+                       condition, evaluate, mixture_pe, moment_matrix,
+                       point_mass_pe, poly_mul, product_copy, rerandomize,
+                       solve_sdp, symmetrize, ug_objective_poly, validate)
 
 from conftest import make_triangle
+from reference import all_canonical_keys, key_mul, poly_add, z_var_poly
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -181,7 +180,6 @@ def test_dim_cap_counts_the_full_basis_without_building_it(monkeypatch):
     # D=4, k=3: the full basis has 1 + 3n + 9 C(n,2) keys, 4006 at n = 30
     ring = UgInstance(30, 3, tuple((v, (v + 1) % 30, 1.0, 1)
                                    for v in range(30)))
-    monkeypatch.setattr(sos, "all_canonical_keys", None)
     monkeypatch.setattr(sos, "MomentIndex", None)
     with pytest.raises(SizeCapError,
                        match="moment-matrix dimension 4006 exceeds cap 4000"):
@@ -1158,3 +1156,25 @@ def test_pe_json_round_trip(cube_pe):
     assert back.degree == cube_pe.degree
     assert back.moment(((0, 0, 0), (1, 1, 0))) == pytest.approx(
         cube_pe.moment(((0, 0, 0), (1, 1, 0))), abs=1e-15)
+
+
+_PM = point_mass_pe(3, 3, [0, 1, 2])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: symmetrize(product_copy(_PM)), ParameterError,
+     "symmetrize requires copy_count = 1"),
+    (lambda: condition(_PM, ((0, 0, 0), (0, 1, 0))), NullEventError,
+     "zero monomial"),
+    (lambda: condition(point_mass_pe(3, 3, [0, 1, 2], degree=2),
+                       ((0, 0, 0), (1, 1, 0))), DegreeError,
+     "too large for the degree budget"),
+    (lambda: product_copy(product_copy(_PM)), ParameterError,
+     "product_copy requires copy_count = 1"),
+    (lambda: rerandomize(product_copy(_PM), [0]), ParameterError,
+     "rerandomize requires copy_count = 1"),
+], ids=["symmetrize-copies", "condition-zero", "condition-degree",
+        "product-copy-copies", "rerandomize-copies"])
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

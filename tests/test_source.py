@@ -83,3 +83,22 @@ def test_the_solver_names_live_in_admm_alone():
     assert [name for name in moved if hasattr(sos, name)] == []
     assert all(hasattr(admm, name) for name in moved)
     assert not hasattr(sos._ChargeLayout, "psd_split")
+
+
+def test_the_test_oracles_live_in_tests_reference_alone():
+    import importlib
+
+    from ugsos import sos
+    moved = ["key_mul", "poly_add", "shift_key", "all_canonical_keys",
+             "z_var_poly", "phi_exact_sampled"]
+    modules = [importlib.import_module(f"ugsos.{path.stem}")
+               for path in sorted(SRC.glob("*.py"))]
+    found = [f"{m.__name__}.{name}" for m in [ugsos, *modules]
+             for name in moved + ["structure_report_csv"]
+             if hasattr(m, name)]
+    assert found == []
+    assert not hasattr(sos.MomentIndex, "ids")
+    reference = Path(__file__).parent / "reference.py"
+    defined = {node.name for node in ast.parse(reference.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(moved) <= defined

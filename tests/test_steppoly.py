@@ -185,3 +185,9 @@ def test_values_stay_in_unit_interval_between_grid_points(triple):
     # the squeeze must bound p at its critical points, not only on its grid
     vals = build_step_poly(*triple)(np.linspace(0.0, 1.0, 2 * 10**5))
     assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_eps_outside_the_open_half_interval_is_rejected(eps):
+    with pytest.raises(ParameterError, match="need 0 < eps < 1/2"):
+        build_step_poly(0.5, eps, 0.2)
