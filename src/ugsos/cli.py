@@ -1,8 +1,8 @@
 """Command-line front end: instance generation, solve-and-round pipelines,
 and the verification suite.
 
-Exit codes: 0 ok, 2 invariant/check failure, 3 parameter error (including a
-command-line usage error or an unreadable or malformed input file), 4 size cap.
+Exit codes: 0 ok, 2 invariant/check failure, 3 parameter error (a usage error,
+a malformed or unreadable input or an unwritable output file), 4 size cap.
 Reports are deterministic given (flags, seed) apart from wall-clock fields.
 """
 from __future__ import annotations
@@ -107,9 +107,13 @@ def _load_instance(args):
 
 
 def _emit(args, text: str):
+    """Write to --out or stdout; an unwritable --out is a parameter error."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -133,9 +137,9 @@ def cmd_solve_round(args) -> int:
     t0 = time.time()
     inst, _, graph = _load_instance(args)
     solving_tol = args.tol if args.family != "johnson" else max(args.tol, 3e-4)
-    pE = solve_sdp(build_relaxation(inst, args.degree), tol=solving_tol)
     p = build_capped_step_poly(args.beta, args.nu,
                                pot.truncation_cap(args.degree))
+    pE = solve_sdp(build_relaxation(inst, args.degree), tol=solving_tol)
     report = {
         "family": args.family,
         "k": inst.k,
@@ -163,12 +167,9 @@ def cmd_solve_round(args) -> int:
         report["expected_value"] = cr.expected_value
         report["derandomized_value"] = de.achieved_value
         report["assignment"] = [int(a) for a in de.assignment]
-    body = json.dumps(report, sort_keys=True)
     # wall clock lives outside the deterministic body
-    final = json.dumps({**json.loads(body),
-                        "wall_clock_s": round(time.time() - t0, 3)},
-                       sort_keys=True)
-    _emit(args, final)
+    report["wall_clock_s"] = round(time.time() - t0, 3)
+    _emit(args, json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 

@@ -219,7 +219,10 @@ def build_capped_step_poly(alpha: float, delta: float,
                            degree_cap: int) -> StepPolynomial:
     """Best-effort indicator under a hard degree cap; `eps` on the result is
     the *achieved* grid deviation.  Used as nu_effective by the potentials
-    module when the pseudoexpectation degree budget forces a tiny cap."""
+    module when the pseudoexpectation degree budget forces a tiny cap.
+    Raises ParameterError unless alpha and delta lie in (0, 1)."""
+    if not (0.0 < alpha < 1.0 and 0.0 < delta < 1.0):
+        raise ParameterError("need alpha and delta in (0, 1)")
     if degree_cap == 0:
         # the best constant approximation to a step is 1/2
         return StepPolynomial(alpha, 0.5, delta, (0.5,))

@@ -2,13 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ugsos import graphs
 from ugsos.cli import main
+from ugsos.errors import ConstructionError
 from ugsos.instances import plant_instance
+from ugsos.sos import ValidationReport, point_mass_pe
+from ugsos.steppoly import BoundReport
 
 
 def run(capsys, *argv):
@@ -302,3 +307,85 @@ def test_family_file_needs_a_path(capsys, command):
     code, out, err = run(capsys, command, "--family", "file")
     assert code == 3 and out == ""
     assert "parameter error: --family file needs --path" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve-round"])
+def test_an_unwritable_out_file_is_a_parameter_error(tmp_path, capsys,
+                                                     command):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, command, "--family", "hypercube", "--d", "2",
+                         "--alpha", "0.3", "--k", "2", "--out", str(target))
+    assert code == 3 and out == ""
+    assert f"parameter error: cannot write {target}" in err
+
+
+@pytest.mark.parametrize("flag", ["--nu=0", "--nu=-0.2", "--nu=nan",
+                                  "--beta=1.5", "--beta=nan"])
+def test_solve_round_checks_the_step_window_before_solving(capsys,
+                                                           monkeypatch, flag):
+    from ugsos import sos
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the step window was checked")
+
+    monkeypatch.setattr(sos, "solve_sdp", unreachable)
+    code, out, err = run(capsys, "solve-round", "--family", "hypercube",
+                         "--d", "2", "--k", "2", flag)
+    assert code == 3 and out == ""
+    assert "parameter error: need alpha and delta in (0, 1)" in err
+
+
+def test_verify_fails_a_pe_file_that_breaks_the_axioms(tmp_path, capsys):
+    from ugsos.sos import PseudoExpectation
+    pm = point_mass_pe(3, 3, [0, 1, 2])
+    doubled = PseudoExpectation(pm.degree, pm.k, pm.num_vertices,
+                                2.0 * pm._array())
+    path = tmp_path / "doubled.json"
+    path.write_text(doubled.to_json())
+    code, out, _ = run(capsys, "verify", "--only", "spectra", "--pe",
+                       str(path))
+    assert code == 2
+    assert out.startswith("PASS spectra")
+    assert "FAIL pe-file" in out
+
+
+def _failing_report(p):
+    return BoundReport(False, 1.0, "forced")
+
+
+def _raise_construction_error(*args):
+    raise ConstructionError("forced")
+
+
+# (check, patched target, replacement, detail the check prints)
+_FAILING_CHECKS = [
+    ("step-poly", "ugsos.steppoly.check_markov_bounds", _failing_report,
+     "(0.5,0.1,0.2): forced"),
+    ("step-poly", "ugsos.steppoly.build_step_poly", _raise_construction_error,
+     "ConstructionError: forced"),
+    ("sdp", "ugsos.sos.validate",
+     lambda pE, tol: ValidationReport(-1.0, 0.0, 0.0, tol, 0.0),
+     "validate failed: ValidationReport(min_eigenvalue=-1.0"),
+    ("sdp", "ugsos.instances.brute_force_opt", lambda inst: (None, 2.0),
+     "SDP below brute force"),
+    ("symmetry", "ugsos.sos.symmetrize",
+     lambda pE: point_mass_pe(3, 3, [0, 0, 0]), "edge agreement moved"),
+    ("symmetry", "ugsos.sos.pair_moments", lambda pE: np.zeros((3, 3, 3, 3)),
+     "marginal not uniform"),
+    ("structure", "ugsos.johnson.structure_inequality_check",
+     lambda *args: types.SimpleNamespace(holds=False, residual=1.0),
+     "violation 1.00e+00 at n=5"),
+]
+
+
+@pytest.mark.parametrize("check, target, replacement, detail",
+                         _FAILING_CHECKS,
+                         ids=[f"{c[0]}-{c[3].split(':')[0]}"
+                              for c in _FAILING_CHECKS])
+def test_verify_reports_a_failed_check_with_exit_2(capsys, monkeypatch, check,
+                                                  target, replacement,
+                                                  detail):
+    monkeypatch.setattr(target, replacement)
+    code, out, _ = run(capsys, "verify", "--only", check)
+    assert code == 2
+    assert out.startswith(f"FAIL {check} (") and detail in out

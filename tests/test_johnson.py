@@ -324,3 +324,19 @@ def _no_internal_edge_search():
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_subcube_expansion_is_one_when_no_alpha_l_set_fits():
+    # l - r = 2 elements are left, fewer than alpha * l = 3
+    assert subcube_expansion(4, 0.75, 2) == 1.0
+
+
+def test_find_best_subcube_skips_one_vertex_subcubes(planted_johnson):
+    # on J(5,2) a 2-element A fixes the vertex A itself, so r_max = 2 scores
+    # the same candidates as r_max = 1
+    g, inst, _ = planted_johnson
+    pE = symmetrize(solve_sdp(build_relaxation(inst, 2), tol=1e-6))
+    assert all(len(subcube_vertices(g, SubcubeId(A))) == 1
+               for A in itertools.combinations(range(5), 2))
+    assert (find_best_subcube(pE, inst, g, r_max=2)
+            == find_best_subcube(pE, inst, g, r_max=1))

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos import sos
+from ugsos import basis, sos
 from ugsos.errors import NullEventError, ParameterError
 from ugsos.graphs import johnson_graph
 from ugsos.instances import plant_instance
 from ugsos.rounding import cond_marginals
-from ugsos.sos import (MomentIndex, PseudoExpectation, build_relaxation,
-                       canon_key, check_shift_symmetric, condition,
-                       mixture_pe, moment_matrix, pair_moments, point_mass_pe,
+from ugsos.basis import MomentIndex
+from ugsos.sos import (PseudoExpectation, build_relaxation, canon_key,
+                       check_shift_symmetric, condition, mixture_pe,
+                       moment_matrix, pair_moments, point_mass_pe,
                        product_copy, rerandomize, solve_sdp, symmetrize)
 
 from reference import (all_canonical_keys, key_mul, ref_shift_deviation,
@@ -83,7 +84,7 @@ def rank_partition_table(pE):
 @given(st.integers(0, 6), st.integers(2, 5), st.sampled_from([2, 4, 6]),
        st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
 def test_grid_tables_match_per_key_ranking(n, k, D, copies, seed):
-    while sos._index_size(n, k, D, copies) > 20_000:
+    while basis._index_size(n, k, D, copies) > 20_000:
         n -= 1
     rng = np.random.default_rng(seed)
     index = MomentIndex(n, k, D, copies)
@@ -102,7 +103,7 @@ def test_grid_tables_match_per_key_ranking(n, k, D, copies, seed):
     assert sos._partition_table(pE) == rank_partition_table(pE)
     dim = int(index.offset[D // 2 + 1])
     rows, cols = np.indices((dim, dim))
-    assert np.array_equal(sos._product_ids(index), index.mul(rows, cols))
+    assert np.array_equal(basis._product_ids(index), index.mul(rows, cols))
 
 
 @pytest.mark.parametrize("n, k, D", [(8, 3, 4), (10, 3, 4), (6, 2, 4),
@@ -111,10 +112,10 @@ def test_fft_ids_match_per_key_ranking(n, k, D):
     # the charge monomial of every full-label key, ranked key by key
     L = MomentIndex(n, k, D).slots
     ref = MomentIndex(n, k - 1, D).rank(np.where(L > 0, L - 1, 0))
-    assert np.array_equal(sos._fft_ids.__wrapped__(n, k, D), ref)
+    assert np.array_equal(basis._fft_ids.__wrapped__(n, k, D), ref)
 
 
-class _RankEveryPair(sos._ChargeLayout):
+class _RankEveryPair(basis._ChargeLayout):
     """The charge layout with every basis-term pair's differences ranked
     directly, the reference for the negation shortcut."""
 
@@ -141,7 +142,7 @@ class _RankEveryPair(sos._ChargeLayout):
                                      (4, 2, 4), (5, 5, 4), (4, 3, 6),
                                      (6, 6, 4), (1, 3, 2)])
 def test_charge_layout_matches_ranking_every_pair(n, k, D):
-    got, ref = sos._ChargeLayout(n, k, D), _RankEveryPair(n, k, D)
+    got, ref = basis._ChargeLayout(n, k, D), _RankEveryPair(n, k, D)
     for name in ("t_row", "t_col", "t_coef", "counts"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
@@ -156,7 +157,7 @@ def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
         calls.append(rows.shape)
         return rank(self, rows)
 
-    for cache in (sos.moment_index, sos._product_ids, sos._charge_frame):
+    for cache in (basis.moment_index, basis._product_ids, basis._charge_frame):
         cache.cache_clear()
     monkeypatch.setattr(MomentIndex, "rank", spy)
     sym = symmetrize(cube3_raw)
@@ -304,7 +305,7 @@ def test_moment_matrix_and_partition_table_match_reference(tables, name):
 def _charge_moments(n, k, D, comps):
     """yhat(g) = sum_x w omega^(g . x) of a mixture, over the charge
     monomials of `moment_index(n, k - 1, D)` (slot entry = charge)."""
-    G = sos.moment_index(n, k - 1, D).slots.astype(np.int64)
+    G = basis.moment_index(n, k - 1, D).slots.astype(np.int64)
     total = sum(w for w, _ in comps)
     yhat = np.zeros(len(G), dtype=complex)
     for w, x in comps:
@@ -351,7 +352,7 @@ def test_blocks_match_pairwise_products():
     # stored in a real basis, a unitary change, so only its spectrum is kept
     rng = np.random.default_rng(11)
     for (n, k, D) in [(3, 3, 4), (3, 4, 6), (10, 3, 4), (4, 2, 4)]:
-        layout = sos._charge_layout(n, k, D)
+        layout = basis._charge_layout(n, k, D)
         y = rng.normal(size=layout.size)
         y[0] = 1.0
         X = layout.A(y)
@@ -387,7 +388,7 @@ def test_moments_view_is_read_only_and_complete(tables):
     for name in TABLES:
         pE = tables[name]
         args = (pE.num_vertices, pE.k, pE.degree)
-        assert len(pE.moments) == len(sos.moment_index(*args))
+        assert len(pE.moments) == len(basis.moment_index(*args))
         assert list(pE.moments) == list(all_canonical_keys(*args))
     pE = tables["cube3"]
     view = pE.moments

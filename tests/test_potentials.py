@@ -461,3 +461,15 @@ def spectral_decompose_instance(inst):
         W[u, v] += w
         W[v, u] += w
     return spectral_decompose(WeightedGraph(n, W, tuple(range(n)), {}))
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"phi": -1e-5}, "phi = -1e-05 below -1e-6"),
+    ({"psi": -1e-5}, "psi = -1e-05 below -1e-6"),
+    ({"shift_masses": (0.6, 0.6)}, "shift masses sum to 1.2 > 1 \\+ 1e-6"),
+])
+def test_potential_report_rejects_values_out_of_range(fields, match):
+    valid = dict(phi=0.0, psi=0.0, beta=0.9, nu=0.5, poly_degree=0,
+                 local_values=())
+    with pytest.raises(ParameterError, match=match):
+        potentials.PotentialReport(**{**valid, **fields})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugsos import rounding
+from ugsos.basis import moment_index
 from ugsos.errors import ConstructionError, NullEventError, ParameterError
 from ugsos.instances import UgInstance, brute_force_opt, value
 from ugsos.potentials import phi_apx, truncation_cap
@@ -13,8 +14,8 @@ from ugsos.rounding import (closed_form_cr, cond_marginals,
                             condition_and_round, cr_val, derandomized_round,
                             ind_val, monte_carlo_cr, partial_to_full)
 from ugsos.sos import (COND_FLOOR, PseudoExpectation, build_relaxation,
-                       moment_index, point_mass_pe, product_copy, rerandomize,
-                       solve_sdp, symmetrize)
+                       point_mass_pe, product_copy, rerandomize, solve_sdp,
+                       symmetrize)
 from ugsos.steppoly import build_capped_step_poly
 
 from conftest import make_triangle
@@ -400,3 +401,9 @@ def test_derandomized_value_lies_between_its_expectation_and_the_bound(
 def test_input_checks_raise(triangle_sat, sym_pm, call, match):
     with pytest.raises(ParameterError, match=match):
         call(triangle_sat, sym_pm)
+
+
+@pytest.mark.parametrize("achieved", [-0.01, 1.01, float("nan")])
+def test_an_outcome_value_outside_0_1_is_rejected(achieved):
+    with pytest.raises(ParameterError, match="outside \\[0,1\\]"):
+        rounding.RoundingOutcome(np.zeros(3, dtype=np.int64), achieved, None)

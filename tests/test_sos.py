@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos import _kernels, admm, sos
+from ugsos import _kernels, admm, basis, sos
 from ugsos.errors import (DegreeError, NullEventError, ParameterError,
                           SizeCapError)
 from ugsos.graphs import johnson_graph, noisy_hypercube
@@ -180,7 +180,7 @@ def test_dim_cap_counts_the_full_basis_without_building_it(monkeypatch):
     # D=4, k=3: the full basis has 1 + 3n + 9 C(n,2) keys, 4006 at n = 30
     ring = UgInstance(30, 3, tuple((v, (v + 1) % 30, 1.0, 1)
                                    for v in range(30)))
-    monkeypatch.setattr(sos, "MomentIndex", None)
+    monkeypatch.setattr(basis, "MomentIndex", None)
     with pytest.raises(SizeCapError,
                        match="moment-matrix dimension 4006 exceeds cap 4000"):
         build_relaxation(ring, 4)
@@ -347,7 +347,7 @@ def _dense_map(layout):
 @given(st.integers(1, 4), st.integers(2, 5), st.sampled_from([2, 4]),
        st.integers(0, 2**32 - 1))
 def test_adjoint_matches_the_map_and_its_gram_is_diagonal(n, k, D, seed):
-    layout = sos._charge_layout(n, k, D)
+    layout = basis._charge_layout(n, k, D)
     rng = np.random.default_rng(seed)
     y = rng.normal(size=layout.size)
     r = rng.normal(size=layout.packed_size)
@@ -1011,7 +1011,7 @@ def test_real_self_conjugate_blocks_bound_the_dense_min_eigenvalue(
     # and their product copies: the charge block 0 and the product block
     # (0, 0) take the real form
     calls = []
-    real_form = sos._real_form
+    real_form = basis._real_form
 
     def spy(B, partner):
         calls.append(len(partner))

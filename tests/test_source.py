@@ -76,19 +76,19 @@ def test_the_admm_core_imports_only_kernels_and_errors_from_ugsos():
 
 
 def test_the_solver_names_live_in_admm_alone():
-    from ugsos import admm, sos
+    from ugsos import admm, basis, sos
     moved = ["_Block", "_BlockSplit", "_psd_split", "_Anderson", "_floats",
              "ADMM_RHO0", "ADMM_MAX_ITERS", "ADMM_OVER_RELAX",
              "ANDERSON_MEMORY", "ANDERSON_REG", "PARTIAL_EIG_DIVISOR"]
     assert [name for name in moved if hasattr(sos, name)] == []
     assert all(hasattr(admm, name) for name in moved)
-    assert not hasattr(sos._ChargeLayout, "psd_split")
+    assert not hasattr(basis._ChargeLayout, "psd_split")
 
 
 def test_the_test_oracles_live_in_tests_reference_alone():
     import importlib
 
-    from ugsos import sos
+    from ugsos import basis
     moved = ["key_mul", "poly_add", "shift_key", "all_canonical_keys",
              "z_var_poly", "phi_exact_sampled"]
     modules = [importlib.import_module(f"ugsos.{path.stem}")
@@ -97,8 +97,44 @@ def test_the_test_oracles_live_in_tests_reference_alone():
              for name in moved + ["structure_report_csv"]
              if hasattr(m, name)]
     assert found == []
-    assert not hasattr(sos.MomentIndex, "ids")
+    assert not hasattr(basis.MomentIndex, "ids")
     reference = Path(__file__).parent / "reference.py"
     defined = {node.name for node in ast.parse(reference.read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert set(moved) <= defined
+
+
+def _ugsos_imports(path):
+    """The `ugsos` modules that a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "ugsos":
+            found |= {f"ugsos.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+    return {m for m in found if m and m.split(".")[0] == "ugsos"}
+
+
+def test_the_index_tables_live_in_basis_alone():
+    # basis knows no unique games: from the package it needs only admm's
+    # `_Block`; sos holds no cache, and only basis reads the index's tables
+    from ugsos import basis
+    moved = ["_index_size", "MomentIndex", "moment_index", "_product_ids",
+             "_fft_ids", "_ChargeLayout", "_charge_layout", "_ChargeFrame",
+             "_charge_frame", "_real_form"]
+    assert _ugsos_imports(SRC / "basis.py") == {"ugsos.admm"}
+    sos_tree = ast.parse((SRC / "sos.py").read_text())
+    defined = {node.name for node in sos_tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in sos_tree.body
+                if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name)}
+    assert defined.isdisjoint(moved)
+    assert all(hasattr(basis, name) for name in moved)
+    assert set(_names(sos_tree)).isdisjoint({"lru_cache", "cached_property"})
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if {"_kpow", "_binom"}
+               & set(_names(ast.parse(path.read_text())))]
+    assert readers == ["basis.py"]

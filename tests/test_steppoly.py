@@ -191,3 +191,27 @@ def test_values_stay_in_unit_interval_between_grid_points(triple):
 def test_eps_outside_the_open_half_interval_is_rejected(eps):
     with pytest.raises(ParameterError, match="need 0 < eps < 1/2"):
         build_step_poly(0.5, eps, 0.2)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+@pytest.mark.parametrize("alpha, delta", [
+    (0.9, 0.0), (0.9, -0.2), (0.9, 1.0), (0.0, 0.1), (1.5, 0.1),
+    (float("nan"), 0.1), (0.9, float("nan")), (float("inf"), 0.1)])
+def test_capped_build_rejects_a_threshold_or_window_outside_0_1(alpha, delta,
+                                                                cap):
+    # at cap 1, delta 0 divided by zero, delta -0.2 gave a decreasing
+    # "step" and alpha 1.5 the zero polynomial
+    with pytest.raises(ParameterError, match=re.escape(
+            "need alpha and delta in (0, 1)")):
+        build_capped_step_poly(alpha, delta, cap)
+
+
+def test_inputs_outside_0_1_are_clamped_with_a_warning(p_easy):
+    with pytest.warns(UserWarning, match="clamped to"):
+        vals = p_easy(np.array([-0.5, 1.5]))
+    assert vals.tolist() == p_easy(np.array([0.0, 1.0])).tolist()
+
+
+def test_squeeze_keeps_a_series_already_inside_0_1():
+    # 1/2 + T_1(2x - 1)/4 ranges over [1/4, 3/4]
+    assert steppoly._squeeze_into_unit([0.5, 0.25]) == (0.5, 0.25)
