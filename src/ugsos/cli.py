@@ -8,6 +8,7 @@ Reports are deterministic given (flags, seed) apart from wall-clock fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -106,22 +107,34 @@ def _load_instance(args):
     return inst, planted, graph
 
 
-def _emit(args, text: str):
-    """Write to --out or stdout; an unwritable --out is a parameter error."""
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParameterError(f"cannot write {args.out}: {exc}")
-    else:
+def _open_out(args):
+    """--out opened for writing, or a null context (stdout) without it; an
+    unwritable --out is a parameter error."""
+    if not args.out:
+        return contextlib.nullcontext()
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.out}: {exc}")
+
+
+def _emit(args, fh, text: str):
+    """Write to the opened --out, or to stdout when `fh` is None."""
+    if fh is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.out}: {exc}")
 
 
 def cmd_gen(args) -> int:
     from ugsos.instances import value
     inst, planted, _ = _load_instance(args)
-    _emit(args, inst.to_json())
+    with _open_out(args) as fh:
+        _emit(args, fh, inst.to_json())
     if planted is not None:
         print(f"planted value: {value(inst, planted):.6f}", file=sys.stderr)
     return EXIT_OK
@@ -139,37 +152,39 @@ def cmd_solve_round(args) -> int:
     solving_tol = args.tol if args.family != "johnson" else max(args.tol, 3e-4)
     p = build_capped_step_poly(args.beta, args.nu,
                                pot.truncation_cap(args.degree))
-    pE = solve_sdp(build_relaxation(inst, args.degree), tol=solving_tol)
-    report = {
-        "family": args.family,
-        "k": inst.k,
-        "degree": args.degree,
-        "seed": args.seed,
-        "sdp_value": pE.flags["sdp_value"],
-        "sdp_upper_bound": pE.flags["sdp_upper_bound"],
-        "phi": pot.phi_apx(pE, p, inst),
-        "psi": pot.psi(pE, inst) if args.degree >= 4 else None,
-        "beta": p.alpha,
-        "nu_effective": p.eps,
-        "unconverged": bool(pE.flags.get("unconverged", False)),
-        # the tolerance the solve ran at: the johnson family's is floored
-        "solver_tol": solving_tol,
-        "sdp_iterations": pE.flags["iterations"],
-    }
-    if args.family == "johnson":
-        out = johnson_pipeline(inst, pE, graph, args.eps)
-        report["rounded_value"] = out.achieved_value
-        report["trace"] = json.loads(out.to_json())["trace"]
-    else:
-        cr = rnd.condition_and_round(pE, inst, seed=args.seed)
-        de = rnd.derandomized_round(pE, inst)
-        report["rounded_value"] = cr.achieved_value
-        report["expected_value"] = cr.expected_value
-        report["derandomized_value"] = de.achieved_value
-        report["assignment"] = [int(a) for a in de.assignment]
-    # wall clock lives outside the deterministic body
-    report["wall_clock_s"] = round(time.time() - t0, 3)
-    _emit(args, json.dumps(report, sort_keys=True))
+    # --out is opened before the solve, so an unwritable path fails at once
+    with _open_out(args) as fh:
+        pE = solve_sdp(build_relaxation(inst, args.degree), tol=solving_tol)
+        report = {
+            "family": args.family,
+            "k": inst.k,
+            "degree": args.degree,
+            "seed": args.seed,
+            "sdp_value": pE.flags["sdp_value"],
+            "sdp_upper_bound": pE.flags["sdp_upper_bound"],
+            "phi": pot.phi_apx(pE, p, inst),
+            "psi": pot.psi(pE, inst) if args.degree >= 4 else None,
+            "beta": p.alpha,
+            "nu_effective": p.eps,
+            "unconverged": bool(pE.flags.get("unconverged", False)),
+            # the tolerance the solve ran at: the johnson family's is floored
+            "solver_tol": solving_tol,
+            "sdp_iterations": pE.flags["iterations"],
+        }
+        if args.family == "johnson":
+            out = johnson_pipeline(inst, pE, graph, args.eps)
+            report["rounded_value"] = out.achieved_value
+            report["trace"] = json.loads(out.to_json())["trace"]
+        else:
+            cr = rnd.condition_and_round(pE, inst, seed=args.seed)
+            de = rnd.derandomized_round(pE, inst)
+            report["rounded_value"] = cr.achieved_value
+            report["expected_value"] = cr.expected_value
+            report["derandomized_value"] = de.achieved_value
+            report["assignment"] = [int(a) for a in de.assignment]
+        # wall clock lives outside the deterministic body
+        report["wall_clock_s"] = round(time.time() - t0, 3)
+        _emit(args, fh, json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 

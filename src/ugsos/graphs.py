@@ -7,11 +7,9 @@ forms and exhaustive small-set expansion profiles.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -23,19 +21,24 @@ from ugsos.errors import ParameterError, SizeCapError
 VERTEX_CAP = 10**4
 SSE_EXHAUSTIVE_CAP = 10**7
 SSE_SAMPLE_COUNT = 10**6
-# WeightedGraph compares W with W^T in row blocks of about this many entries,
-# so that its check allocates no N x N temporary
-SYMMETRY_BLOCK = 1 << 20
+# the most c-sets the exhaustive profile holds in one array
+_SSE_BATCH = 1 << 16
+# WeightedGraph compares W with W^T in square tiles of about this many
+# entries, so that its check allocates no N x N temporary and reads each
+# transposed tile while it is still in cache
+SYMMETRY_BLOCK = 1 << 14
 
 
 def _is_symmetric(W: np.ndarray, atol: float) -> bool:
     """Whether max |W - W^T| <= atol, absolutely (False when W holds a NaN
-    or an infinity), read in row blocks of about SYMMETRY_BLOCK entries."""
+    or an infinity), read in tiles of about SYMMETRY_BLOCK entries on and
+    above the diagonal."""
     n = len(W)
-    step = max(1, SYMMETRY_BLOCK // max(n, 1))
+    b = max(1, isqrt(SYMMETRY_BLOCK))
     with np.errstate(invalid="ignore"):             # inf - inf
-        return all(np.abs(W[i:i + step] - W[:, i:i + step].T).max(initial=0.0)
-                   <= atol for i in range(0, n, step))
+        return all(np.abs(W[i:i + b, j:j + b] - W[j:j + b, i:i + b].T)
+                   .max(initial=0.0) <= atol
+                   for i in range(0, n, b) for j in range(i, n, b))
 
 
 @dataclass(frozen=True)
@@ -110,64 +113,27 @@ def noisy_hypercube(d: int, eps: float) -> WeightedGraph:
     return WeightedGraph(2**d, W, labels, {"family": "hypercube", "d": d, "eps": eps})
 
 
-def _affine_products(d: int, n: int):
-    """All products of d affine forms over F_2^n with linearly independent
-    linear parts (no nonempty subset of them XORs to 0), as multilinear
-    monomial-sets (frozensets of variable sets)."""
-
-    def multiply(poly: frozenset, a: int, b: int) -> frozenset:
-        # poly * (sum_{i in a} x_i + b) in the multilinear quotient (x^2 = x)
-        acc = set()
-        for mono in poly:
-            for i in range(n):
-                if a >> i & 1:
-                    m = mono | {i}
-                    acc ^= {frozenset(m)}
-            if b:
-                acc ^= {mono}
-        return frozenset(acc)
-
-    forms = [(a, b) for a in range(1, 1 << n) for b in (0, 1)]
-    products = set()
-    for combo in itertools.combinations(forms, d):
-        linear = [a for (a, _) in combo]
-        if not all(functools.reduce(operator.xor, sub) for r in range(1, d + 1)
-                   for sub in itertools.combinations(linear, r)):
-            continue
-        poly = frozenset({frozenset()})
-        for (a, b) in combo:
-            poly = multiply(poly, a, b)
-        if poly:
-            products.add(poly)
-    return products
-
-
 def shortcode_graph(d: int, n: int) -> WeightedGraph:
-    """Short-code graph: vertices are degree-<=d multilinear polynomials over
-    F_2^n; p and q are adjacent in the base graph when p - q factors as a
-    product of d linearly independent affine forms.  Returns the one-step
-    random-walk matrix of the base graph."""
+    """Short-code graph: the Cayley graph of Reed-Muller RM(d, n) generated by
+    its minimum-weight codewords.  Vertex p is a mask over the multilinear
+    monomials of degree <= d on F_2^n; p and q are adjacent when p - q has
+    truth-table weight 2^(n-d), i.e. it factors as a product of d linearly
+    independent affine forms.  Returns the one-step random-walk matrix."""
     if not (1 <= d < n <= 4):
         raise SizeCapError("shortcode_graph requires 1 <= d < n <= 4")
-    monos = [frozenset(c) for r in range(d + 1)
+    monos = [list(c) for r in range(d + 1)
              for c in itertools.combinations(range(n), r)]
     if len(monos) > 12:
         raise SizeCapError("short-code vertex count exceeds 2^12")
-    mono_bit = {m: i for i, m in enumerate(monos)}
-
-    def mask(poly: frozenset) -> int:
-        out = 0
-        for m in poly:
-            out |= 1 << mono_bit[m]
-        return out
-
-    diff_masks = {mask(p) for p in _affine_products(d, n)}
     N = 1 << len(monos)
-    A = np.zeros((N, N))
-    for p in range(N):
-        for dm in diff_masks:
-            A[p, p ^ dm] = 1.0
-    W = A / A.sum(axis=1, keepdims=True)
+    points = np.array(list(itertools.product((0, 1), repeat=n)), dtype=bool)
+    # E[j, x]: monomial j at point x, so (bits of p) E mod 2 is p's truth table
+    E = np.array([points[:, m].all(axis=1) for m in monos], dtype=np.int64)
+    bits = np.arange(N)[:, None] >> np.arange(len(monos)) & 1
+    gens = np.flatnonzero((bits @ E % 2).sum(axis=1) == 1 << (n - d))
+    p = np.arange(N)[:, None]
+    W = np.zeros((N, N))
+    W[p, p ^ gens] = 1.0 / len(gens)
     return WeightedGraph(N, W, tuple(range(N)),
                          {"family": "shortcode", "d": d, "n": n})
 
@@ -175,12 +141,11 @@ def shortcode_graph(d: int, n: int) -> WeightedGraph:
 def johnson_graph(n: int, l: int, alpha: float) -> WeightedGraph:
     """Johnson graph J_{n,l,alpha}: vertices are l-subsets of [n], adjacency
     iff the intersection has size (1-alpha)l.  Unit weights."""
-    _check_alpha(l, alpha)
+    target = l - _check_alpha(l, alpha)    # (1 - alpha) * l
     if not l < n:
         raise ParameterError("need l < n")
     if comb(n, l) > VERTEX_CAP:
         raise SizeCapError(f"johnson_graph caps at C(n,l) <= {VERTEX_CAP}")
-    target = round((1.0 - alpha) * l)
     verts = list(itertools.combinations(range(n), l))
     N = len(verts)
     # incidence rows: B B^T counts the common elements of two subsets
@@ -197,10 +162,9 @@ def johnson_cayley_graph(n: int, l: int, alpha: float) -> WeightedGraph:
     random set of alpha*l coordinates with fresh uniform values.  Weights are
     the transition probabilities (the walk is doubly stochastic); self-loops
     arise because a resampled coordinate may repeat its old value."""
-    _check_alpha(l, alpha)
+    m = _check_alpha(l, alpha)
     if n**l > VERTEX_CAP:
         raise SizeCapError(f"johnson_cayley_graph caps at n^l <= {VERTEX_CAP}")
-    m = round(alpha * l)
     verts = list(itertools.product(range(n), repeat=l))
     N = len(verts)
     denom = comb(l, m)
@@ -216,11 +180,14 @@ def johnson_cayley_graph(n: int, l: int, alpha: float) -> WeightedGraph:
                          {"family": "cayley", "n": n, "l": l, "alpha": alpha})
 
 
-def _check_alpha(l: int, alpha: float):
+def _check_alpha(l: int, alpha: float) -> int:
+    """alpha * l, once alpha lies in (0, 1] and alpha * l is an integer."""
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("alpha must lie in (0, 1]")
-    if abs(alpha * l - round(alpha * l)) > 1e-9:
-        raise ParameterError(f"alpha*l = {alpha * l} must be an integer")
+    m = alpha * l
+    if abs(m - round(m)) > 1e-9:
+        raise ParameterError(f"alpha*l = {m} must be an integer")
+    return round(m)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +258,17 @@ def sse_profile(g: WeightedGraph, delta: float, seed=None) -> SseProfile:
     total = deg.sum()
     pi = deg / total
     n = g.num_vertices
-    order = np.sort(pi)
-    cmax = 0
-    acc = 0.0
-    for c in range(1, n + 1):
-        acc += order[c - 1]
-        if acc <= delta + 1e-15:
-            cmax = c
-        else:
-            break
+    # the most vertices a set of measure <= delta can hold
+    cmax = int(np.searchsorted(np.cumsum(np.sort(pi)), delta + 1e-15, "right"))
     count = sum(comb(n, c) for c in range(1, cmax + 1))
     exhaustive = count <= SSE_EXHAUSTIVE_CAP
     if exhaustive:
-        batches = ((c, np.array(list(itertools.combinations(range(n), c)),
-                                dtype=np.int64)) for c in range(1, cmax + 1))
+        # each size in bounded batches, so memory does not grow with C(n, c)
+        def sized(c):
+            sets = itertools.combinations(range(n), c)
+            while chunk := list(itertools.islice(sets, _SSE_BATCH)):
+                yield c, np.array(chunk, dtype=np.int64)
+        batches = itertools.chain.from_iterable(map(sized, range(1, cmax + 1)))
     else:
         # lazy, so each size is drawn just before its 1000 sets; a set is
         # the c smallest of n uniform keys, all 1000 from one (1000, n) draw

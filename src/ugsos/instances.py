@@ -201,15 +201,12 @@ def plant_instance(graph, k: int, eps: float, seed=None):
     W = graph.W
     xstar = rng.integers(0, k, size=n)
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if W[u, v] <= 0:
-                continue
-            shift = int((xstar[u] - xstar[v]) % k)
-            if eps > 0 and rng.random() < eps:
-                # corrupt to a uniform non-satisfying shift
-                shift = int((shift + rng.integers(1, k)) % k)
-            edges.append((u, v, float(W[u, v]), shift))
+    for u, v in np.argwhere(np.triu(W, 1) > 0).tolist():
+        shift = int((xstar[u] - xstar[v]) % k)
+        if eps > 0 and rng.random() < eps:
+            # corrupt to a uniform non-satisfying shift
+            shift = int((shift + rng.integers(1, k)) % k)
+        edges.append((u, v, float(W[u, v]), shift))
     if not edges:
         raise ParameterError("graph has no off-diagonal edges to plant on")
     return UgInstance(n, k, tuple(edges)), xstar

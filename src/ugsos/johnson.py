@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from ugsos.errors import ParameterError, SizeCapError
-from ugsos.graphs import WeightedGraph, johnson_cayley_graph
+from ugsos.graphs import WeightedGraph, _check_alpha, johnson_cayley_graph
 from ugsos.instances import UgInstance
 from ugsos.rounding import (RoundingOutcome, _conditioned, _edge_arrays,
                             _score, cond_marginals, partial_to_full)
@@ -34,19 +34,12 @@ LEVEL_BOUND_SLACK = 1e-8
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _check_alpha_l(l: int, alpha: float) -> int:
-    m = alpha * l
-    if abs(m - round(m)) > 1e-9:
-        raise ParameterError(f"alpha*l = {m} must be an integer")
-    return int(round(m))
-
-
 def johnson_eigenvalue(l: int, alpha: float, t: int) -> float:
     """Walk eigenvalue of C_{n,l,alpha} on characters touching t coordinates:
     C(l-t, (1-alpha)l-t) / C(l, (1-alpha)l), zero once t exceeds (1-alpha)l."""
     if not 0 <= t <= l:
         raise ParameterError(f"character degree t = {t} outside [0, {l}]")
-    m = _check_alpha_l(l, alpha)
+    m = _check_alpha(l, alpha)
     keep = l - m  # (1 - alpha) * l
     if t > keep:
         return 0.0
@@ -65,7 +58,7 @@ def eigenvalue_multiset(n: int, l: int, alpha: float) -> np.ndarray:
 def subcube_expansion(l: int, alpha: float, r: int) -> float:
     """Edge expansion of an r-restricted subcube of the Johnson graph:
     phi = 1 - C(l-r, alpha*l)/C(l, alpha*l), whatever the ground-set size."""
-    m = _check_alpha_l(l, alpha)
+    m = _check_alpha(l, alpha)
     if not 0 <= r <= l - 1:
         raise ParameterError(f"restriction size r = {r} outside [0, {l - 1}]")
     if l - r < m:
@@ -76,6 +69,7 @@ def subcube_expansion(l: int, alpha: float, r: int) -> float:
 def expansion_bound_check(l: int, alpha: float, eps: float):
     """r = floor(32 eps / alpha) and the bound phi(J|_A) <= 200 eps, valid
     when r <= l/4.  Returns (r, phi, bound holds or None if r out of range)."""
+    _check_alpha(l, alpha)
     r = math.floor(32.0 * eps / alpha)
     if r > l / 4 or r > l - 1:
         return r, None, None

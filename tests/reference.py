@@ -1,6 +1,7 @@
 """Reference implementations the tests hold the package against: the
 dict-polynomial calculus over canonical keys, the exact-indicator shift
-potential, and the per-key shift-symmetry deviation.
+potential, the per-key shift-symmetry deviation and the pair-scan planted
+instance.
 
 Each is written key by key or vertex by vertex, the plainest way to compute
 it, so that a vectorized table in `ugsos` that disagrees is the suspect."""
@@ -77,3 +78,21 @@ def ref_shift_deviation(pE):
         worst = max(worst, abs(pE.moment(key)
                                - pE.moment(shift_key(key, 1, k))))
     return worst
+
+
+def plant_instance_pairs(graph, k: int, eps: float, seed=None):
+    """`plant_instance` by a scan of every vertex pair u < v, skipping the
+    pairs of weight <= 0."""
+    rng = np.random.default_rng(seed)
+    n, W = graph.num_vertices, graph.W
+    xstar = rng.integers(0, k, size=n)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if W[u, v] <= 0:
+                continue
+            shift = int((xstar[u] - xstar[v]) % k)
+            if eps > 0 and rng.random() < eps:
+                shift = int((shift + rng.integers(1, k)) % k)
+            edges.append((u, v, float(W[u, v]), shift))
+    return UgInstance(n, k, tuple(edges)), xstar

@@ -335,6 +335,21 @@ def test_solve_round_checks_the_step_window_before_solving(capsys,
     assert "parameter error: need alpha and delta in (0, 1)" in err
 
 
+def test_solve_round_checks_the_out_file_before_solving(tmp_path, capsys,
+                                                        monkeypatch):
+    from ugsos import sos
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before --out was opened")
+
+    monkeypatch.setattr(sos, "solve_sdp", unreachable)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "solve-round", "--family", "hypercube",
+                         "--d", "2", "--k", "2", "--out", str(target))
+    assert code == 3 and out == ""
+    assert f"parameter error: cannot write {target}" in err
+
+
 def test_verify_fails_a_pe_file_that_breaks_the_axioms(tmp_path, capsys):
     from ugsos.sos import PseudoExpectation
     pm = point_mass_pe(3, 3, [0, 1, 2])

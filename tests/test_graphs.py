@@ -1,4 +1,6 @@
 import itertools
+import timeit
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -194,6 +196,26 @@ def test_shortcode_graph_matches_a_truth_table_reference(d, n):
     assert np.array_equal(shortcode_graph(d, n).W, _shortcode_reference(d, n))
 
 
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 3), (1, 4)])
+def test_shortcode_spectrum_is_the_cayley_closed_form(d, n):
+    # a Cayley walk on F_2^m with generators G has the characters as its
+    # eigenvectors: lambda_chi = mean over g in G of (-1)^(chi . g)
+    g = shortcode_graph(d, n)
+    gens = np.flatnonzero(g.W[0])
+    chi = np.arange(g.num_vertices)[:, None]
+    parity = np.bitwise_count(chi & gens) % 2
+    closed = np.sort((1.0 - 2.0 * parity).mean(axis=1))
+    assert np.allclose(np.sort(spectral_decompose(g).eigenvalues), closed,
+                       rtol=0.0, atol=1e-9)
+
+
+def test_shortcode_graph_builds_fast():
+    # SC(2,4) has 2048 vertices and 140 generators; the construction is
+    # array arithmetic on truth tables, best of three under 50 ms
+    assert min(timeit.repeat(lambda: shortcode_graph(2, 4), number=1,
+                             repeat=3)) < 0.05
+
+
 def test_expansion_of_dictator_cut():
     g = noisy_hypercube(3, 0.1)
     sd = spectral_decompose(g)
@@ -214,6 +236,26 @@ def test_sse_profile_exhaustive_small():
     assert list(prof.min_phi_by_size.items()) == [
         (1, 1.0), (2, 0.8333333333333334), (3, 0.6666666666666667)]
     assert prof.argmin_by_size == {1: (0,), 2: (0, 1), 3: (0, 1, 2)}
+
+
+def test_sse_profile_exhaustive_memory_is_bounded_by_a_batch():
+    # 201,376 5-sets of the 32-vertex cube make four batches of at most
+    # 2^16; one batch with its kernel temporaries traces about 15 MB, while
+    # all of them in one array would trace about 34 MB
+    g = noisy_hypercube(5, 0.1)
+    assert comb(32, 5) > graphs._SSE_BATCH
+    tracemalloc.start()
+    try:
+        prof = sse_profile(g, 5 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.exhaustive
+    assert peak < 24e6
+    assert list(prof.argmin_by_size.items()) == [
+        (1, (16,)), (2, (16, 17)), (3, (0, 1, 16)), (4, (0, 1, 16, 17)),
+        (5, (0, 1, 16, 17, 18))]
+    assert prof.min_phi_by_size[5] == pytest.approx(0.266302, abs=1e-12)
 
 
 def test_sse_profile_sampled_branch(monkeypatch):

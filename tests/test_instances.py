@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from ugsos import _kernels
 from ugsos.errors import ConstructionError, ParameterError, SizeCapError
-from ugsos.graphs import johnson_graph, noisy_hypercube
+from ugsos.graphs import WeightedGraph, johnson_graph, noisy_hypercube
 from ugsos.instances import (UgInstance, brute_force_opt, local_value,
                              plant_instance, value)
 
 from conftest import make_triangle
+from reference import plant_instance_pairs
 
 
 def test_edges_canonicalized():
@@ -308,6 +309,30 @@ def test_plant_zero_eps_is_satisfiable():
     g = noisy_hypercube(2, 0.1)
     inst, xstar = plant_instance(g, 3, 0.0, seed=5)
     assert value(inst, xstar) == 1.0
+
+
+@pytest.mark.parametrize("k,eps,seed", [(2, 0.0, 0), (3, 0.2, 1),
+                                         (5, 0.5, 2), (4, 1.0, 3)])
+def test_plant_instance_matches_the_pair_scan(k, eps, seed):
+    # same edges in the same order, same RNG calls per edge, so the same
+    # shifts and planted assignment as a scan of every pair u < v
+    rng = np.random.default_rng(seed)
+    graphs = [noisy_hypercube(3, 0.2), johnson_graph(5, 2, 0.5)]
+    for n in (2, 5, 9):
+        A = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        A[0, 1] = 1.0
+        graphs.append(WeightedGraph(n, A + A.T))
+    # a weight in (-1e-15, 0], which WeightedGraph accepts and both skip
+    W = np.ones((4, 4))
+    W[0, 2] = W[2, 0] = -5e-16
+    graphs.append(WeightedGraph(4, W))
+    for g in graphs:
+        inst, xstar = plant_instance(g, k, eps, seed=seed)
+        ref, ref_xstar = plant_instance_pairs(g, k, eps, seed=seed)
+        assert inst.edges == ref.edges
+        assert np.array_equal(xstar, ref_xstar)
+        assert all(type(u) is int and type(v) is int
+                   for (u, v, _, _) in inst.edges)
 
 
 def test_plant_eps_near_target():

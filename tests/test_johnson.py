@@ -317,10 +317,23 @@ def _no_internal_edge_search():
      SizeCapError, "C\\(n, r\\)"),
     (_no_internal_edge_search, ParameterError,
      "no subcube has internal edges"),
+    (lambda: expansion_bound_check(4, 0.0, 0.05), ParameterError,
+     "alpha must lie in"),
+    (lambda: johnson_eigenvalue(2, -0.5, 0), ParameterError,
+     "alpha must lie in"),
+    (lambda: subcube_expansion(2, -0.5, 0), ParameterError,
+     "alpha must lie in"),
+    (lambda: johnson_eigenvalue(2, 1.5, 0), ParameterError,
+     "alpha must lie in"),
+    (lambda: subcube_expansion(2, 1.5, 0), ParameterError,
+     "alpha must lie in"),
 ], ids=["alpha-l", "character-degree", "restriction-size",
         "subcube-distinct", "subcube-negative", "density-needs-n-l",
         "density-empty", "structure-variant", "structure-j-graph",
-        "search-metadata", "search-cap", "search-no-edges"])
+        "search-metadata", "search-cap", "search-no-edges",
+        "bound-alpha-zero", "eigenvalue-alpha-negative",
+        "expansion-alpha-negative", "eigenvalue-alpha-above-one",
+        "expansion-alpha-above-one"])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
