@@ -28,8 +28,10 @@ partition sum adds one label axis of the degree-(d+1) grid into the d-subset
 that remains, and a moment-matrix entry of two keys sits at their union's
 rank with each label digit weighted by its place in the union.  The index
 also stores every key as a row of slot entries (label + 1, or 0 for an
-unused slot), which `rank` maps back to ids: conditioning products, dropped
-vertices and a product copy's two parts are rankings of such rows.
+unused slot), which `rank` maps back to ids: conditioning products and a
+product copy's two parts are rankings of such rows.  Dropping the pairs at
+a set of slots (`_drop`, for `rerandomize`) ranks each subset's rest once
+and recombines the code from the kept digits.
 
 Charge bases
 ------------
@@ -195,6 +197,23 @@ class MomentIndex:
         clash = ((A > 0) & (B > 0) & (A != B)).any(axis=-1)
         return np.where(clash, -1, self.rank(np.maximum(A, B)))
 
+    def _drop(self, dropped: np.ndarray, d: int):
+        """(ids, lost) for the keys of degree d with their pairs at the slots
+        where `dropped` is True removed: ids[rank, code] the id of the rest
+        of the key with that subset rank and label code, lost[rank] the
+        number of pairs removed.  As in `relabel`, the subset is ranked once
+        and the code is recombined digit by digit: a kept place weighs k to
+        the number of kept places after it."""
+        subsets = self.subsets[d]
+        keep = ~dropped[subsets]
+        after = keep[:, ::-1].cumsum(axis=1)[:, ::-1] - keep
+        weight = np.where(keep, self._kpow[after], 0)
+        chosen = np.zeros((len(subsets), self.n * self.copies), dtype=bool)
+        chosen[np.arange(len(subsets))[:, None], subsets] = keep
+        size = keep.sum(axis=1)
+        start = self.offset[size] + self.subset_rank(chosen) * self._kpow[size]
+        return start[:, None] + weight @ self.digits[d], d - size
+
     def rows(self, keys) -> np.ndarray:
         """Slot rows of keys given as tuples of (vertex, label, copy)."""
         L = np.zeros((len(keys), self.n * self.copies), dtype=self.dtype)
@@ -257,32 +276,32 @@ def _product_ids(index: MomentIndex) -> np.ndarray:
     return E
 
 
-@functools.lru_cache(maxsize=16)
-def _fft_ids(n: int, k: int, D: int) -> np.ndarray:
-    """Per full-label key, the id of the charge monomial whose charges are
-    its labels (label 0 drops the slot): the grid the FFT transforms.
+@functools.lru_cache(maxsize=64)
+def _fft_ids(n: int, k: int, D: int, d: int | None = None) -> np.ndarray:
+    """Per full-label key of degree d (of every degree <= D when d is None),
+    the id of the charge monomial whose charges are its labels (label 0
+    drops the slot): the grid the FFT transforms.
 
-    At degree d a key's charge monomial keeps the slots of its nonzero
-    labels, so its id is the rank of that sub-subset of the key's subset
-    plus a term of the label code alone: the 2^d sub-subsets of every
-    d-subset are ranked once, and each code picks its own."""
+    A key's charge monomial keeps the slots of its nonzero labels, so its id
+    is the rank of that sub-subset of the key's subset plus a term of the
+    label code alone: the 2^d sub-subsets of every d-subset are ranked once,
+    and each code picks its own."""
+    if d is None:
+        return np.concatenate([_fft_ids(n, k, D, e) for e in range(D + 1)])
     full, charge = moment_index(n, k, D), moment_index(n, k - 1, D)
-    out = []
-    for d, (subsets, labels) in enumerate(zip(full.subsets, full.digits)):
-        bit = 1 << np.arange(d - 1, -1, -1)     # place i's bit in a mask
-        kept = np.arange(2**d)[:, None] & bit > 0   # kept[mask, i]
-        chosen = np.zeros((len(subsets), n, 2**d), dtype=bool)
-        chosen[np.arange(len(subsets))[:, None], subsets] = kept.T
-        sub = charge.subset_rank(chosen.transpose(0, 2, 1))
-        sub *= charge._kpow[kept.sum(axis=1)]
-        # per code: its drop mask, and the charge degree and code it keeps
-        nonzero = labels > 0
-        mask = bit @ nonzero
-        after = nonzero[::-1].cumsum(axis=0)[::-1] - nonzero  # kept after i
-        code = (np.where(nonzero, labels - 1, 0) * charge._kpow[after]).sum(0)
-        out.append((sub[:, mask] + (charge.offset[nonzero.sum(0)]
-                                    + code)).ravel())
-    return np.concatenate(out)
+    subsets, labels = full.subsets[d], full.digits[d]
+    bit = 1 << np.arange(d - 1, -1, -1)     # place i's bit in a mask
+    kept = np.arange(2**d)[:, None] & bit > 0   # kept[mask, i]
+    chosen = np.zeros((len(subsets), n, 2**d), dtype=bool)
+    chosen[np.arange(len(subsets))[:, None], subsets] = kept.T
+    sub = charge.subset_rank(chosen.transpose(0, 2, 1))
+    sub *= charge._kpow[kept.sum(axis=1)]
+    # per code: its drop mask, and the charge degree and code it keeps
+    nonzero = labels > 0
+    mask = bit @ nonzero
+    after = nonzero[::-1].cumsum(axis=0)[::-1] - nonzero  # kept after i
+    code = (np.where(nonzero, labels - 1, 0) * charge._kpow[after]).sum(0)
+    return (sub[:, mask] + (charge.offset[nonzero.sum(0)] + code)).ravel()
 
 
 class _ChargeLayout:

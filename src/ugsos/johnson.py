@@ -66,10 +66,18 @@ def subcube_expansion(l: int, alpha: float, r: int) -> float:
     return 1.0 - comb(l - r, m) / comb(l, m)
 
 
+def _check_eps(eps: float):
+    """Raise ParameterError unless eps is finite and >= 0."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ParameterError(f"eps must be finite and >= 0, got {eps}")
+
+
 def expansion_bound_check(l: int, alpha: float, eps: float):
     """r = floor(32 eps / alpha) and the bound phi(J|_A) <= 200 eps, valid
-    when r <= l/4.  Returns (r, phi, bound holds or None if r out of range)."""
+    when r <= l/4.  Returns (r, phi, bound holds or None if r out of range).
+    Raises ParameterError unless eps is finite and >= 0."""
     _check_alpha(l, alpha)
+    _check_eps(eps)
     r = math.floor(32.0 * eps / alpha)
     if r > l / 4 or r > l - 1:
         return r, None, None
@@ -337,13 +345,15 @@ def johnson_pipeline(inst: UgInstance, pE: PseudoExpectation,
     scores only the whole graph and the first step rounds every vertex;
     `r_override` is the way into the restriction regime there.  The choice
     is driven by measured CR values, so the paper's beta = 201 eps plays no
-    part."""
+    part.  Raises ParameterError unless eps is finite and >= 0, with or
+    without `r_override`."""
     if pE.degree not in (2, 4):
         raise ParameterError("johnson_pipeline supports D in {2, 4}")
     meta = graph.meta
     if meta.get("family") != "johnson":
         raise ParameterError("johnson_pipeline needs a Johnson graph")
     l, alpha = meta["l"], meta["alpha"]
+    _check_eps(eps)
     r = (min(math.floor(32.0 * eps / alpha), math.floor(l / 4))
          if r_override is None else r_override)
 

@@ -121,8 +121,10 @@ def _merge(f):
 
 
 def _pe(pE: PseudoExpectation, f) -> np.ndarray:
-    """pE of the polynomials f, (ids, coefs) with terms on the last axis."""
-    return (f[1] * pE._array()[f[0]]).sum(axis=-1)
+    """pE of the polynomials f, (ids, coefs) with terms on the last axis,
+    read from the blocks up to the degree of the largest id."""
+    top = np.searchsorted(pE.index.offset, f[0].max(initial=0), side="right")
+    return (f[1] * pE._array(int(top) - 1)[f[0]]).sum(axis=-1)
 
 
 def _factors(pE: PseudoExpectation, p: StepPolynomial, inst: UgInstance,

@@ -6,13 +6,20 @@ rerandomization, validity checking) over the index and tables of `basis`.
 A pseudoexpectation is its index plus one float64 array of moments in id
 order, whether it comes from the solver, a point mass, a mixture, a JSON file
 or the calculus; symmetrize, rerandomize, condition, the moment matrix and the
-partition table are gathers from that array.  A scalar read (`moment`, and
+partition table are gathers from that array.  The array fills by degree
+block (block d = ids offset[d]:offset[d+1]) on first read: `_array(d)`
+fills blocks 0..d and returns that prefix, `_array()` the whole table.  The
+solver's table (one FFT per block), a rerandomized one (a gather from the
+base's blocks <= d) and a product copy (products of the base's moments)
+fill lazily; every other table is filled when it is made.  So a reader
+pays only for the degrees it reads: the rounding reads pair moments, the
+conditioned shift potential triples.  A scalar read (`moment`, and
 through it `evaluate` and `pe`) canonicalizes the monomial and reads the
-array through the index's shared key -> id map (a product copy gathers
-its key's slot row from its base), and `pair_moments` reshapes its degree-1
-and degree-2 blocks into the pairwise tensor that the rounding, the
-potentials, the shift-symmetry check and `edge_agreement` (the value, edge
-by edge) read.
+array through the index's shared key -> id map (a product copy multiplies
+the base's moments at its key's two parts, filling nothing of its own),
+and `pair_moments` reshapes its degree-1 and degree-2 blocks into the
+pairwise tensor that the rounding, the potentials, the shift-symmetry check
+and `edge_agreement` (the value, edge by edge) read.
 
 Relaxation
 ----------
@@ -22,7 +29,7 @@ objective over its coordinates; `DIM_CAP` bounds the full-basis dimension.
 as |yhat(g)| <= 1 (pseudo-Cauchy-Schwarz), the solver's r bounds the SDP
 value, and OPT, from above (`_ChargeLayout.upper_bound`).  The full-label
 table is one FFT per degree (`_full_moments_from_reduced`) over the grid of
-`basis._fft_ids`.
+`basis._fft_ids`, each run when its block is first read.
 
 Validation
 ----------
@@ -138,16 +145,16 @@ class PseudoExpectation:
     float64 array over `moment_index(num_vertices, k, degree, copy_count)`.
 
     `moments` is that array, or a mapping from canonical keys to values that
-    is scattered into it once (keys it omits read as 0).  A product copy (see
-    `product_copy`) is a view of its base table: a scalar read multiplies
-    two base moments, and the whole array is gathered on first use.
+    is scattered into it once (keys it omits read as 0), or None for a table
+    that `_fill(d)` fills block by block on first read (module docstring).
+    A product copy (see `product_copy`) is a view of its base table `_base`.
     Immutable by convention: all calculus operations return new
     objects.
     """
 
     def __init__(self, degree: int, k: int, num_vertices: int, moments,
                  copy_count: int = 1, flags=None,
-                 _base: "PseudoExpectation | None" = None):
+                 _base: "PseudoExpectation | None" = None, _fill=None):
         self.degree, self.k, self.num_vertices = degree, k, num_vertices
         self.copy_count = copy_count
         self.flags = {} if flags is None else flags
@@ -157,7 +164,9 @@ class PseudoExpectation:
             values = np.zeros(len(ids))
             values[[ids[key] for key in moments]] = list(moments.values())
             moments = values
-        self._values = moments
+        self._values = moments      # None until a lazy table's first fill
+        self._fill = _fill          # block d's values, for a lazy table
+        self._filled = degree if _fill is None else -1   # blocks in _values
 
     @property
     def moments(self) -> Mapping:
@@ -168,11 +177,21 @@ class PseudoExpectation:
         return moment_index(self.num_vertices, self.k, self.degree,
                             self.copy_count)
 
-    def _array(self) -> np.ndarray:
-        """The moments in id order."""
-        if self._values is None:
-            self._values = _gather(self, self.index.slots)
-        return self._values
+    def _array(self, degree: int | None = None) -> np.ndarray:
+        """The moments of degree <= `degree` (default: all) in id order, a
+        prefix of the table, after filling the blocks not yet filled."""
+        top = self.degree if degree is None else degree
+        offset = self.index.offset
+        if self._filled < top:
+            if self._values is None:
+                self._values = np.empty(len(self.index))
+            for d in range(self._filled + 1, top + 1):
+                self._values[offset[d]:offset[d + 1]] = self._fill(d)
+                self._filled = d
+            if top == self.degree:
+                self._fill = None   # the sources it holds can go
+        return (self._values if top == self.degree
+                else self._values[:offset[top + 1]])
 
     def moment(self, key) -> float:
         """pE[key] for a monomial spelled as (vertex, label) pairs or
@@ -183,12 +202,16 @@ class PseudoExpectation:
         key = None if key is None else canon_key(key)
         if key is None:
             return 0.0
-        i = None if self._values is None else self.index.id_of.get(key)
+        d = len(key)
+        i = (self.index.id_of.get(key)
+             if self._base is None or d <= self._filled else None)
         if i is None:
             # a key outside the table raises; a product copy reads the two
-            # base moments `_gather` multiplies, without gathering its table
-            return _gather(self, self._row(key)[None]).item()
-        return self._array().item(i)
+            # base moments `_gather` multiplies, without filling its table
+            return _gather(self, self._row(key)[None], d).item()
+        if self._filled < d:
+            self._array(d)
+        return self._values.item(i)
 
     def _row(self, key) -> np.ndarray:
         """The slot row of a canonical key: DegreeError above the degree,
@@ -340,23 +363,20 @@ def build_relaxation(inst: UgInstance, D: int) -> SdpProblem:
                       objective_vec=_charge_objective(inst, layout))
 
 
-def _full_moments_from_reduced(yhat: np.ndarray, n: int, k: int,
-                               D: int) -> np.ndarray:
-    """Every canonical full-label moment of degree <= D, in id order, from
-    the complex charge moments yhat over `moment_index(n, k - 1, D)`:
-    pE[prod_{u in S} X_{u,a_u}] = k^-|S| sum_g omega^(-g.a) yhat(g) over g
-    in Z_k^S, one `np.fft.fftn` per degree over the (C(n,d), k, ..., k)
-    layout of the ids."""
-    index = moment_index(n, k, D)
-    grid = yhat[_fft_ids(n, k, D)]
-    out = np.empty(len(index))
-    for d in range(D + 1):
-        part = slice(index.offset[d], index.offset[d + 1])
-        block = grid[part].reshape((-1,) + (k,) * d)
-        if d:
-            block = np.fft.fftn(block, axes=tuple(range(1, d + 1))) / k**d
-        out[part] = block.real.ravel()
-    return out
+def _full_moments_from_reduced(yhat: np.ndarray, n: int, k: int, D: int,
+                               d: int | None = None) -> np.ndarray:
+    """The canonical full-label moments of degree d (of every degree <= D
+    when d is None), in id order, from the complex charge moments yhat over
+    `moment_index(n, k - 1, D)`: pE[prod_{u in S} X_{u,a_u}] =
+    k^-|S| sum_g omega^(-g.a) yhat(g) over g in Z_k^S, one `np.fft.fftn`
+    per degree over the (C(n,d), k, ..., k) layout of the ids."""
+    if d is None:
+        return np.concatenate([_full_moments_from_reduced(yhat, n, k, D, e)
+                               for e in range(D + 1)])
+    block = yhat[_fft_ids(n, k, D, d)].reshape((-1,) + (k,) * d)
+    if d:
+        block = np.fft.fftn(block, axes=tuple(range(1, d + 1))) / k**d
+    return block.real.ravel()
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
@@ -366,11 +386,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     uniform independent distribution y = e_0.  Flags: "sdp_value" c.y, the
     certified "sdp_upper_bound" >= OPT (it may lie below c.y of a
     tol-feasible y), "duality_gap" c.y - r_empty, `admm.Solution`'s fields
-    of the same names, and "unconverged": True if the cap was hit."""
+    of the same names, and "unconverged": True if the cap was hit.  The
+    table's block d is the FFT of the degree-d grid, run on first read."""
     lay, c, inst = problem.layout, problem.objective_vec, problem.inst
     sol = admm.solve(lay, c, tol, max_iters)
-    moments = _full_moments_from_reduced(lay.moments(sol.y), inst.num_vertices,
-                                         inst.k, problem.degree)
+    yhat, D = lay.moments(sol.y), problem.degree
+    n, k = inst.num_vertices, inst.k
     flags = {"sdp_value": float(c @ sol.y),
              "sdp_upper_bound": lay.upper_bound(sol.r),
              "duality_gap": float(c @ sol.y - sol.r[0]),
@@ -380,23 +401,26 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
              "partial_projections": sol.partial_projections}
     if not sol.converged:
         flags["unconverged"] = True
-    return PseudoExpectation(problem.degree, inst.k, inst.num_vertices,
-                             moments, flags=flags)
+    # looked up in the module at each fill, so a wrapper set there sees it
+    return PseudoExpectation(
+        D, k, n, None, flags=flags,
+        _fill=lambda d: _full_moments_from_reduced(yhat, n, k, D, d))
 
 
 # ---------------------------------------------------------------------------
 # Calculus
 # ---------------------------------------------------------------------------
 
-def _gather(pE: PseudoExpectation, L: np.ndarray) -> np.ndarray:
+def _gather(pE: PseudoExpectation, L: np.ndarray,
+            degree: int | None = None) -> np.ndarray:
     """pE's moments at the keys with slot rows L (over pE's slots, degree
-    <= pE.degree); a product copy multiplies its base's moments at the two
-    copies' parts."""
+    <= `degree`, by default pE.degree); a product copy multiplies its base's
+    moments at the two copies' parts."""
     if pE._base is not None:
         ids = pE._base.index.rank(L.reshape(len(L), 2, pE.num_vertices))
-        values = pE._base._array()
+        values = pE._base._array(degree)
         return values[ids[:, 0]] * values[ids[:, 1]]
-    return pE._array()[pE.index.rank(L)]
+    return pE._array(degree)[pE.index.rank(L)]
 
 
 def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
@@ -430,7 +454,7 @@ def pair_moments(pE: PseudoExpectation) -> np.ndarray:
         raise ParameterError(
             "pair_moments needs a single-copy table of degree >= 2")
     n, k = pE.num_vertices, pE.k
-    offset, values = pE.index.offset, pE._array()
+    offset, values = pE.index.offset, pE._array(2)
     pairs = values[offset[2]:offset[3]].reshape(-1, k, k)
     P = np.zeros((n, n, k, k))
     u, v = np.triu_indices(n, 1)
@@ -478,13 +502,15 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
     new_deg = pE.degree - 2 * len(event)
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")
-    p_event = float(_gather(pE, ev[None])[0])
+    p_event = float(_gather(pE, ev[None], len(event))[0])
     if p_event < COND_FLOOR:
         raise NullEventError(
             f"pE[event] = {p_event:.3e} below floor {COND_FLOOR}")
     L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
     zero = ((L > 0) & (ev > 0) & (L != ev)).any(axis=1)
-    new = np.where(zero, 0.0, _gather(pE, np.maximum(L, ev)) / p_event)
+    new = np.where(zero, 0.0,
+                   _gather(pE, np.maximum(L, ev), new_deg + len(event))
+                   / p_event)
     return PseudoExpectation(new_deg, pE.k, pE.num_vertices, new,
                              copy_count=pE.copy_count,
                              flags=_solver_status(pE))
@@ -493,36 +519,46 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
 def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
     """Independent second copy: pE_{X,X'}[X^a (X')^b] = pE[X^a] pE[X^b].
 
-    The 2-copy table, which `moments` and `to_json` use, is gathered from
-    the base's on first use; until then a scalar read (`moment`, `pe`)
-    multiplies the base's moments at the two copies' parts.  The result is
-    a valid degree-D pseudoexpectation.  `validate` never gathers it: the
-    charge blocks are products of the base's transformed moment matrix,
-    and the partition residuals come from the base's residual table."""
+    The 2-copy table, which `moments` and `to_json` use, fills block d
+    from the base's blocks <= d on first read; a scalar read (`moment`,
+    `pe`) of a block not yet filled multiplies the base's moments at the
+    two copies' parts.  The result is a valid degree-D pseudoexpectation.
+    `validate` never fills it: the charge blocks are products of the base's
+    transformed moment matrix, and the partition residuals come from the
+    base's residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
-    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
-                             copy_count=2, flags=dict(pE.flags), _base=pE)
+    index = moment_index(pE.num_vertices, pE.k, pE.degree, 2)
+
+    def fill(d):
+        rows = index.slots[index.offset[d]:index.offset[d + 1]]
+        return _gather(pE2, rows, d)
+
+    pE2 = PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
+                            copy_count=2, flags=dict(pE.flags), _base=pE,
+                            _fill=fill)
+    return pE2
 
 
 def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
     """Replace the moments on the vertex set S with uniform independent
     marginals: pE'[m] = (1/k^t) pE[m with S-pairs removed], t = #S-pairs.
-    Shift-symmetry is preserved.  Raises ParameterError on a vertex outside
-    [0, n)."""
+    Shift-symmetry is preserved.  Block d is read from pE's blocks <= d on
+    first read.  Raises ParameterError on a vertex outside [0, n)."""
     if pE.copy_count != 1:
         raise ParameterError("rerandomize requires copy_count = 1")
     S = set(S)
     if any(v not in range(pE.num_vertices) for v in S):
         raise ParameterError(f"vertex set {S} leaves [0, {pE.num_vertices})")
-    drop = [v for v in range(pE.num_vertices) if v in S]
-    L = pE.index.slots.copy()
-    t = (L[:, drop] > 0).sum(axis=1)
-    L[:, drop] = 0
+    dropped = np.isin(np.arange(pE.num_vertices), list(S))
     scale = np.array([pE.k**i for i in range(pE.degree + 1)], dtype=float)
-    new = _gather(pE, L) / scale[t]
-    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, new,
-                             flags=_solver_status(pE))
+
+    def fill(d):
+        ids, lost = pE.index._drop(dropped, d)
+        return (pE._array(d)[ids] / scale[lost][:, None]).ravel()
+
+    return PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
+                             flags=_solver_status(pE), _fill=fill)
 
 
 def _solver_status(pE: PseudoExpectation) -> dict:

@@ -292,6 +292,14 @@ def _no_internal_edge_search():
                              johnson_graph(4, 2, 0.5), 0)
 
 
+def _pipeline_with_eps(eps, r_override):
+    # a point mass on J(4,2): the eps check comes before any rounding
+    graph = johnson_graph(4, 2, 0.5)
+    inst = UgInstance(6, 2, ((0, 1, 1.0, 0),))
+    return johnson_pipeline(inst, point_mass_pe(6, 2, [0] * 6), graph, eps,
+                            r_override=r_override)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: johnson_eigenvalue(3, 0.5, 1), ParameterError,
      "must be an integer"),
@@ -327,13 +335,29 @@ def _no_internal_edge_search():
      "alpha must lie in"),
     (lambda: subcube_expansion(2, 1.5, 0), ParameterError,
      "alpha must lie in"),
+    (lambda: expansion_bound_check(4, 0.5, float("nan")), ParameterError,
+     "eps must be finite"),
+    (lambda: expansion_bound_check(4, 0.5, float("inf")), ParameterError,
+     "eps must be finite"),
+    (lambda: expansion_bound_check(4, 0.5, -0.1), ParameterError,
+     "eps must be finite and >= 0"),
+    (lambda: _pipeline_with_eps(float("nan"), None), ParameterError,
+     "eps must be finite"),
+    (lambda: _pipeline_with_eps(float("nan"), 0), ParameterError,
+     "eps must be finite"),
+    (lambda: _pipeline_with_eps(float("-inf"), 1), ParameterError,
+     "eps must be finite"),
+    (lambda: _pipeline_with_eps(-0.1, None), ParameterError,
+     "eps must be finite and >= 0"),
 ], ids=["alpha-l", "character-degree", "restriction-size",
         "subcube-distinct", "subcube-negative", "density-needs-n-l",
         "density-empty", "structure-variant", "structure-j-graph",
         "search-metadata", "search-cap", "search-no-edges",
         "bound-alpha-zero", "eigenvalue-alpha-negative",
         "expansion-alpha-negative", "eigenvalue-alpha-above-one",
-        "expansion-alpha-above-one"])
+        "expansion-alpha-above-one", "bound-eps-nan", "bound-eps-inf",
+        "bound-eps-negative", "pipeline-eps-nan", "pipeline-eps-nan-override",
+        "pipeline-eps-minus-inf-override", "pipeline-eps-negative"])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -138,3 +138,12 @@ def test_the_index_tables_live_in_basis_alone():
                if {"_kpow", "_binom"}
                & set(_names(ast.parse(path.read_text())))]
     assert readers == ["basis.py"]
+
+
+def test_only_sos_names_the_moment_array_and_its_fill_state():
+    # every other reader goes through `PseudoExpectation._array(degree)`,
+    # which fills the blocks it returns, so no reader can skip a fill
+    state = {"_values", "_fill", "_filled"}
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if state & set(_names(ast.parse(path.read_text())))]
+    assert readers == ["sos.py"]
