@@ -201,9 +201,9 @@ class MomentIndex:
         """(ids, lost) for the keys of degree d with their pairs at the slots
         where `dropped` is True removed: ids[rank, code] the id of the rest
         of the key with that subset rank and label code, lost[rank] the
-        number of pairs removed.  As in `relabel`, the subset is ranked once
-        and the code is recombined digit by digit: a kept place weighs k to
-        the number of kept places after it."""
+        number of pairs removed.  Each subset's rest is ranked once, and, as
+        in `relabel`, the code is recombined digit by digit: a kept place
+        weighs k to the number of kept places after it."""
         subsets = self.subsets[d]
         keep = ~dropped[subsets]
         after = keep[:, ::-1].cumsum(axis=1)[:, ::-1] - keep
