@@ -26,12 +26,14 @@ arithmetic on the label codes: a label bijection permutes each block's codes
 (`relabel`: the shifts of `symmetrize`, the charge negation g -> -g), a
 partition sum adds one label axis of the degree-(d+1) grid into the d-subset
 that remains, and a moment-matrix entry of two keys sits at their union's
-rank with each label digit weighted by its place in the union.  The index
-also stores every key as a row of slot entries (label + 1, or 0 for an
-unused slot), which `rank` maps back to ids: conditioning products and a
-product copy's two parts are rankings of such rows.  Dropping the pairs at
-a set of slots (`_drop`, for `rerandomize`) ranks each subset's rest once
-and recombines the code from the kept digits.
+rank with each label digit weighted by its place in the union.  A two-copy
+subset lists its copy-0 slots first, so a two-copy key's code is its copy-0
+part's code followed by its copy-1 part's, and `_halves` reads both parts'
+ids from the subset's two ranks.  Dropping the pairs at a set of slots
+(`_drop`, for `rerandomize`) ranks each subset's rest once and recombines
+the code from the kept digits.  The index also stores every key as a row of
+slot entries (label + 1, or 0 for an unused slot), which `rank` maps back
+to ids: `mul` multiplies keys that way.
 
 Charge bases
 ------------
@@ -88,9 +90,9 @@ class MomentIndex:
     the number of keys.
 
     `slots` holds key i as row i: label + 1 at slot copy * n + vertex, 0
-    where the key has no pair.  `rank` maps such rows back to ids, so it
-    answers every "which key is this product" question in one vectorized
-    call.  Build it through the cached `moment_index`."""
+    where the key has no pair.  `rank` maps such rows back to ids, so `mul`
+    answers "which key is this product" in one vectorized call.  Build it
+    through the cached `moment_index`."""
 
     def __init__(self, n: int, k: int, D: int, copies: int = 1):
         self.n, self.k, self.degree, self.copies = n, k, D, copies
@@ -214,14 +216,6 @@ class MomentIndex:
         start = self.offset[size] + self.subset_rank(chosen) * self._kpow[size]
         return start[:, None] + weight @ self.digits[d], d - size
 
-    def rows(self, keys) -> np.ndarray:
-        """Slot rows of keys given as tuples of (vertex, label, copy)."""
-        L = np.zeros((len(keys), self.n * self.copies), dtype=self.dtype)
-        for row, key in zip(L, keys):
-            for (v, a, c) in key:
-                row[c * self.n + v] = a + 1
-        return L
-
     @functools.cached_property
     def id_of(self) -> dict:
         """Canonical key -> id, for scalar lookups."""
@@ -231,6 +225,25 @@ class MomentIndex:
 @functools.lru_cache(maxsize=32)
 def moment_index(n: int, k: int, D: int, copies: int = 1) -> MomentIndex:
     return MomentIndex(n, k, D, copies)
+
+
+@functools.lru_cache(maxsize=16)
+def _halves(n: int, k: int, D: int) -> np.ndarray:
+    """(N, 2), read-only: per key of `moment_index(n, k, D, 2)`, the ids of
+    its copy-0 and copy-1 parts; the table of degree d <= D is a prefix.
+    Each subset's parts are ranked once, and a code is (copy-0 code) k^d1 +
+    (copy-1 code), d1 the copy-1 degree (module docstring)."""
+    one, out = moment_index(n, k, D), []
+    eye = np.eye(2 * n, dtype=bool)     # slot -> its mask
+    for d, T in enumerate(moment_index(n, k, D, 2).subsets):
+        chosen = eye[T].any(axis=1).reshape(-1, 2, n)   # per copy
+        size = chosen.sum(axis=-1)
+        start = one.offset[size] + one.subset_rank(chosen) * one._kpow[size]
+        code = np.divmod(np.arange(k**d), one._kpow[size[:, 1, None]])
+        out.append((start[:, None] + np.stack(code, axis=-1)).reshape(-1, 2))
+    out = np.concatenate(out)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -448,14 +461,13 @@ _charge_layout = functools.lru_cache(maxsize=16)(_ChargeLayout)
 class _ChargeFrame:
     """The charge blocks of the moment-matrix basis of (n, k, D/2) (module
     docstring): `dft[d]`, the label DFT on each d-subset; `charge` per basis
-    function; `blocks`, the ids of one charge per conjugate pair; `left` and
-    `right`, the base ids of each product-basis monomial's two copies'
-    parts, and `product_blocks` theirs per orbit of (c_0, c_1) under
-    conjugation and the copy swap (c_0, c_1) -> (c_1, c_0).  Each block
-    carries the local positions of its functions' negations (g -> -g on
-    every slot) when it is self-conjugate, and None else; a product block
-    also carries the number of self-conjugate blocks it stands for, its
-    own swap image included."""
+    function; `blocks`, the ids of one charge per conjugate pair, and
+    `product_blocks`, the base ids of the product basis's copy parts
+    (`_halves`) per orbit of (c_0, c_1) under conjugation and the copy swap
+    (c_0, c_1) -> (c_1, c_0).  Each block carries the local positions of
+    its functions' negations (g -> -g on every slot) when it is
+    self-conjugate, and None else; a product block also carries the number
+    of self-conjugate blocks it stands for, its own swap image included."""
 
     def __init__(self, n: int, k: int, half: int):
         index = moment_index(n, k, half)
@@ -464,9 +476,8 @@ class _ChargeFrame:
             self.dft.append(np.exp(2j * np.pi / k * (g.T @ g)) / k**(d / 2))
             charge.append(np.tile(g.sum(axis=0) % k, math.comb(n, d)))
         self.charge = np.concatenate(charge)
-        two = moment_index(n, k, half, copies=2)
-        L = two.slots
-        self.left, self.right = index.rank(L[:, :n]), index.rank(L[:, n:])
+        two = moment_index(n, k, half, 2)
+        left, right = _halves(n, k, half).T
         negate = -np.arange(k) % k
         flip, flip2 = index.relabel(negate), two.relabel(negate)
         self.blocks = []
@@ -475,13 +486,13 @@ class _ChargeFrame:
             if c <= -c % k:
                 self.blocks.append((ids, np.searchsorted(ids, flip[ids])
                                     if c == -c % k else None))
-        pair = self.charge[self.left] * k + self.charge[self.right]
+        pair = self.charge[left] * k + self.charge[right]
         self.product_blocks = []
         for a, b in itertools.product(range(k), repeat=2):
             rows, conj = np.flatnonzero(pair == a * k + b), (-a % k, -b % k)
             if rows.size and (a, b) <= min(conj, (b, a), conj[::-1]):
                 self.product_blocks.append(
-                    (self.left[rows], self.right[rows],
+                    (left[rows], right[rows],
                      np.searchsorted(rows, flip2[rows])
                      if (a, b) == conj else None, 1 + (a != b)))
 

@@ -143,13 +143,15 @@ def cmd_gen(args) -> int:
 def cmd_solve_round(args) -> int:
     from ugsos import potentials as pot
     from ugsos import rounding as rnd
-    from ugsos.johnson import johnson_pipeline
+    from ugsos.johnson import _check_degree, johnson_pipeline
     from ugsos.sos import build_relaxation, solve_sdp
     from ugsos.steppoly import build_capped_step_poly
 
     t0 = time.time()
     inst, _, graph = _load_instance(args)
     solving_tol = args.tol if args.family != "johnson" else max(args.tol, 3e-4)
+    if args.family == "johnson":
+        _check_degree(args.degree)      # before the solve, not after it
     p = build_capped_step_poly(args.beta, args.nu,
                                pot.truncation_cap(args.degree))
     # --out is opened before the solve, so an unwritable path fails at once

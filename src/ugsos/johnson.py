@@ -66,6 +66,12 @@ def subcube_expansion(l: int, alpha: float, r: int) -> float:
     return 1.0 - comb(l - r, m) / comb(l, m)
 
 
+def _check_degree(D: int):
+    """Raise ParameterError unless `johnson_pipeline` rounds degree D."""
+    if D not in (2, 4):
+        raise ParameterError("johnson_pipeline supports D in {2, 4}")
+
+
 def _check_eps(eps: float):
     """Raise ParameterError unless eps is finite and >= 0."""
     if not (math.isfinite(eps) and eps >= 0):
@@ -347,8 +353,7 @@ def johnson_pipeline(inst: UgInstance, pE: PseudoExpectation,
     is driven by measured CR values, so the paper's beta = 201 eps plays no
     part.  Raises ParameterError unless eps is finite and >= 0, with or
     without `r_override`."""
-    if pE.degree not in (2, 4):
-        raise ParameterError("johnson_pipeline supports D in {2, 4}")
+    _check_degree(pE.degree)
     meta = graph.meta
     if meta.get("family") != "johnson":
         raise ParameterError("johnson_pipeline needs a Johnson graph")

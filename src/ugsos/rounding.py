@@ -98,7 +98,9 @@ def cond_marginals(pE: PseudoExpectation) -> tuple[np.ndarray, np.ndarray]:
     """(Q, mass) for every conditioning vertex at once, from one
     `pair_moments` read: Q[u, v, a] = Pr[X_v = a | X_u = 0] =
     pE[X_{u,0} X_{v,a}] / pE[X_{u,0}] and mass[u] = pE[X_{u,0}]; row
-    Q[u, u] is the delta at 0.
+    Q[u, u] is the delta at 0.  Only label 0 is conditioned on, which stands
+    for every label on a shift-symmetric table alone (on the point mass at
+    x = (1, 2, 0), vertices 0 and 1 have mass 0).
 
     Tiny negative entries from an approximately-PSD table are clipped and the
     rows renormalized (`_clip_renormalize`).  Q[u] of a vertex whose mass is
@@ -173,7 +175,8 @@ def ind_val(pE: PseudoExpectation, inst: UgInstance) -> float:
 
 
 def closed_form_cr(pE: PseudoExpectation, inst: UgInstance) -> float:
-    """E_{u~pi} of the conditioned independent-rounding value."""
+    """E_{u~pi} of the independent-rounding value conditioned on X_u = 0,
+    label 0 only: exact on a shift-symmetric table alone."""
     return _closed_form(cond_marginals(pE), inst)
 
 
@@ -185,8 +188,9 @@ def _closed_form(cond, inst: UgInstance) -> float:
 
 
 def cr_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
-    """E_{u uniform in V(H)} of the conditioned independent-rounding value of
-    H's internal edges (Condition & Round restricted to H)."""
+    """E_{u uniform in V(H)} of the independent-rounding value of H's
+    internal edges conditioned on X_u = 0 (Condition & Round restricted to
+    H): label 0 only, so exact on a shift-symmetric table alone."""
     H = _vertex_list(inst, range(inst.num_vertices) if H is None else H)
     if not H:
         raise ParameterError("subgraph H is empty")
@@ -201,8 +205,8 @@ def cr_val(pE: PseudoExpectation, inst: UgInstance, H=None) -> float:
 def condition_and_round(pE: PseudoExpectation, inst: UgInstance,
                         seed=None) -> RoundingOutcome:
     """Algorithm: sample u ~ pi, condition on X_u = 0, round all vertices
-    independently.  Reports both the sampled value and the exact closed-form
-    expectation E_u E_Y[val(Y)]."""
+    independently (label 0 only: exact on a shift-symmetric table alone).
+    Reports the sampled value and the closed-form E_u E_Y[val(Y)]."""
     if pE.degree < 2:
         raise ParameterError("condition_and_round needs degree >= 2")
     rng = np.random.default_rng(seed)
@@ -280,7 +284,8 @@ def derandomized_round(pE: PseudoExpectation, inst: UgInstance,
     """Deterministic Condition & Round: pick the conditioning vertex u
     maximizing the closed-form expectation, then fix labels greedily by
     conditional expectations.  The achieved value on H's internal edges is
-    never below the best closed-form expectation (up to 1e-9)."""
+    never below the best closed-form expectation (up to 1e-9).  It
+    conditions on label 0 only: exact on a shift-symmetric table alone."""
     if pE.degree < 2:
         raise ParameterError("derandomized_round needs degree >= 2")
     H = _vertex_list(inst, range(inst.num_vertices) if H is None else H)

@@ -13,13 +13,13 @@ solver's table (one FFT per block), a rerandomized one (a gather from the
 base's blocks <= d) and a product copy (products of the base's moments)
 fill lazily; every other table is filled when it is made.  So a reader
 pays only for the degrees it reads: the rounding reads pair moments, the
-conditioned shift potential triples.  A scalar read (`moment`, and
-through it `evaluate` and `pe`) canonicalizes the monomial and reads the
-array through the index's shared key -> id map (a product copy multiplies
-the base's moments at its key's two parts, filling nothing of its own),
-and `pair_moments` reshapes its degree-1 and degree-2 blocks into the
-pairwise tensor that the rounding, the potentials, the shift-symmetry check
-and `edge_agreement` (the value, edge by edge) read.
+conditioned shift potential triples.  A key becomes an id through a key ->
+id map (`moment`, and through it `evaluate` and `pe`, canonicalizes first; a
+product copy multiplies the base's moments at the key's two parts and fills
+nothing) or a `basis` table (`MomentIndex.mul` for `condition`'s products,
+`_halves` for a product copy's parts).  `pair_moments` reshapes blocks 1 and
+2 into the pairwise tensor that the rounding, the potentials, the
+shift-symmetry check and `edge_agreement` (the value, edge by edge) read.
 
 Relaxation
 ----------
@@ -55,8 +55,8 @@ import numpy as np
 
 from ugsos import _kernels, admm
 from ugsos.basis import (MomentIndex, _ChargeLayout, _charge_frame,
-                         _charge_layout, _fft_ids, _index_size, _product_ids,
-                         _real_form, moment_index)
+                         _charge_layout, _fft_ids, _halves, _index_size,
+                         _product_ids, _real_form, moment_index)
 from ugsos.errors import DegreeError, NullEventError, ParameterError, SizeCapError
 from ugsos.instances import UgInstance
 
@@ -203,26 +203,32 @@ class PseudoExpectation:
         if key is None:
             return 0.0
         d = len(key)
-        i = (self.index.id_of.get(key)
-             if self._base is None or d <= self._filled else None)
+        if self._base is not None:
+            # the base's moments at the two copies' parts, from the base's
+            # key map, which a key outside the table misses; nothing fills
+            parts = [tuple([(v, a, 0) for v, a, c in key if c == copy])
+                     for copy in (0, 1)]
+            i, j = map(self._base.index.id_of.get, parts)
+            if None in (i, j) or d > self.degree or sum(map(len, parts)) < d:
+                self._check(key)    # raises
+            values = self._base._array(d)
+            return values.item(i) * values.item(j)
+        i = self.index.id_of.get(key)
         if i is None:
-            # a key outside the table raises; a product copy reads the two
-            # base moments `_gather` multiplies, without filling its table
-            return _gather(self, self._row(key)[None], d).item()
+            self._check(key)    # raises: every key in the table has an id
         if self._filled < d:
             self._array(d)
         return self._values.item(i)
 
-    def _row(self, key) -> np.ndarray:
-        """The slot row of a canonical key: DegreeError above the degree,
-        ParameterError for a vertex, label or copy outside the table."""
+    def _check(self, key):
+        """Raise DegreeError for a canonical key above the degree and
+        ParameterError for one outside the table: else the key has an id."""
         if len(key) > self.degree:
             raise DegreeError(
                 f"monomial degree {len(key)} exceeds budget {self.degree}")
         if any(v not in range(self.num_vertices) or a not in range(self.k)
                or c not in range(self.copy_count) for (v, a, c) in key):
             raise ParameterError(f"monomial {key} is outside the table")
-        return self.index.rows([key])[0]
 
     def pe(self, poly: dict) -> float:
         """Linear extension of the moment mapping: `evaluate(self, poly)`."""
@@ -243,9 +249,8 @@ class PseudoExpectation:
     @classmethod
     def from_json(cls, text: str) -> "PseudoExpectation":
         """Load a table written by `to_json`.  Raises ParameterError unless
-        the table holds exactly the canonical keys of degree <= D: on a key
-        that is not canonical, exceeds the degree or names a vertex, label or
-        copy out of range, and on a missing key (it would read as 0)."""
+        it holds exactly the canonical keys of degree <= D (a missing one
+        would read as 0), each with a value that is finite in float64."""
         try:
             d = json.loads(text)
             degree, k, n = d["degree"], d["k"], d["n"]
@@ -264,6 +269,7 @@ class PseudoExpectation:
         known = moment_index(n, k, degree, copies).id_of
         for key, val in moments.items():
             if (key not in known or type(val) not in (int, float)
+                    or not abs(val) <= float(np.finfo(float).max)
                     or any(type(x) is not int for p in key for x in p)):
                 raise ParameterError(f"bad moment entry {key}: {val!r}")
         return cls(degree=degree, k=k, num_vertices=n, moments=moments,
@@ -331,16 +337,14 @@ class SdpProblem:
 def _charge_objective(inst: UgInstance, layout: _ChargeLayout) -> np.ndarray:
     """The UG objective over the coordinates: [x_u - x_v = s] is
     (1/k) sum_j omega^(-js) chi_u^j chi_v^(-j)."""
-    n, k = inst.num_vertices, inst.k
+    k = inst.k
     c = np.zeros(layout.size)
     c[0] = 1.0 / k
     eu, ev, w, s = inst._arrays
     j = np.arange(1, k)
-    e, t = np.arange(len(eu))[:, None], np.arange(k - 1)[None, :]
-    G = np.zeros((len(eu), k - 1, n), dtype=layout.rmoments.dtype)
-    G[e, t, eu[:, None]] = j
-    G[e, t, ev[:, None]] = k - j
-    m = layout.rmoments.rank(G).ravel()
+    # chi_u^j is the charge monomial of degree 1 with id 1 + u (k-1) + j - 1
+    m = layout.rmoments.mul(eu[:, None] * (k - 1) + j,
+                            ev[:, None] * (k - 1) + k - j).ravel()
     coef = ((w / inst.total_weight / k)[:, None]
             * np.exp(-2j * np.pi * np.outer(s, j) / k)).ravel()
     np.add.at(c, layout.re[m], coef.real)
@@ -410,18 +414,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
 # ---------------------------------------------------------------------------
 # Calculus
 # ---------------------------------------------------------------------------
-
-def _gather(pE: PseudoExpectation, L: np.ndarray,
-            degree: int | None = None) -> np.ndarray:
-    """pE's moments at the keys with slot rows L (over pE's slots, degree
-    <= `degree`, by default pE.degree); a product copy multiplies its base's
-    moments at the two copies' parts."""
-    if pE._base is not None:
-        ids = pE._base.index.rank(L.reshape(len(L), 2, pE.num_vertices))
-        values = pE._base._array(degree)
-        return values[ids[:, 0]] * values[ids[:, 1]]
-    return pE._array(degree)[pE.index.rank(L)]
-
 
 def symmetrize(pE: PseudoExpectation) -> PseudoExpectation:
     """Uniform mixture over global label shifts: pE_sym[m] =
@@ -498,46 +490,46 @@ def condition(pE: PseudoExpectation, event) -> PseudoExpectation:
     event = canon_key(event)
     if event is None:
         raise NullEventError("conditioning on the zero monomial")
-    ev = pE._row(event)
-    new_deg = pE.degree - 2 * len(event)
+    pE._check(event)
+    e, n, k, c = len(event), pE.num_vertices, pE.k, pE.copy_count
+    new_deg = pE.degree - 2 * e
     if new_deg < 0:
         raise DegreeError("event too large for the degree budget")
-    p_event = float(_gather(pE, ev[None], len(event))[0])
+    # ids do not depend on the degree: each from the smallest index holding it
+    values, ev = pE._array(new_deg + e), moment_index(n, k, e, c).id_of[event]
+    p_event = float(values[ev])
     if p_event < COND_FLOOR:
         raise NullEventError(
             f"pE[event] = {p_event:.3e} below floor {COND_FLOOR}")
-    L = moment_index(pE.num_vertices, pE.k, new_deg, pE.copy_count).slots
-    zero = ((L > 0) & (ev > 0) & (L != ev)).any(axis=1)
-    new = np.where(zero, 0.0,
-                   _gather(pE, np.maximum(L, ev), new_deg + len(event))
-                   / p_event)
-    return PseudoExpectation(new_deg, pE.k, pE.num_vertices, new,
-                             copy_count=pE.copy_count,
+    ids = moment_index(n, k, new_deg + e, c).mul(
+        np.arange(len(moment_index(n, k, new_deg, c))), ev)
+    new = np.where(ids < 0, 0.0, values[ids] / p_event)
+    return PseudoExpectation(new_deg, k, n, new, copy_count=c,
                              flags=_solver_status(pE))
 
 
 def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
-    """Independent second copy: pE_{X,X'}[X^a (X')^b] = pE[X^a] pE[X^b].
+    """Independent second copy: pE_{X,X'}[X^a (X')^b] = pE[X^a] pE[X^b],
+    a valid degree-D pseudoexpectation.
 
-    The 2-copy table, which `moments` and `to_json` use, fills block d
-    from the base's blocks <= d on first read; a scalar read (`moment`,
-    `pe`) of a block not yet filled multiplies the base's moments at the
-    two copies' parts.  The result is a valid degree-D pseudoexpectation.
-    `validate` never fills it: the charge blocks are products of the base's
-    transformed moment matrix, and the partition residuals come from the
-    base's residual table."""
+    Its 2-copy table (`moments`, `to_json`, `condition`) fills block d on
+    first read: the base's moments at each key's two parts, whose ids
+    `basis._halves` holds.  A scalar read (`moment`, `pe`) multiplies the
+    base's moments at its key's parts and fills nothing.  `validate` never
+    fills it: the charge blocks are products of the base's transformed
+    moment matrix, and the partition residuals come from the base's
+    residual table."""
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
-    index = moment_index(pE.num_vertices, pE.k, pE.degree, 2)
+    n, k, D = pE.num_vertices, pE.k, pE.degree
+    offset = moment_index(n, k, D, 2).offset
 
     def fill(d):
-        rows = index.slots[index.offset[d]:index.offset[d + 1]]
-        return _gather(pE2, rows, d)
+        parts, values = _halves(n, k, D)[offset[d]:offset[d + 1]], pE._array(d)
+        return values[parts[:, 0]] * values[parts[:, 1]]
 
-    pE2 = PseudoExpectation(pE.degree, pE.k, pE.num_vertices, None,
-                            copy_count=2, flags=dict(pE.flags), _base=pE,
-                            _fill=fill)
-    return pE2
+    return PseudoExpectation(D, k, n, None, copy_count=2,
+                             flags=dict(pE.flags), _base=pE, _fill=fill)
 
 
 def rerandomize(pE: PseudoExpectation, S) -> PseudoExpectation:
@@ -595,10 +587,9 @@ def moment_matrix(pE: PseudoExpectation) -> np.ndarray:
     from the base moment matrix: the same floats the entry-by-entry products
     give (a structural zero may come out as -0.0)."""
     if pE._base is not None:
-        frame = _charge_frame(pE.num_vertices, pE.k, pE.degree // 2)
+        left, right = _halves(pE.num_vertices, pE.k, pE.degree // 2).T
         Mb = moment_matrix(pE._base)
-        return (Mb[np.ix_(frame.left, frame.left)]
-                * Mb[np.ix_(frame.right, frame.right)])
+        return Mb[np.ix_(left, left)] * Mb[np.ix_(right, right)]
     return np.append(pE._array(), 0.0)[_product_ids(pE.index)]
 
 

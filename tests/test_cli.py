@@ -335,6 +335,20 @@ def test_solve_round_checks_the_step_window_before_solving(capsys,
     assert "parameter error: need alpha and delta in (0, 1)" in err
 
 
+def test_solve_round_checks_the_johnson_degree_before_solving(capsys,
+                                                            monkeypatch):
+    from ugsos import sos
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the degree was checked")
+
+    monkeypatch.setattr(sos, "solve_sdp", unreachable)
+    code, out, err = run(capsys, "solve-round", "--family", "johnson",
+                         "--n", "5", "--l", "2", "--k", "3", "--degree", "6")
+    assert code == 3 and out == ""
+    assert "parameter error: johnson_pipeline supports D in {2, 4}" in err
+
+
 def test_solve_round_checks_the_out_file_before_solving(tmp_path, capsys,
                                                         monkeypatch):
     from ugsos import sos
@@ -348,6 +362,19 @@ def test_solve_round_checks_the_out_file_before_solving(tmp_path, capsys,
                          "--d", "2", "--k", "2", "--out", str(target))
     assert code == 3 and out == ""
     assert f"parameter error: cannot write {target}" in err
+
+
+def test_verify_pe_file_with_a_nan_moment_is_a_parameter_error(tmp_path,
+                                                                capsys):
+    # a NaN would reach validate's eigensolver, which does not converge
+    doc = json.loads(point_mass_pe(3, 3, [0, 1, 2]).to_json())
+    doc["moments"][5][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--only", "spectra", "--pe",
+                       str(path))
+    assert code == 3
+    assert "parameter error: bad moment entry" in err
 
 
 def test_verify_fails_a_pe_file_that_breaks_the_axioms(tmp_path, capsys):

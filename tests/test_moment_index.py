@@ -34,7 +34,6 @@ def test_rank_and_unrank_follow_enumeration_order(n, k, D, copies, rnd):
     keys = list(all_canonical_keys(n, k, D, copies))
     assert idx.keys == keys and len(idx) == len(keys)
     assert np.array_equal(idx.rank(idx.slots), np.arange(len(keys)))
-    assert np.array_equal(idx.rank(idx.rows(keys)), np.arange(len(keys)))
     pos = {key: i for i, key in enumerate(keys)}
     a = np.array([rnd.randrange(len(keys)) for _ in range(50)])
     b = np.array([rnd.randrange(len(keys)) for _ in range(50)])
@@ -148,8 +147,8 @@ def test_charge_layout_matches_ranking_every_pair(n, k, D):
 
 
 def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
-    # the grid tables rank subsets only; the charge frame's two rankings
-    # of the product basis's copies are all `rank` calls left
+    # the grid tables, and the product basis's copy parts (`_halves`), rank
+    # subsets only, not slot rows key by key
     calls = []
     rank = MomentIndex.rank
 
@@ -157,7 +156,8 @@ def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
         calls.append(rows.shape)
         return rank(self, rows)
 
-    for cache in (basis.moment_index, basis._product_ids, basis._charge_frame):
+    for cache in (basis.moment_index, basis._product_ids, basis._charge_frame,
+                  basis._halves):
         cache.cache_clear()
     monkeypatch.setattr(MomentIndex, "rank", spy)
     sym = symmetrize(cube3_raw)
@@ -285,6 +285,20 @@ def test_condition_of_product_copy_matches_reference(tables):
     pE2 = product_copy(tables["cube3-sym"])
     event = ((0, 0, 0), (1, 1, 1))
     _same(condition(pE2, event), ref_condition(pE2, event))
+
+
+def test_product_copy_reads_build_no_two_copy_key_table(tables):
+    # scalar reads, the fill and conditioning of a product copy take ids
+    # from the base's key map, `basis._halves` and `mul` on smaller
+    # indexes: the degree-D two-copy index builds no keys, key map or rows
+    basis.moment_index.cache_clear()
+    sym = tables["cube3-sym"]
+    pE2 = product_copy(sym)
+    pE2.moment(((0, 1, 0), (3, 2, 0), (1, 0, 1), (5, 2, 1)))
+    condition(pE2, ((0, 0, 1),))
+    condition(product_copy(sym), ((0, 0, 0), (1, 1, 1)))
+    pE2._array()
+    assert {"keys", "id_of", "slots"}.isdisjoint(vars(pE2.index))
 
 
 @pytest.mark.parametrize("name", TABLES)

@@ -2,6 +2,7 @@
 conditioning, product copies, rerandomization, and the validity axioms."""
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -1137,6 +1138,10 @@ def test_pe_json_rejects_untrustworthy_tables(cube3_raw):
             [7, 0, 0])),
         _edited(text, lambda d: _key_of_degree(d, 1)[0].__setitem__(1, 3)),
         _edited(text, lambda d: d.__setitem__("degree", "4")),
+        _edited(text, lambda d: d["moments"][17].__setitem__(1, math.nan)),
+        _edited(text, lambda d: d["moments"][17].__setitem__(1, math.inf)),
+        _edited(text, lambda d: d["moments"][17].__setitem__(1, -math.inf)),
+        _edited(text, lambda d: d["moments"][17].__setitem__(1, 10**400)),
     ]
     for doc in bad:
         with pytest.raises(ParameterError):

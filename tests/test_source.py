@@ -140,6 +140,20 @@ def test_the_index_tables_live_in_basis_alone():
     assert readers == ["basis.py"]
 
 
+def test_ids_come_from_key_maps_and_basis_tables():
+    # no module but basis ranks slot rows: sos reads ids from key -> id maps,
+    # `MomentIndex.mul` and `basis._halves`
+    from ugsos import basis, sos
+    callers = [path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "rank"]
+    assert set(callers) == {"basis.py"}
+    assert not hasattr(basis.MomentIndex, "rows")
+    assert not hasattr(sos, "_gather")
+
+
 def test_only_sos_names_the_moment_array_and_its_fill_state():
     # every other reader goes through `PseudoExpectation._array(degree)`,
     # which fills the blocks it returns, so no reader can skip a fill
