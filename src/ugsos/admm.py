@@ -104,24 +104,23 @@ class _Block:
 
     def __init__(self, dim: int, real: bool, weight: float, start: int):
         self.dim, self.real, self.weight = dim, real, weight
-        self.rows, self.cols = np.tril_indices(dim)
-        self.off = self.rows != self.cols
-        self.f = math.sqrt(weight) * np.where(self.off, math.sqrt(2.0), 1.0)
-        c_at = self.rows * dim + self.cols
-        f_at = self.cols * dim + self.rows
+        rows, cols = np.tril_indices(dim)
+        off = rows != cols
+        self.f = math.sqrt(weight) * np.where(off, math.sqrt(2.0), 1.0)
+        c_at, f_at = rows * dim + cols, cols * dim + rows
         if real:
             self.c_at, self.f_at, self.w = c_at, f_at, self.f
         else:
-            self.c_at = np.concatenate((2 * c_at, 2 * c_at[self.off] + 1))
-            self.f_at = np.concatenate((2 * f_at, 2 * f_at[self.off] + 1))
-            self.w = np.concatenate((self.f, self.f[self.off]))
-            self.imag_scale = 1.0 / self.f[self.off]
+            self.c_at = np.concatenate((2 * c_at, 2 * c_at[off] + 1))
+            self.f_at = np.concatenate((2 * f_at, 2 * f_at[off] + 1))
+            self.w = np.concatenate((self.f, self.f[off]))
+            self.imag_scale = 1.0 / self.f[off]
         self.part = slice(start, start + self.w.size)
 
     def unweighted(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The lower triangle of the block packed in v, its floats in packed
         order, written into `out`."""
-        n = self.rows.size
+        n = self.f.size     # the lower triangle's entries
         np.divide(v[:n], self.f, out=out[:n])
         if not self.real:
             np.multiply(v[n:], self.imag_scale, out=out[n:])

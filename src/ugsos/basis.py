@@ -31,9 +31,10 @@ subset lists its copy-0 slots first, so a two-copy key's code is its copy-0
 part's code followed by its copy-1 part's, and `_halves` reads both parts'
 ids from the subset's two ranks.  Dropping the pairs at a set of slots
 (`_drop`, for `rerandomize`) ranks each subset's rest once and recombines
-the code from the kept digits.  The index also stores every key as a row of
-slot entries (label + 1, or 0 for an unused slot), which `rank` maps back
-to ids: `mul` multiplies keys that way.
+the code from the kept digits.  A key can also be spelled as a row of slot
+entries (label + 1, or 0 for an unused slot), which `rank` maps back to
+ids: `slots` holds every key's row, and `mul` multiplies keys through the
+rows of its operands alone, read off their subsets and codes.
 
 Charge bases
 ------------
@@ -90,9 +91,8 @@ class MomentIndex:
     the number of keys.
 
     `slots` holds key i as row i: label + 1 at slot copy * n + vertex, 0
-    where the key has no pair.  `rank` maps such rows back to ids, so `mul`
-    answers "which key is this product" in one vectorized call.  Build it
-    through the cached `moment_index`."""
+    where the key has no pair, and `rank` maps such rows back to ids.
+    Build it through the cached `moment_index`."""
 
     def __init__(self, n: int, k: int, D: int, copies: int = 1):
         self.n, self.k, self.degree, self.copies = n, k, D, copies
@@ -192,12 +192,26 @@ class MomentIndex:
         ids = self.offset[d] + rank * self._kpow[d] + code
         return np.where(over, -1, ids)
 
+    def _rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The `slots` rows of the flat ids alone, read off their subsets
+        and codes: a (len(ids), S) view of a slot-major array, so that
+        `rank` reads each slot's column contiguously."""
+        d = np.searchsorted(self.offset, ids, side="right") - 1
+        out = np.zeros((self.n * self.copies, ids.size), dtype=self.dtype)
+        for e in range(1, d.max(initial=0) + 1):
+            at = np.flatnonzero(d == e)
+            rank, code = np.divmod(ids[at] - self.offset[e], self._kpow[e])
+            out[self.subsets[e][rank].T, at] = self.digits[e][:, code] + 1
+        return out.T
+
     def mul(self, a, b) -> np.ndarray:
         """Ids of the products of the keys with ids a and b (broadcast);
-        -1 for the zero monomial."""
-        A, B = self.slots[a], self.slots[b]
+        -1 for the zero monomial and for a product of degree above D."""
+        a, b = np.broadcast_arrays(a, b)
+        A, B = self._rows_of(a.ravel()), self._rows_of(b.ravel())
         clash = ((A > 0) & (B > 0) & (A != B)).any(axis=-1)
-        return np.where(clash, -1, self.rank(np.maximum(A, B)))
+        ids = np.where(clash, -1, self.rank(np.maximum(A, B)))
+        return ids.reshape(a.shape)
 
     def _drop(self, dropped: np.ndarray, d: int):
         """(ids, lost) for the keys of degree d with their pairs at the slots
@@ -222,26 +236,31 @@ class MomentIndex:
         return dict(zip(self.keys, range(len(self))))
 
 
-@functools.lru_cache(maxsize=32)
+_moment_index = functools.lru_cache(maxsize=32)(MomentIndex)
+
+
 def moment_index(n: int, k: int, D: int, copies: int = 1) -> MomentIndex:
-    return MomentIndex(n, k, D, copies)
+    """The cached index of (n, k, D, copies): one object however the
+    arguments are spelled."""
+    return _moment_index(n, k, D, copies)
 
 
-@functools.lru_cache(maxsize=16)
-def _halves(n: int, k: int, D: int) -> np.ndarray:
-    """(N, 2), read-only: per key of `moment_index(n, k, D, 2)`, the ids of
-    its copy-0 and copy-1 parts; the table of degree d <= D is a prefix.
-    Each subset's parts are ranked once, and a code is (copy-0 code) k^d1 +
-    (copy-1 code), d1 the copy-1 degree (module docstring)."""
-    one, out = moment_index(n, k, D), []
-    eye = np.eye(2 * n, dtype=bool)     # slot -> its mask
-    for d, T in enumerate(moment_index(n, k, D, 2).subsets):
+@functools.lru_cache(maxsize=64)
+def _halves(n: int, k: int, D: int, d: int | None = None) -> np.ndarray:
+    """(N, 2), read-only: per key of degree d of `moment_index(n, k, D, 2)`
+    (of every degree <= D when d is None), the ids of its copy-0 and copy-1
+    parts.  Each subset's parts are ranked once, and a code is (copy-0
+    code) k^d1 + (copy-1 code), d1 the copy-1 degree (module docstring)."""
+    if d is None:
+        out = np.concatenate([_halves(n, k, D, e) for e in range(D + 1)])
+    else:
+        one, eye = moment_index(n, k, D), np.eye(2 * n, dtype=bool)
+        T = moment_index(n, k, D, 2).subsets[d]
         chosen = eye[T].any(axis=1).reshape(-1, 2, n)   # per copy
         size = chosen.sum(axis=-1)
         start = one.offset[size] + one.subset_rank(chosen) * one._kpow[size]
         code = np.divmod(np.arange(k**d), one._kpow[size[:, 1, None]])
-        out.append((start[:, None] + np.stack(code, axis=-1)).reshape(-1, 2))
-    out = np.concatenate(out)
+        out = (start[:, None] + np.stack(code, axis=-1)).reshape(-1, 2)
     out.flags.writeable = False
     return out
 
@@ -320,19 +339,21 @@ def _fft_ids(n: int, k: int, D: int, d: int | None = None) -> np.ndarray:
 class _ChargeLayout:
     """What the charge-basis SDP needs of (n, k, D) (module docstring): the
     coordinates, the stored blocks and A from coordinates to packed blocks,
-    a sparse matrix (t_row, t_col, t_coef).  Built by `_charge_layout`."""
+    a sparse matrix (t_row, t_col, t_coef).  Built by `_charge_layout`, one
+    block's terms at a time: blocks own disjoint packed rows, so summing
+    each block's terms per (row, coordinate) pair as they come gives what
+    summing every block's at once would."""
 
     def __init__(self, n: int, k: int, D: int):
         self.k = k
-        # g -> k - g on the slot entries 1..k-1 (labels 0..k-2)
-        self._negation = np.arange(k - 2, -1, -1)
         self.rbasis = moment_index(n, k - 1, D // 2)
         self.rmoments = moment_index(n, k - 1, D)
-        self._negated = self.rmoments.relabel(self._negation)  # id of -g
-        self._coordinates()
+        # g -> k - g on the slot entries 1..k-1 (labels 0..k-2)
+        negation = np.arange(k - 2, -1, -1)
+        negated = self._coordinates(negation)
         B = self.rbasis.slots
         charge = B.sum(axis=1, dtype=np.int64) % k
-        partner = self.rbasis.relabel(self._negation)  # of -g
+        partner = self.rbasis.relabel(negation)  # of -g
         scale = float(k) ** (-0.5 * (B > 0).sum(axis=1))
         self.blocks, terms, start = [], [], 0
         for c in range(k // 2 + 1):
@@ -340,43 +361,57 @@ class _ChargeLayout:
             real = 2 * c % k == 0
             block = admm._Block(ids.size, real, 1.0 if real else 2.0, start)
             fns = self._basis(ids, partner, scale, real)
-            terms += [(row + start, col, coef) for row, col, coef
-                      in self._entries(block, fns, B)]
+            row, col, coef = self._summed(
+                self._entries(block, fns, B, negated))
+            terms.append((row + start, col, coef))
             self.blocks.append(block)
             start = block.part.stop
         self.packed_size = start
-        # sum the terms of each (packed entry, coordinate) pair, drop zeros
-        rows, cols, coefs = map(np.concatenate, zip(*terms))
-        key, inv = np.unique(rows * self.size + cols, return_inverse=True)
-        coef = np.bincount(inv, weights=coefs)
-        keep = np.abs(coef) > 1e-12
-        self.t_row, self.t_col = np.divmod(key[keep], self.size)
-        self.t_coef = coef[keep]
+        self.t_row, self.t_col, self.t_coef = map(np.concatenate, zip(*terms))
         # the diagonal of A^T A, which is diagonal (module docstring)
         self.counts = np.bincount(self.t_col, weights=self.t_coef**2,
                                   minlength=self.size)
 
-    def _coordinates(self):
-        """Coordinates of the charge-0 moments in id order, one for g = -g
-        and two for a pair: yhat(g) = y[re[g]] + 1j sign[g] y[im[g]]."""
-        k, G = self.k, self.rmoments.slots
-        ids = np.flatnonzero(G.sum(axis=1, dtype=np.int64) % k == 0)
-        partner = self._negated[ids]
-        first, single = partner > ids, partner == ids
+    def _coordinates(self, negation: np.ndarray) -> np.ndarray:
+        """Coordinates of the charge-0 moments `charge0` (in id order), by
+        position p there: yhat(g) = y[re[p]] + 1j sign[p] y[im[p]], one
+        coordinate for g = -g and two for a pair.  Returns the position of
+        each one's negation -g.  Degree d's charge-0 moments are its codes
+        of charge sum 0 under every subset, and negation keeps the subset
+        and permutes those codes."""
+        k, index = self.k, self.rmoments
+        ids, negated, at = [], [], 0
+        for d, digits in enumerate(index.digits):
+            zero = np.flatnonzero((digits + 1).sum(axis=0) % k == 0)
+            neg = index._kpow[:d][::-1] @ negation[digits[:, zero]]
+            rank = np.arange(index._binom[index.n, d])[:, None]
+            base = index.offset[d] + rank * index._kpow[d]
+            ids.append((base + zero).ravel())
+            negated.append((at + rank * zero.size
+                            + np.searchsorted(zero, neg)).ravel())
+            at += ids[-1].size
+        self.charge0, negated = np.concatenate(ids), np.concatenate(negated)
+        p = np.arange(at)
+        first, single = negated > p, negated == p
         width = np.where(first, 2, np.where(single, 1, 0))
         start = np.cumsum(width) - width
         self.size = int(width.sum())
-        self.charge0 = ids
-        self.re, self.im = np.zeros((2, len(G)), dtype=np.int64)
-        self.sign = np.zeros(len(G))
+        self.re, self.im = np.zeros((2, at), dtype=np.int64)
+        self.sign = np.zeros(at)
         own = first | single
-        self.re[ids[own]], self.im[ids[first]] = start[own], start[first] + 1
-        self.sign[ids[first]] = 1.0
-        later, mate = ids[~own], partner[~own]
+        self.re[own], self.im[first] = start[own], start[first] + 1
+        self.sign[first] = 1.0
+        later, mate = ~own, negated[~own]
         self.re[later], self.im[later] = self.re[mate], self.im[mate]
         self.sign[later] = -1.0
         self.pairs = (start[first], start[first] + 1)
         self.reals = start[single][1:]       # coordinate 0 is yhat(empty)
+        return negated
+
+    def position(self, ids: np.ndarray) -> np.ndarray:
+        """The positions of charge-0 ids in `charge0`, which index `re`,
+        `im` and `sign`."""
+        return np.searchsorted(self.charge0, ids)
 
     @staticmethod
     def _basis(ids, partner, scale, real):
@@ -394,39 +429,59 @@ class _ChargeLayout:
         return ((np.array(g1, dtype=np.intp), np.array(q1, dtype=complex)),
                 (np.array(g2, dtype=np.intp), np.array(q2, dtype=complex)))
 
-    def _entries(self, block, fns, B):
+    def _entries(self, block, fns, B, negated):
         """(packed entry, coordinate, coef) triples of one block: entry
         (i, j) is E[f_i conj(f_j)] = sum q q' yhat(g - g'), and each yhat
         reads one or two coordinates.  A zero q (a complex block's second
         term, and that of a real g = -g) adds nothing and is skipped."""
-        rows, cols, k = block.rows, block.cols, self.k
+        rows, cols = np.tril_indices(block.dim)
+        offdiag, k = rows != cols, self.k
         # where each off-diagonal entry's imaginary part is packed
-        imag_at = rows.size + np.cumsum(block.off) - 1
+        imag_at = rows.size + np.cumsum(offdiag) - 1
         (g1, _), (g2, _) = fns
-        # ids of g - g' for the term pairs (first, first), (first, second),
-        # ... at every entry; in a real block the second term's charge is
-        # the negation of the first's, so the pairs that start with it
-        # negate those that start with the first
-        diff = {(0, 0): self.rmoments.rank((B[g1[rows]] - B[g1[cols]]) % k)}
+        # positions of g - g' for the term pairs (first, first), (first,
+        # second), ... at every entry; in a real block the second term's
+        # charge is the negation of the first's, so the pairs that start
+        # with it negate those that start with the first
+        diff = {(0, 0): self.position(
+            self.rmoments.rank((B[g1[rows]] - B[g1[cols]]) % k))}
         if block.real:
-            diff[0, 1] = self.rmoments.rank((B[g1[rows]] - B[g2[cols]]) % k)
-            diff[1, 0] = self._negated[diff[0, 1]]
-            diff[1, 1] = self._negated[diff[0, 0]]
-        for (a, b), ids in diff.items():
+            diff[0, 1] = self.position(
+                self.rmoments.rank((B[g1[rows]] - B[g2[cols]]) % k))
+            diff[1, 0] = negated[diff[0, 1]]
+            diff[1, 1] = negated[diff[0, 0]]
+        for (a, b), p in diff.items():
             (_, qa), (_, qb) = fns[a], fns[b]
             at = np.flatnonzero((qa[rows] != 0) & (qb[cols] != 0))
             if not at.size:
                 continue
             r, c = rows[at], cols[at]
             alpha = qa[r] * qb[c].conj() * block.f[at]
-            m = ids[at]
+            m = p[at]
             re, im, sign = self.re[m], self.im[m], self.sign[m]
             yield at, re, alpha.real
             yield at, im, -sign * alpha.imag
             if not block.real:
-                off = block.off[at]
+                off = offdiag[at]
                 yield imag_at[at[off]], re[off], alpha.imag[off]
                 yield imag_at[at[off]], im[off], (sign * alpha.real)[off]
+
+    def _summed(self, terms):
+        """One block's terms (packed entry, coordinate, coef) summed per
+        pair, the pairs in row-major order, zero sums dropped.  The stable
+        sort keeps each pair's terms in the order they came and `bincount`
+        adds them in it, as one sum over every block's terms would
+        (`np.add.reduceat` adds a pair's tail first and rounds apart)."""
+        rows, cols, coefs = map(np.concatenate, zip(*terms))
+        key = rows * self.size + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(key.size, dtype=bool)
+        new[:1], new[1:] = True, key[1:] != key[:-1]
+        coef = np.bincount(np.cumsum(new) - 1, weights=coefs[order])
+        keep = np.abs(coef) > 1e-12
+        row, col = np.divmod(key[new][keep], self.size)
+        return row, col, coef[keep]
 
     def A(self, y: np.ndarray) -> np.ndarray:
         """The packed blocks of the moment matrix of coordinates y."""
@@ -443,8 +498,7 @@ class _ChargeLayout:
     def moments(self, y: np.ndarray) -> np.ndarray:
         """The complex charge moments yhat over `rmoments` (0 off charge 0)."""
         out = np.zeros(len(self.rmoments), dtype=complex)
-        ids = self.charge0
-        out[ids] = y[self.re[ids]] + 1j * self.sign[ids] * y[self.im[ids]]
+        out[self.charge0] = y[self.re] + 1j * self.sign * y[self.im]
         return out
 
     def upper_bound(self, r: np.ndarray) -> float:

@@ -343,8 +343,8 @@ def _charge_objective(inst: UgInstance, layout: _ChargeLayout) -> np.ndarray:
     eu, ev, w, s = inst._arrays
     j = np.arange(1, k)
     # chi_u^j is the charge monomial of degree 1 with id 1 + u (k-1) + j - 1
-    m = layout.rmoments.mul(eu[:, None] * (k - 1) + j,
-                            ev[:, None] * (k - 1) + k - j).ravel()
+    m = layout.position(layout.rmoments.mul(
+        eu[:, None] * (k - 1) + j, ev[:, None] * (k - 1) + k - j).ravel())
     coef = ((w / inst.total_weight / k)[:, None]
             * np.exp(-2j * np.pi * np.outer(s, j) / k)).ravel()
     np.add.at(c, layout.re[m], coef.real)
@@ -522,10 +522,9 @@ def product_copy(pE: PseudoExpectation) -> PseudoExpectation:
     if pE.copy_count != 1:
         raise ParameterError("product_copy requires copy_count = 1")
     n, k, D = pE.num_vertices, pE.k, pE.degree
-    offset = moment_index(n, k, D, 2).offset
 
     def fill(d):
-        parts, values = _halves(n, k, D)[offset[d]:offset[d + 1]], pE._array(d)
+        parts, values = _halves(n, k, D, d), pE._array(d)
         return values[parts[:, 0]] * values[parts[:, 1]]
 
     return PseudoExpectation(D, k, n, None, copy_count=2,

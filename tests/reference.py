@@ -1,7 +1,7 @@
 """Reference implementations the tests hold the package against: the
 dict-polynomial calculus over canonical keys, the exact-indicator shift
-potential, the per-key shift-symmetry deviation and the pair-scan planted
-instance.
+potential, the per-key shift-symmetry deviation, the pair-scan planted
+instance and the charge layout built over the whole charge index at once.
 
 Each is written key by key or vertex by vertex, the plainest way to compute
 it, so that a vectorized table in `ugsos` that disagrees is the suspect."""
@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from ugsos import admm, basis
 from ugsos.instances import UgInstance, local_value
 from ugsos.sos import canon_key
 
@@ -96,3 +97,72 @@ def plant_instance_pairs(graph, k: int, eps: float, seed=None):
                 shift = int((shift + rng.integers(1, k)) % k)
             edges.append((u, v, float(W[u, v]), shift))
     return UgInstance(n, k, tuple(edges)), xstar
+
+
+def ref_charge_layout(n: int, k: int, D: int):
+    """`basis._ChargeLayout`'s (t_row, t_col, t_coef, counts, blocks), the
+    blocks as (dim, real, part), built over the whole degree-D charge
+    index: charges and negations of every charge monomial from its slot
+    row, coordinate maps over every id, every block's terms concatenated
+    and summed per (packed entry, coordinate) by one `np.unique` and
+    `bincount`."""
+    rbasis = basis.moment_index(n, k - 1, D // 2)
+    rmoments = basis.moment_index(n, k - 1, D)
+    negation = np.arange(k - 2, -1, -1)     # g -> k - g on labels 0..k-2
+    negated = rmoments.relabel(negation)
+    G = rmoments.slots
+    ids = np.flatnonzero(G.sum(axis=1, dtype=np.int64) % k == 0)
+    partner = negated[ids]
+    first, single = partner > ids, partner == ids
+    width = np.where(first, 2, np.where(single, 1, 0))
+    start = np.cumsum(width) - width
+    size = int(width.sum())
+    re, im = np.zeros((2, len(G)), dtype=np.int64)
+    sign = np.zeros(len(G))
+    own = first | single
+    re[ids[own]], im[ids[first]] = start[own], start[first] + 1
+    sign[ids[first]] = 1.0
+    later, mate = ids[~own], partner[~own]
+    re[later], im[later] = re[mate], im[mate]
+    sign[later] = -1.0
+    B = rbasis.slots
+    charge = B.sum(axis=1, dtype=np.int64) % k
+    scale = float(k) ** (-0.5 * (B > 0).sum(axis=1))
+    basis_partner = rbasis.relabel(negation)
+    blocks, terms, at = [], [], 0
+    for c in range(k // 2 + 1):
+        members, real = np.flatnonzero(charge == c), 2 * c % k == 0
+        block = admm._Block(members.size, real, 1.0 if real else 2.0, at)
+        fns = basis._ChargeLayout._basis(members, basis_partner, scale, real)
+        (g1, _), (g2, _) = fns
+        rows, cols = np.tril_indices(block.dim)
+        offdiag = rows != cols
+        imag_at = rows.size + np.cumsum(offdiag) - 1
+        diff = {(0, 0): rmoments.rank((B[g1[rows]] - B[g1[cols]]) % k)}
+        if real:
+            diff[0, 1] = rmoments.rank((B[g1[rows]] - B[g2[cols]]) % k)
+            diff[1, 0] = negated[diff[0, 1]]
+            diff[1, 1] = negated[diff[0, 0]]
+        for (a, b), m in diff.items():
+            qa, qb = fns[a][1], fns[b][1]
+            sel = np.flatnonzero((qa[rows] != 0) & (qb[cols] != 0))
+            if not sel.size:
+                continue
+            alpha = qa[rows[sel]] * qb[cols[sel]].conj() * block.f[sel]
+            m = m[sel]
+            terms += [(at + sel, re[m], alpha.real),
+                      (at + sel, im[m], -sign[m] * alpha.imag)]
+            if not real:
+                off, imag = offdiag[sel], at + imag_at[sel[offdiag[sel]]]
+                terms += [(imag, re[m][off], alpha.imag[off]),
+                          (imag, im[m][off], (sign[m] * alpha.real)[off])]
+        blocks.append((block.dim, real, block.part))
+        at = block.part.stop
+    rows, cols, coefs = map(np.concatenate, zip(*terms))
+    key, inv = np.unique(rows * size + cols, return_inverse=True)
+    coef = np.bincount(inv, weights=coefs)
+    keep = np.abs(coef) > 1e-12
+    t_row, t_col = np.divmod(key[keep], size)
+    t_coef = coef[keep]
+    counts = np.bincount(t_col, weights=t_coef**2, minlength=size)
+    return t_row, t_col, t_coef, counts, blocks

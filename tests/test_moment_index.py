@@ -3,13 +3,14 @@ reference implementations (the loops the gathers replaced), under exact
 float equality."""
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsos import basis, sos
+from ugsos import basis, cli, sos
 from ugsos.errors import NullEventError, ParameterError
 from ugsos.graphs import johnson_graph
 from ugsos.instances import plant_instance
@@ -20,8 +21,8 @@ from ugsos.sos import (PseudoExpectation, build_relaxation, canon_key,
                        moment_matrix, pair_moments, point_mass_pe,
                        product_copy, rerandomize, solve_sdp, symmetrize)
 
-from reference import (all_canonical_keys, key_mul, ref_shift_deviation,
-                       shift_key)
+from reference import (all_canonical_keys, key_mul, ref_charge_layout,
+                       ref_shift_deviation, shift_key)
 
 
 # -- ranking ----------------------------------------------------------------
@@ -118,21 +119,22 @@ class _RankEveryPair(basis._ChargeLayout):
     """The charge layout with every basis-term pair's differences ranked
     directly, the reference for the negation shortcut."""
 
-    def _entries(self, block, fns, B):
-        rows, cols, k = block.rows, block.cols, self.k
-        imag_at = rows.size + np.cumsum(block.off) - 1
+    def _entries(self, block, fns, B, negated):
+        rows, cols = np.tril_indices(block.dim)
+        offdiag, k = rows != cols, self.k
+        imag_at = rows.size + np.cumsum(offdiag) - 1
         for (ga, qa), (gb, qb) in itertools.product(fns, fns):
             at = np.flatnonzero((qa[rows] != 0) & (qb[cols] != 0))
             if not at.size:
                 continue
             r, c = rows[at], cols[at]
             alpha = qa[r] * qb[c].conj() * block.f[at]
-            m = self.rmoments.rank((B[ga[r]] - B[gb[c]]) % k)
+            m = self.position(self.rmoments.rank((B[ga[r]] - B[gb[c]]) % k))
             re, im, sign = self.re[m], self.im[m], self.sign[m]
             yield at, re, alpha.real
             yield at, im, -sign * alpha.imag
             if not block.real:
-                off = block.off[at]
+                off = offdiag[at]
                 yield imag_at[at[off]], re[off], alpha.imag[off]
                 yield imag_at[at[off]], im[off], (sign * alpha.real)[off]
 
@@ -146,6 +148,50 @@ def test_charge_layout_matches_ranking_every_pair(n, k, D):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
+@pytest.mark.parametrize("n, k, D", [(3, 2, 4), (4, 3, 4), (5, 2, 6),
+                                     (8, 3, 4), (10, 3, 4), (6, 4, 4),
+                                     (15, 3, 4), (8, 2, 6)])
+def test_charge_layout_matches_the_whole_index_reference(n, k, D):
+    got = basis._ChargeLayout(n, k, D)
+    ref = ref_charge_layout(n, k, D)
+    for name, want in zip(("t_row", "t_col", "t_coef", "counts"), ref):
+        assert np.array_equal(getattr(got, name), want), name
+    assert [(b.dim, b.real, b.part) for b in got.blocks] == ref[-1]
+
+
+def test_charge_layout_build_memory_follows_one_block():
+    # one block's terms at a time, and coordinate maps over the charge-0
+    # moments only: built over the whole charge index the peak was 24.9 MB
+    basis._moment_index.cache_clear()
+    tracemalloc.start()
+    try:
+        basis._ChargeLayout(15, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13e6
+
+
+def test_moment_index_is_one_object_however_spelled():
+    assert (basis.moment_index(4, 3, 2) is basis.moment_index(4, 3, 2, 1)
+            is basis.moment_index(4, 3, 2, copies=1))
+
+
+def test_johnson_solve_round_builds_no_slot_table(capsys):
+    # products come from the operands' subsets and codes: neither the
+    # solver's table nor the charge index lists every key as a slot row
+    for name in dir(basis):
+        cache_clear = getattr(getattr(basis, name), "cache_clear", None)
+        if cache_clear is not None:
+            cache_clear()
+    assert cli.main(["solve-round", "--family", "johnson", "--n", "5",
+                     "--l", "2", "--alpha", "0.5", "--seed", "0", "--k", "3",
+                     "--eps", "0.05", "--degree", "4", "--tol", "3e-3"]) == 0
+    capsys.readouterr()
+    for args in [(10, 3, 4), (10, 2, 4)]:
+        assert "slots" not in vars(basis.moment_index(*args))
+
+
 def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
     # the grid tables, and the product basis's copy parts (`_halves`), rank
     # subsets only, not slot rows key by key
@@ -156,8 +202,8 @@ def test_symmetrize_and_validate_rank_no_key_by_key(cube3_raw, monkeypatch):
         calls.append(rows.shape)
         return rank(self, rows)
 
-    for cache in (basis.moment_index, basis._product_ids, basis._charge_frame,
-                  basis._halves):
+    for cache in (basis._moment_index, basis._product_ids,
+                  basis._charge_frame, basis._halves):
         cache.cache_clear()
     monkeypatch.setattr(MomentIndex, "rank", spy)
     sym = symmetrize(cube3_raw)
@@ -287,11 +333,21 @@ def test_condition_of_product_copy_matches_reference(tables):
     _same(condition(pE2, event), ref_condition(pE2, event))
 
 
+def test_conditioning_a_product_copy_leaves_its_top_degree_unbuilt(tables):
+    # a D = 4 product copy conditioned on one event reads its blocks <= 3
+    pE2 = product_copy(tables["cube3-sym"])
+    basis._halves.cache_clear()
+    condition(pE2, ((0, 0, 0),))
+    misses = basis._halves.cache_info().misses
+    basis._halves(pE2.num_vertices, pE2.k, 4, 4)
+    assert basis._halves.cache_info().misses == misses + 1
+
+
 def test_product_copy_reads_build_no_two_copy_key_table(tables):
     # scalar reads, the fill and conditioning of a product copy take ids
     # from the base's key map, `basis._halves` and `mul` on smaller
     # indexes: the degree-D two-copy index builds no keys, key map or rows
-    basis.moment_index.cache_clear()
+    basis._moment_index.cache_clear()
     sym = tables["cube3-sym"]
     pE2 = product_copy(sym)
     pE2.moment(((0, 1, 0), (3, 2, 0), (1, 0, 1), (5, 2, 1)))

@@ -492,20 +492,23 @@ def _reference_lower(block, v):
     """The lower triangle of the block packed in v by the complex formula
     (v_re + 1j v_im) / f, entry by entry: the reference for the float
     maps."""
-    n = block.rows.size
-    lower = v[:n] / block.f
+    rows, cols = np.tril_indices(block.dim)
+    off = rows != cols
+    lower = v[:rows.size] / block.f
     if not block.real:
         lower = lower.astype(complex)
-        lower[block.off] += 1j * v[n:] / block.f[block.off]
+        lower[off] += 1j * v[rows.size:] / block.f[off]
     return lower
 
 
 def _reference_pack(block, M):
-    lower = M[block.rows, block.cols]
+    rows, cols = np.tril_indices(block.dim)
+    off = rows != cols
+    lower = M[rows, cols]
     if block.real:
         return lower * block.f
     return np.concatenate((lower.real * block.f,
-                           lower.imag[block.off] * block.f[block.off]))
+                           lower.imag[off] * block.f[off]))
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -514,7 +517,8 @@ def test_block_maps_equal_the_complex_formulas_exactly(monkeypatch, dim,
                                                         real):
     rng = np.random.default_rng(dim)
     block = admm._Block(dim, real, 1.0 if real else 2.0, 0)
-    n = block.rows.size
+    rows, cols = np.tril_indices(dim)
+    n = rows.size
     packed = []
     for _ in range(2):
         v = rng.normal(size=block.w.size)
@@ -524,12 +528,12 @@ def test_block_maps_equal_the_complex_formulas_exactly(monkeypatch, dim,
                   * 2.0 ** rng.integers(-30, 30, size=v[::3].size))
         packed.append(v)
     if not real:
-        f = block.f[block.off]
+        f = block.f[rows != cols]
         assert np.any(v[n:] / f != v[n:] * (1.0 / f))
     refs = []
     for v in packed:
         ref = np.zeros((dim, dim), dtype=float if real else complex)
-        ref[block.rows, block.cols] = _reference_lower(block, v)
+        ref[rows, cols] = _reference_lower(block, v)
         refs.append(ref)
         M = block.unpack(v)
         assert M.dtype == ref.dtype and np.array_equal(M, ref)
